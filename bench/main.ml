@@ -221,7 +221,7 @@ let figure5 () =
       List.iter
         (fun (s_sorted, s_label) ->
           let factor dense =
-            Dqo_opt.Dqo.improvement_factor
+            Dqo_opt.Search.improvement_factor
               (figure5_catalog ~r_sorted ~s_sorted ~dense)
               figure5_query
           in

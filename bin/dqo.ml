@@ -141,18 +141,6 @@ let threads_arg =
            domains.  Results are identical to $(docv)=1; speedup needs \
            multicore hardware.")
 
-let hier_arg =
-  Arg.(
-    value & flag
-    & info [ "hier" ]
-        ~doc:
-          "Plan joins hierarchically: partition the join graph (partitions \
-           of at most $(b,--partition-max) relations), solve each partition \
-           with the exact DP, and stitch the partition plans over the \
-           quotient graph.  Queries joining more than \
-           $(b,--hier-threshold) relations take this route even without \
-           the flag.")
-
 let partition_max_arg =
   Arg.(
     value & opt int 12
@@ -166,13 +154,16 @@ let hier_threshold_arg =
     value & opt int 16
     & info [ "hier-threshold" ] ~docv:"N"
         ~doc:
-          "Queries joining more than $(docv) relations plan hierarchically \
-           even without $(b,--hier).")
+          "Queries joining more than $(docv) relations plan joins \
+           hierarchically: partition the join graph (partitions of at most \
+           $(b,--partition-max) relations), solve each partition with the \
+           exact DP, and stitch the partition plans over the quotient \
+           graph.  0 routes every query hierarchically.")
 
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let action sql mode threads feedback learned beam hier partition_max
+  let action sql mode threads feedback learned beam partition_max
       hier_threshold r_rows s_rows groups sorted sparse skew seed =
     let db = make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed in
     Dqo_engine.Engine.set_opts db
@@ -183,7 +174,6 @@ let run_cmd =
         feedback;
         learner = learned;
         beam_width = beam;
-        hier;
         partition_max;
         hier_threshold;
       };
@@ -216,12 +206,12 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Optimise and execute a SQL query.")
     Term.(
       const action $ sql_arg $ mode_arg $ threads_arg $ feedback_arg
-      $ learned_arg $ beam_arg $ hier_arg $ partition_max_arg
+      $ learned_arg $ beam_arg $ partition_max_arg
       $ hier_threshold_arg $ r_rows $ s_rows $ groups $ sorted $ sparse
       $ skew $ seed)
 
 let explain_cmd =
-  let action sql analyze mode threads feedback learned beam hier
+  let action sql analyze mode threads feedback learned beam
       partition_max hier_threshold json r_rows s_rows groups sorted sparse
       skew seed =
     let db = make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed in
@@ -236,7 +226,6 @@ let explain_cmd =
         feedback;
         learner = learned;
         beam_width = beam;
-        hier;
         partition_max;
         hier_threshold;
       };
@@ -311,7 +300,7 @@ let explain_cmd =
           actual per-node cardinalities.")
     Term.(
       const action $ sql_arg $ analyze $ mode_arg $ threads_arg $ feedback_arg
-      $ learned_arg $ beam_arg $ hier_arg $ partition_max_arg
+      $ learned_arg $ beam_arg $ partition_max_arg
       $ hier_threshold_arg $ json $ r_rows $ s_rows $ groups $ sorted
       $ sparse $ skew $ seed)
 
@@ -412,7 +401,7 @@ let avsp_cmd =
       $ seed)
 
 let serve_cmd =
-  let action mode threads feedback qerror_threshold learned beam hier
+  let action mode threads feedback qerror_threshold learned beam
       partition_max hier_threshold workers max_inflight advisor av_budget
       advisor_interval r_rows s_rows groups sorted sparse skew seed =
     let db = make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed in
@@ -424,7 +413,6 @@ let serve_cmd =
         qerror_threshold;
         learner = learned;
         beam_width = beam;
-        hier;
         partition_max;
         hier_threshold;
       };
@@ -508,7 +496,7 @@ let serve_cmd =
           advise, stats, quit.")
     Term.(
       const action $ mode_arg $ threads_arg $ feedback_arg
-      $ qerror_threshold_arg $ learned_arg $ beam_arg $ hier_arg
+      $ qerror_threshold_arg $ learned_arg $ beam_arg
       $ partition_max_arg $ hier_threshold_arg $ workers $ max_inflight
       $ advisor $ av_budget $ advisor_interval $ r_rows $ s_rows $ groups
       $ sorted $ sparse $ skew $ seed)

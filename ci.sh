@@ -227,4 +227,15 @@ test "$(grep '^result rows=' "$adv_out" | sed 's/.*sum=//' | sort -u | wc -l)" =
 grep '^ok stats' "$adv_out" | grep -q 'advisor_installed=[1-9]' \
   || { echo "ci: stats does not report the install" >&2; exit 1; }
 
+echo "== perfbench serve-adhoc smoke =="
+# Ten seconds of never-seen ad hoc queries through the server, including
+# the selective S-filter class that picks an SPH join over a thinned-out
+# build side: every request must succeed with the reference result.
+pb_line="$(python3 perfbench/run.py --workload serve-adhoc --seed 1 \
+  --seconds 10 --trace 0 | tail -1)"
+printf '%s\n' "$pb_line" | grep -q '"correct": true' \
+  || { echo "ci: serve-adhoc results differ from the reference" >&2; exit 1; }
+printf '%s\n' "$pb_line" | grep -q '"failed": 0,' \
+  || { echo "ci: serve-adhoc had failed requests" >&2; exit 1; }
+
 echo "ci: OK"

@@ -33,11 +33,15 @@ val perfect_hash : Dqo_opt.Catalog.t -> relation:string -> column:string -> t
 val grouping_result : Dqo_opt.Catalog.t -> relation:string -> key:string -> t
 (** Build cost [4 n] (one hash grouping at materialisation time). *)
 
+val grouped_name : string -> string -> string
+(** [grouped_name relation key] is ["<relation>__by_<key>"], the name of
+    the relation a [Grouping_result] view materialises. *)
+
 val apply : Dqo_opt.Catalog.t -> t -> Dqo_opt.Catalog.t
 (** The catalog as the optimiser sees it once the AV is installed.
-    [Grouping_result] adds a new relation named
-    ["<relation>__by_<key>"] holding one row per group, sorted and dense
-    on the key where the base column was. *)
+    [Grouping_result] adds a new relation named {!grouped_name},
+    holding one row per group, sorted and dense on the key where the
+    base column was. *)
 
 val apply_all : Dqo_opt.Catalog.t -> t list -> Dqo_opt.Catalog.t
 

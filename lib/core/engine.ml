@@ -20,7 +20,6 @@ type opts = {
   qerror_threshold : float;
   learner : bool;
   beam_width : int;
-  hier : bool;
   hier_threshold : int;
   partition_max : int;
 }
@@ -33,7 +32,6 @@ let default_opts =
     qerror_threshold = 2.0;
     learner = false;
     beam_width = 4;
-    hier = false;
     hier_threshold = 16;
     partition_max = 12;
   }
@@ -43,7 +41,7 @@ let check_opts o =
   if o.qerror_threshold < 1.0 then
     invalid_arg "Engine.opts: qerror_threshold < 1.0";
   if o.beam_width < 1 then invalid_arg "Engine.opts: beam_width < 1";
-  if o.hier_threshold < 1 then invalid_arg "Engine.opts: hier_threshold < 1";
+  if o.hier_threshold < 0 then invalid_arg "Engine.opts: hier_threshold < 0";
   if o.partition_max < 1 then invalid_arg "Engine.opts: partition_max < 1";
   o
 
@@ -120,10 +118,8 @@ let effective_beam t =
 let gated_planning t =
   effective_beam t <> None && Dqo_learn.Learner.ready t.value_model
 
-(* Per-call [?mode] / [?threads] overrides fall back to the handle's
-   execution options. *)
+(* A per-call [?mode] override falls back to the handle's mode. *)
 let resolve_mode t mode = Option.value ~default:t.opts.mode mode
-let resolve_threads t threads = Option.value ~default:t.opts.threads threads
 
 let installed_avs t = List.map fst t.avs
 let installed_av_sizes t = t.avs
@@ -161,24 +157,30 @@ let relation t name =
 
 let catalog t = t.catalog
 
-(* Whether [l] should be planned hierarchically: opted in explicitly,
-   or past the relation-count threshold beyond which the exhaustive
-   DP's cost blows up. *)
-let hier_route t l =
-  t.opts.hier || List.length (Logical.relations l) > t.opts.hier_threshold
+(* The one pool rule: a caller-owned pool (e.g. the server's long-lived
+   one) wins; otherwise the call runs inline at one thread, else on a
+   per-call pool of that many domains ([threads] defaults to the
+   handle's). *)
+let on_pool t ?pool ?(threads = t.opts.threads) f =
+  match pool with
+  | Some _ -> f pool
+  | None -> (
+    match threads with
+    | n when n < 1 -> invalid_arg "Engine.execute: threads < 1"
+    | 1 -> f None
+    | n -> Dqo_par.Pool.with_pool ~domains:n (fun pool -> f (Some pool)))
 
-(* Planning honours the same parallel-runtime conventions as execution:
-   an explicit pool (the [_on] variants, e.g. the server's long-lived
-   pool) wins, otherwise [opts.threads]; the DP search fans its levels
-   over the pool and returns byte-identical plans either way. *)
-let plan_in t ?pool ?threads mode l =
+(* The one search dispatch behind [plan], [prepare], [reprepare] and
+   [explain_analyze].  A GROUP BY answerable from an installed
+   materialised-grouping AV is rewritten onto the view relation first;
+   feedback and the beam gate apply as configured; queries joining more
+   than [hier_threshold] relations (the point past which the exhaustive
+   DP's cost blows up) plan hierarchically.  The DP fans its levels over
+   [pool] and returns byte-identical plans for any pool size. *)
+let search t ?pool ?metrics mode l =
   let search_mode =
     match mode with SQO -> Dqo_opt.Search.Shallow | DQO -> Dqo_opt.Search.Deep
   in
-  (* A GROUP BY answerable from an installed materialised-grouping AV is
-     rewritten onto the view relation before the search, so every entry
-     point funnelling through [plan] (run, prepare, reprepare, serving)
-     realises the view's benefit. *)
   let l = Dqo_av.View.rewrite_through (installed_avs t) l in
   let feedback = active_feedback t in
   let learner, beam =
@@ -186,28 +188,30 @@ let plan_in t ?pool ?threads mode l =
     | Some b -> (Some t.value_model, Some b)
     | None -> (None, None)
   in
-  let search ?pool () =
-    if hier_route t l then
-      fst
-        (Dqo_opt.Hier.optimize ~model:t.model ?pool ?feedback ?learner ?beam
-           ~partition_max:t.opts.partition_max search_mode t.catalog l)
-    else
-      Dqo_opt.Search.optimize ~model:t.model ?pool ?feedback ?learner ?beam
-        search_mode t.catalog l
-  in
-  match pool with
-  | Some _ -> search ?pool ()
-  | None ->
-    let threads = resolve_threads t threads in
-    if threads = 1 then search ()
-    else Dqo_par.Pool.with_pool ~domains:threads (fun pool -> search ~pool ())
+  if List.length (Logical.relations l) > t.opts.hier_threshold then
+    let entries, stats, report =
+      Dqo_opt.Hier.optimize_entries ~model:t.model ?pool ?metrics ?feedback
+        ?learner ?beam ~partition_max:t.opts.partition_max search_mode
+        t.catalog l
+    in
+    (entries, stats, Some report)
+  else
+    let entries, stats =
+      Dqo_opt.Search.optimize_entries ~model:t.model ?pool ?metrics ?feedback
+        ?learner ?beam search_mode t.catalog l
+    in
+    (entries, stats, None)
 
-let plan t mode l = plan_in t mode l
-let plan_on t ~pool mode l = plan_in t ~pool mode l
-let plan_sql t mode sql = plan_in t mode (Dqo_sql.Binder.plan_of_sql t.catalog sql)
+let cheapest t ?pool mode l =
+  let entries, _, _ = search t ?pool mode l in
+  Dqo_opt.Pareto.cheapest entries
 
-let plan_sql_on t ~pool mode sql =
-  plan_in t ~pool mode (Dqo_sql.Binder.plan_of_sql t.catalog sql)
+let plan t ?pool mode l = on_pool t ?pool (fun pool -> cheapest t ?pool mode l)
+
+(* Kept only for the served-query benchmark, which pins this name. *)
+let plan_on t ~pool mode l = plan t ~pool mode l
+
+let plan_sql t mode sql = plan t mode (Dqo_sql.Binder.plan_of_sql t.catalog sql)
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
@@ -290,6 +294,36 @@ let fks_join fks ~left ~right =
     !lbuf !rbuf;
   { Join.left = l; right = r }
 
+(* The one SPH affordability rule, shared by the join and the grouping:
+   a direct slot array over the key span [lo, hi] is affordable when the
+   span is at most 4 x (the larger of the input's rows and the rows of
+   the base relation owning [col], plus 1024).  Without an FKS AV the
+   optimiser only calls a column dense from its base statistics (span
+   <= 2 x distinct), so a filter or join thinning the input out never
+   makes a plan it chose unaffordable.  Truly sparse domains need the
+   FKS perfect hash built offline by an AV. *)
+type sph = Slots of { lo : int; hi : int } | Fks_av of Fks.t
+
+let sph_strategy t ~op col keys =
+  let stats = Col_stats.analyze keys in
+  (* An empty input has [hi < lo]; one slot serves it. *)
+  let lo = stats.Col_stats.lo in
+  let hi = max lo stats.Col_stats.hi in
+  let base_rows =
+    match Catalog.relation_of_column t.catalog col with
+    | Some rel -> (Catalog.find t.catalog rel).Catalog.rows
+    | None -> 0
+  in
+  if hi - lo + 1 <= 4 * (max (Int_col.length keys) base_rows + 1024) then
+    Slots { lo; hi }
+  else
+    match Hashtbl.find_opt t.fks_index col with
+    | Some fks -> Fks_av fks
+    | None ->
+      invalid_arg
+        ("Engine: " ^ op ^ " chosen for sparse column " ^ col
+       ^ " without a perfect-hash AV")
+
 (* [pool]/[metrics] thread the parallel runtime through the executor:
    when a pool with more than one domain is present, the hot operators
    run their [Dqo_par] counterparts (per-domain metrics registries merge
@@ -313,23 +347,9 @@ let exec_join t ?pool ?metrics left_rel right_rel lc rc
     | Join.SOJ -> Join.sort_merge_join ~left:lk ~right:rk
     | Join.BSJ -> Join.binary_search_join ~left:lk ~right:rk
     | Join.SPHJ -> (
-      (* The slot array covers the whole [lo, hi] domain; that is
-         affordable whenever the domain is within a small factor of the
-         input (a dense base column stays eligible even when a join or
-         filter thinned it out).  Truly sparse domains need the FKS
-         perfect hash built offline by an AV. *)
-      let stats = Col_stats.analyze lk in
-      let range = stats.Col_stats.hi - stats.Col_stats.lo + 1 in
-      if range > 0 && range <= 4 * (Int_col.length lk + 1024) then
-        Join.sph_join ~lo:stats.Col_stats.lo ~hi:stats.Col_stats.hi ~left:lk
-          ~right:rk
-      else
-        match Hashtbl.find_opt t.fks_index lc with
-        | Some fks -> fks_join fks ~left:lk ~right:rk
-        | None ->
-          invalid_arg
-            ("Engine: SPHJ chosen for sparse column " ^ lc
-           ^ " without a perfect-hash AV"))
+      match sph_strategy t ~op:"SPHJ" lc lk with
+      | Slots { lo; hi } -> Join.sph_join ~lo ~hi ~left:lk ~right:rk
+      | Fks_av fks -> fks_join fks ~left:lk ~right:rk)
   in
   Join.materialize left_rel right_rel pairs
 
@@ -400,26 +420,11 @@ let group_fast t ?pool ?metrics rel key aggs payload_col
         ~universe:(Dqo_util.Int_array.distinct_sorted (Int_col.to_array keys))
         ~keys ~values
     | Grouping.SPHG -> (
-      (* Same affordability rule as the SPH join: cover [lo, hi] with a
-         direct slot array when the domain is within a small factor of
-         the input; fall back to an FKS perfect-hash AV otherwise. *)
-      let stats = Col_stats.analyze keys in
-      let range = stats.Col_stats.hi - stats.Col_stats.lo + 1 in
-      if range > 0 && range <= 4 * (Int_col.length keys + 1024) then
-        match parallel with
-        | Some pool ->
-          Dqo_par.Par_group.sph pool ?metrics ~lo:stats.Col_stats.lo
-            ~hi:stats.Col_stats.hi ~keys ~values ()
-        | None ->
-          Grouping.sph_based ~lo:stats.Col_stats.lo ~hi:stats.Col_stats.hi
-            ~keys ~values
-      else
-        match Hashtbl.find_opt t.fks_index key with
-        | Some fks -> fks_grouping fks ~keys ~values
-        | None ->
-          invalid_arg
-            ("Engine: SPHG chosen for sparse column " ^ key
-           ^ " without a perfect-hash AV"))
+      match (sph_strategy t ~op:"SPHG" key keys, parallel) with
+      | Slots { lo; hi }, Some pool ->
+        Dqo_par.Par_group.sph pool ?metrics ~lo ~hi ~keys ~values ()
+      | Slots { lo; hi }, None -> Grouping.sph_based ~lo ~hi ~keys ~values
+      | Fks_av fks, _ -> fks_grouping fks ~keys ~values)
   in
   let agg_column (a : Logical.aggregate) =
     match a.Logical.spec with
@@ -525,37 +530,33 @@ let group_generic rel key aggs =
   in
   Relation.create schema (Column.of_ints key_arr :: List.map snd typed)
 
-let rec execute_in t ?pool (p : Physical.t) =
+(* The one operator match.  [child] evaluates a sub-plan, left before
+   right: the plain walk recurses directly, the analysed walk also times
+   and annotates each node. *)
+let exec_node t ?pool ?metrics ~child (p : Physical.t) =
   match p with
   | Physical.Table_scan name -> relation t name
   | Physical.Filter_op (sub, col, pred) ->
-    Dqo_exec.Filter.select_relation (execute_in t ?pool sub) ~column:col pred
-  | Physical.Project_op (sub, cols) ->
-    Relation.project (execute_in t ?pool sub) cols
+    Dqo_exec.Filter.select_relation (child sub) ~column:col pred
+  | Physical.Project_op (sub, cols) -> Relation.project (child sub) cols
   | Physical.Sort_enforcer (sub, col) ->
-    Dqo_exec.Sort_op.by_column (execute_in t ?pool sub) col
+    Dqo_exec.Sort_op.by_column (child sub) col
   | Physical.Join_op (l, r, lc, rc, impl) ->
-    exec_join t ?pool (execute_in t ?pool l) (execute_in t ?pool r) lc rc impl
+    let lr = child l in
+    let rr = child r in
+    exec_join t ?pool ?metrics lr rr lc rc impl
   | Physical.Group_op (sub, key, aggs, impl) -> (
-    let rel = execute_in t ?pool sub in
+    let rel = child sub in
     match fast_path_payload aggs with
-    | Some payload -> group_fast t ?pool rel key aggs payload impl
+    | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
     | None -> group_generic rel key aggs)
 
-(* [run]/[run_sql] surface thread validation under the execute
-   contract, and callers pin that message. *)
-let check_threads threads =
-  if threads < 1 then invalid_arg "Engine.execute: threads < 1"
+let rec execute_in t ?pool p = exec_node t ?pool ~child:(execute_in t ?pool) p
 
-let execute_threads t threads p =
-  check_threads threads;
-  if threads = 1 then execute_in t p
-  else
-    Dqo_par.Pool.with_pool ~domains:threads (fun pool ->
-        execute_in t ~pool p)
+let execute t ?pool p = on_pool t ?pool (fun pool -> execute_in t ?pool p)
 
-let execute t p = execute_threads t t.opts.threads p
-let execute_on t ~pool p = execute_in t ~pool p
+(* Kept only for the served-query benchmark, which pins this name. *)
+let execute_on t ~pool p = execute t ~pool p
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE: execute a plan node by node, annotating each with
@@ -617,49 +618,35 @@ let train_value_model t ?metrics ~gated plan root =
     | None -> ()
   end
 
-let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
-    ?(gated = false) (p : Physical.t) =
-  let threads =
-    match shared_pool with
-    | Some pool -> Dqo_par.Pool.size pool
-    | None -> resolve_threads t threads
-  in
-  if threads < 1 then invalid_arg "Engine.execute_analyzed: threads < 1";
+let learning t = t.opts.feedback || t.opts.learner
+
+(* Execute [p] on the already-resolved [pool], annotating every node with
+   its actual rows, cumulative wall time and estimate, and recording
+   per-operator metrics into [metrics] (a private registry when
+   omitted); then feed the learning stores. *)
+let execute_analyzed t ?pool ?metrics ~gated (p : Physical.t) =
   let m =
     match metrics with Some m -> m | None -> Dqo_obs.Metrics.create ()
   in
   (* Stamp the degree of parallelism into the tree so every rendered
      node label carries its [dop] annotation. *)
-  let p = if threads > 1 then Physical.with_dop threads p else p in
-  let analyze ?pool () =
+  let p =
+    match pool with
+    | Some pool when Dqo_par.Pool.size pool > 1 ->
+      Physical.with_dop (Dqo_par.Pool.size pool) p
+    | Some _ | None -> p
+  in
   let rec go p =
-    let t0 = Dqo_obs.Metrics.now_ns () in
-    let rel, children =
-      match p with
-      | Physical.Table_scan name -> (relation t name, [])
-      | Physical.Filter_op (sub, col, pred) ->
-        let r, c = go sub in
-        (Dqo_exec.Filter.select_relation r ~column:col pred, [ c ])
-      | Physical.Project_op (sub, cols) ->
-        let r, c = go sub in
-        (Relation.project r cols, [ c ])
-      | Physical.Sort_enforcer (sub, col) ->
-        let r, c = go sub in
-        (Dqo_exec.Sort_op.by_column r col, [ c ])
-      | Physical.Join_op (l, r, lc, rc, impl) ->
-        let lr, lc' = go l in
-        let rr, rc' = go r in
-        (exec_join t ?pool ~metrics:m lr rr lc rc impl, [ lc'; rc' ])
-      | Physical.Group_op (sub, key, aggs, impl) ->
-        let rel, c = go sub in
-        let grouped =
-          match fast_path_payload aggs with
-          | Some payload -> group_fast t ?pool ~metrics:m rel key aggs payload impl
-          | None -> group_generic rel key aggs
-        in
-        (grouped, [ c ])
+    let children = ref [] in
+    let child sub =
+      let rel, c = go sub in
+      children := c :: !children;
+      rel
     in
+    let t0 = Dqo_obs.Metrics.now_ns () in
+    let rel = exec_node t ?pool ~metrics:m ~child p in
     let wall_ns = Dqo_obs.Metrics.now_ns () - t0 in
+    let children = List.rev !children in
     let actual_rows = Relation.cardinality rel in
     let rows_in =
       List.fold_left
@@ -680,16 +667,7 @@ let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
         children;
       } )
   in
-  go p
-  in
-  let rel, root =
-    match shared_pool with
-    | Some pool -> analyze ~pool ()
-    | None ->
-      if threads = 1 then analyze ()
-      else
-        Dqo_par.Pool.with_pool ~domains:threads (fun pool -> analyze ~pool ())
-  in
+  let rel, root = go p in
   (* Learning happens after the whole tree is built: per-node estimation
      above must read a store that does not change mid-analysis.  The
      value model trains first, on estimates consistent with the store
@@ -698,34 +676,21 @@ let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
   if t.opts.feedback then ignore (learn_from_analysis t ~metrics:m p root);
   (rel, root)
 
-let execute_analyzed t ?metrics p = execute_analyzed_in t ?metrics p
-
-let execute_analyzed_on t ~pool ?metrics p =
-  execute_analyzed_in t ?metrics ~pool p
-
 (* [run] is the one entry point keeping per-call [?mode]/[?threads]
    compatibility overrides; everything else reads the handle's opts. *)
 let run t ?mode ?threads l =
   let mode = resolve_mode t mode in
-  let threads = resolve_threads t threads in
-  check_threads threads;
   (* With feedback or the learner enabled, even plain [run]s execute
      analysed so the stores keep learning from live traffic.  Whether
      this plan is beam-gated is captured before planning: training
-     during execution must not change how the guardrail judges it. *)
-  let learning = t.opts.feedback || t.opts.learner in
+     during execution must not change how the guardrail judges it.  One
+     pool serves both phases: the search fans DP levels over it, then
+     the chosen plan executes on the same domains. *)
   let gated = gated_planning t in
-  if threads = 1 then
-    let p = (plan_in t ~threads:1 mode l).Dqo_opt.Pareto.plan in
-    if learning then fst (execute_analyzed_in t ~threads:1 ~gated p)
-    else execute_in t p
-  else
-    (* One pool serves both phases: the search fans DP levels over it,
-       then the chosen plan executes on the same domains. *)
-    Dqo_par.Pool.with_pool ~domains:threads (fun pool ->
-        let p = (plan_in t ~pool mode l).Dqo_opt.Pareto.plan in
-        if learning then fst (execute_analyzed_in t ~pool ~gated p)
-        else execute_in t ~pool p)
+  on_pool t ?threads (fun pool ->
+      let p = (cheapest t ?pool mode l).Dqo_opt.Pareto.plan in
+      if learning t then fst (execute_analyzed t ?pool ~gated p)
+      else execute_in t ?pool p)
 
 type analysis = {
   entry : Dqo_opt.Pareto.entry;
@@ -736,54 +701,23 @@ type analysis = {
   hier : Dqo_opt.Hier.report option;
 }
 
+(* One pool for both phases: the DP search records its [opt.dp.*]
+   counters and per-level timings, then the plan executes on the same
+   domains. *)
 let explain_analyze t l =
-  let search_mode =
-    match t.opts.mode with
-    | SQO -> Dqo_opt.Search.Shallow
-    | DQO -> Dqo_opt.Search.Deep
-  in
-  let threads = t.opts.threads in
-  (* Same materialised-grouping rewrite as [plan] — this path talks to
-     the search directly to collect its stats. *)
-  let l = Dqo_av.View.rewrite_through (installed_avs t) l in
   let metrics = Dqo_obs.Metrics.create () in
-  (* One pool for both phases: the DP search records its [opt.dp.*]
-     counters and per-level timings, then the plan executes on the same
-     domains. *)
-  let learner, beam =
-    match effective_beam t with
-    | Some b -> (Some t.value_model, Some b)
-    | None -> (None, None)
-  in
   let gated = gated_planning t in
-  let go ?pool () =
-    let entries, search_stats, hier =
-      Dqo_obs.Metrics.span metrics "optimize" (fun () ->
-          if hier_route t l then
-            let entries, stats, report =
-              Dqo_opt.Hier.optimize_entries ~model:t.model ?pool ~metrics
-                ?feedback:(active_feedback t) ?learner ?beam
-                ~partition_max:t.opts.partition_max search_mode t.catalog l
-            in
-            (entries, stats, Some report)
-          else
-            let entries, stats =
-              Dqo_opt.Search.optimize_entries ~model:t.model ?pool ~metrics
-                ?feedback:(active_feedback t) ?learner ?beam search_mode
-                t.catalog l
-            in
-            (entries, stats, None))
-    in
-    let entry = Dqo_opt.Pareto.cheapest entries in
-    let result, root =
-      Dqo_obs.Metrics.span metrics "execute" (fun () ->
-          execute_analyzed_in t ~metrics ?pool ~threads ~gated
-            entry.Dqo_opt.Pareto.plan)
-    in
-    { entry; root; result; search_stats; metrics; hier }
-  in
-  if threads = 1 then go ()
-  else Dqo_par.Pool.with_pool ~domains:threads (fun pool -> go ~pool ())
+  on_pool t (fun pool ->
+      let entries, search_stats, hier =
+        Dqo_obs.Metrics.span metrics "optimize" (fun () ->
+            search t ?pool ~metrics t.opts.mode l)
+      in
+      let entry = Dqo_opt.Pareto.cheapest entries in
+      let result, root =
+        Dqo_obs.Metrics.span metrics "execute" (fun () ->
+            execute_analyzed t ?pool ~metrics ~gated entry.Dqo_opt.Pareto.plan)
+      in
+      { entry; root; result; search_stats; metrics; hier })
 
 let explain_analyze_sql t sql =
   let a = explain_analyze t (Dqo_sql.Binder.plan_of_sql t.catalog sql) in
@@ -877,19 +811,16 @@ exception
     engine_generation : int;
   }
 
-let prepare_in t ?pool ?mode sql =
+let prepare t ?pool ?mode sql =
   let mode = resolve_mode t mode in
   {
     p_sql = sql;
     p_mode = mode;
-    entry = plan_in t ?pool mode (Dqo_sql.Binder.plan_of_sql t.catalog sql);
+    entry = plan t ?pool mode (Dqo_sql.Binder.plan_of_sql t.catalog sql);
     p_generation = t.generation;
     p_worst_q = 1.0;
     p_gated = gated_planning t;
   }
-
-let prepare t ?mode sql = prepare_in t ?mode sql
-let prepare_on t ~pool ?mode sql = prepare_in t ~pool ?mode sql
 
 let prepared_entry p = p.entry
 let prepared_sql p = p.p_sql
@@ -908,15 +839,12 @@ let prepared_drifted t p =
   (t.opts.feedback || (t.opts.learner && p.p_gated))
   && p.p_worst_q >= t.opts.qerror_threshold
 
-let reprepare_in t ?pool p =
+let reprepare t ?pool p =
   p.entry <-
-    plan_in t ?pool p.p_mode (Dqo_sql.Binder.plan_of_sql t.catalog p.p_sql);
+    plan t ?pool p.p_mode (Dqo_sql.Binder.plan_of_sql t.catalog p.p_sql);
   p.p_generation <- t.generation;
   p.p_worst_q <- 1.0;
   p.p_gated <- gated_planning t
-
-let reprepare t p = reprepare_in t p
-let reprepare_on t ~pool p = reprepare_in t ~pool p
 
 (* Shared lifecycle gate: a prepared plan from an older catalog
    generation either re-optimises in place (opt-in) or raises; a plan
@@ -925,7 +853,7 @@ let reprepare_on t ~pool p = reprepare_in t ~pool p
    A replan triggered while serving runs on the caller's pool. *)
 let check_prepared t ?pool ~reprepare:re p =
   if prepared_stale t p then begin
-    if re then reprepare_in t ?pool p
+    if re then reprepare t ?pool p
     else
       raise
         (Stale_plan
@@ -935,92 +863,32 @@ let check_prepared t ?pool ~reprepare:re p =
              engine_generation = t.generation;
            })
   end
-  else if re && prepared_drifted t p then reprepare_in t ?pool p
+  else if re && prepared_drifted t p then reprepare t ?pool p
 
 (* With feedback or the learner on, prepared executions run analysed so
    the stores keep learning and the statement tracks its own worst
    q-error. *)
-let run_prepared_feedback t ?metrics ?pool p =
-  let rel, root =
-    execute_analyzed_in t ?metrics ?pool ~gated:p.p_gated
-      p.entry.Dqo_opt.Pareto.plan
-  in
-  p.p_worst_q <-
-    Float.max p.p_worst_q (Dqo_opt.Explain.max_q_error root);
-  rel
-
-let learning_opts t = t.opts.feedback || t.opts.learner
-
-let execute_prepared t ?metrics ?(reprepare = false) p =
-  check_prepared t ~reprepare p;
-  if learning_opts t then run_prepared_feedback t ?metrics p
-  else execute t p.entry.Dqo_opt.Pareto.plan
-
-let execute_prepared_on t ~pool ?metrics ?(reprepare = false) p =
-  check_prepared t ~pool ~reprepare p;
-  if learning_opts t then run_prepared_feedback t ?metrics ~pool p
-  else execute_on t ~pool p.entry.Dqo_opt.Pareto.plan
-
-(* ------------------------------------------------------------------ *)
-(* Answering grouping queries from materialised-grouping AVs.          *)
-
-(* [GROUP BY key] over a bare base-relation scan, with aggregates the
-   materialised view can serve (COUNT, SUM(key)), is answered by reading
-   the view.  Output columns are renamed to the query's aliases. *)
-let try_view_answer t l =
-  match l with
-  | Logical.Group_by (Logical.Scan rel_name, key, aggs) ->
-    let has_view =
-      List.exists
-        (fun (v : Dqo_av.View.t) ->
-          match v.Dqo_av.View.kind with
-          | Dqo_av.View.Grouping_result { relation; key = k } ->
-            String.equal relation rel_name && String.equal k key
-          | Dqo_av.View.Sorted_projection _ | Dqo_av.View.Perfect_hash _ ->
-            false)
-        (installed_avs t)
+let execute_prepared t ?pool ?metrics ?(reprepare = false) p =
+  check_prepared t ?pool ~reprepare p;
+  let plan = p.entry.Dqo_opt.Pareto.plan in
+  if learning t then begin
+    let rel, root =
+      on_pool t ?pool (fun pool ->
+          execute_analyzed t ?pool ?metrics ~gated:p.p_gated plan)
     in
-    let servable (a : Logical.aggregate) =
-      match (a.Logical.spec, a.Logical.column) with
-      | Aggregate.Count, _ -> true
-      | Aggregate.Sum, Some c -> String.equal c key
-      | (Aggregate.Sum | Aggregate.Min | Aggregate.Max | Aggregate.Avg), _ ->
-        false
-    in
-    if has_view && List.for_all servable aggs then begin
-      let mv = relation t (rel_name ^ "__by_" ^ key) in
-      let key_col = Column.of_int_col (Relation.int_col mv key) in
-      let pick (a : Logical.aggregate) =
-        match a.Logical.spec with
-        | Aggregate.Count -> Column.of_int_col (Relation.int_col mv "cnt")
-        | Aggregate.Sum -> Column.of_int_col (Relation.int_col mv "total")
-        | Aggregate.Min | Aggregate.Max | Aggregate.Avg -> assert false
-      in
-      let schema =
-        Schema.of_names
-          ((key, Schema.T_int)
-          :: List.map
-               (fun (a : Logical.aggregate) -> (a.Logical.alias, Schema.T_int))
-               aggs)
-      in
-      Some (Relation.create schema (key_col :: List.map pick aggs))
-    end
-    else None
-  | Logical.Scan _ | Logical.Select _ | Logical.Project _ | Logical.Join _
-  | Logical.Group_by _ ->
-    None
+    p.p_worst_q <- Float.max p.p_worst_q (Dqo_opt.Explain.max_q_error root);
+    rel
+  end
+  else execute t ?pool plan
 
-let run_with_views t l =
-  match try_view_answer t l with
-  | Some result -> (result, true)
-  | None -> (run t l, false)
+(* Kept only for the served-query benchmark, which pins this name. *)
+let execute_prepared_on t ~pool ?metrics ?reprepare p =
+  execute_prepared t ~pool ?metrics ?reprepare p
 
 let explain_sql t sql =
   let l = Dqo_sql.Binder.plan_of_sql t.catalog sql in
-  if t.opts.threads > 1 then
-    Dqo_par.Pool.with_pool ~domains:t.opts.threads (fun pool ->
-        Dqo_opt.Explain.comparison ~model:t.model ~pool t.catalog l)
-  else Dqo_opt.Explain.comparison ~model:t.model t.catalog l
+  on_pool t (fun pool ->
+      Dqo_opt.Explain.comparison ~model:t.model ?pool t.catalog l)
 
 (* Resident bytes of one materialised structure, measured at install
    time (8-byte words; the FKS size is per-slot bookkeeping over the
@@ -1074,7 +942,7 @@ let install_av t (v : Dqo_av.View.t) =
       let m = Dqo_av.View.materialize rel v in
       match m with
       | Dqo_av.View.M_grouping g ->
-        let name = rel_name ^ "__by_" ^ key in
+        let name = Dqo_av.View.grouped_name rel_name key in
         let schema =
           Schema.of_names
             [
@@ -1117,7 +985,7 @@ let uninstall_av t id =
     | Dqo_av.View.Perfect_hash { column; _ } ->
       Hashtbl.remove t.fks_index column
     | Dqo_av.View.Grouping_result { relation = rel_name; key } ->
-      let name = rel_name ^ "__by_" ^ key in
+      let name = Dqo_av.View.grouped_name rel_name key in
       t.relations <-
         List.filter (fun (n, _) -> not (String.equal n name)) t.relations);
     t.avs <-

@@ -50,44 +50,43 @@ type opts = {
   beam_width : int;
       (** Entries the beam gate keeps per join subset (default 4, at
           least 1); the guardrail doubles it per q-error regression. *)
-  hier : bool;
-      (** Force hierarchical join planning ({!Dqo_opt.Hier}): partition
-          the join graph, solve each partition with the exact DP, and
-          stitch the partitions over the quotient graph.  Off by
-          default — but see [hier_threshold], which routes big queries
-          hierarchically regardless. *)
   hier_threshold : int;
       (** Queries joining more than this many relations plan
-          hierarchically even with [hier = false] (default 16, at least
-          1) — the escape hatch that keeps the Θ(3{^n}) exhaustive DP
-          off 20-plus-relation (and beyond-64-relation) queries. *)
+          hierarchically ({!Dqo_opt.Hier}): partition the join graph,
+          solve each partition with the exact DP, and stitch the
+          partitions over the quotient graph (default 16, at least 0;
+          [0] routes every query hierarchically) — the escape hatch
+          that keeps the Θ(3{^n}) exhaustive DP off 20-plus-relation
+          (and beyond-64-relation) queries. *)
   partition_max : int;
       (** Largest partition the hierarchical planner's greedy
           partitioner may grow (default 12, at least 1); each partition
           is solved exactly, so this bounds per-partition DP cost. *)
 }
-(** Execution options carried by the engine handle.  Entry points read
-    these options instead of taking scattered [?mode] / [?threads] /
-    [?pool] optionals: set options once via {!create} or {!set_opts}.
-    Two deliberate exceptions remain.  {!run} / {!run_sql} keep
-    per-call [?mode] / [?threads] as the one thin compatibility
-    override, and {!prepare} keeps [?mode] (the optimiser choice is
-    part of the statement).  A caller-owned pool — a {e resource}, not
-    an option — is passed to the [_on] variants ({!plan_on},
-    {!prepare_on}, {!reprepare_on}, {!execute_on},
-    {!execute_analyzed_on}, {!execute_prepared_on}). *)
+(** Execution options carried by the engine handle: set them once via
+    {!create} or {!set_opts}.  {!run} / {!run_sql} keep per-call
+    [?mode] / [?threads] overrides, and {!prepare} keeps [?mode] (the
+    optimiser choice is part of the statement).
+
+    A caller-owned pool — a {e resource}, not an option — is passed as
+    [?pool] to {!plan}, {!execute}, {!prepare}, {!reprepare} and
+    {!execute_prepared}.  One rule decides where a call runs: a given
+    pool wins (a pool of size 1 takes the sequential path); otherwise
+    the call runs inline when [opts.threads = 1], else on a per-call
+    [opts.threads]-domain pool.  Results are byte-identical either
+    way. *)
 
 val default_opts : opts
 (** [{ mode = DQO; threads = 1; feedback = false;
       qerror_threshold = 2.0; learner = false; beam_width = 4;
-      hier = false; hier_threshold = 16; partition_max = 12 }]. *)
+      hier_threshold = 16; partition_max = 12 }]. *)
 
 val create : ?model:Dqo_cost.Model.t -> ?opts:opts -> unit -> t
 (** Fresh engine; the cost model defaults to the paper's Table 2 and
     the execution options to {!default_opts}.
     @raise Invalid_argument if [opts.threads < 1],
     [opts.qerror_threshold < 1.0], [opts.beam_width < 1],
-    [opts.hier_threshold < 1], or [opts.partition_max < 1]. *)
+    [opts.hier_threshold < 0], or [opts.partition_max < 1]. *)
 
 val opts : t -> opts
 
@@ -95,7 +94,7 @@ val set_opts : t -> opts -> unit
 (** Replace the handle's execution options.
     @raise Invalid_argument if [opts.threads < 1],
     [opts.qerror_threshold < 1.0], [opts.beam_width < 1],
-    [opts.hier_threshold < 1], or [opts.partition_max < 1]. *)
+    [opts.hier_threshold < 0], or [opts.partition_max < 1]. *)
 
 val corrections : t -> Dqo_cost.Feedback.t
 (** The handle's cardinality-correction store.  Always present;
@@ -129,82 +128,59 @@ val relation : t -> string -> Dqo_data.Relation.t
 
 val catalog : t -> Dqo_opt.Catalog.t
 
-val plan : t -> mode -> Dqo_plan.Logical.t -> Dqo_opt.Pareto.entry
-(** Optimise a logical plan without executing it.  With
-    [opts.threads > 1] the DP search fans its per-cardinality levels
-    over a per-call domain pool; the chosen plan is byte-identical for
-    any pool size.  Queries routed hierarchically — [opts.hier], or
-    more relations than [opts.hier_threshold] — plan through
+val plan :
+  t -> ?pool:Dqo_par.Pool.t -> mode -> Dqo_plan.Logical.t -> Dqo_opt.Pareto.entry
+(** Optimise a logical plan without executing it.  The DP search fans
+    its per-cardinality levels over the pool (see {!opts} for which);
+    the chosen plan is byte-identical for any pool size.  A [GROUP BY]
+    servable from an installed grouping AV is rewritten onto the view
+    relation first ({!Dqo_av.View.rewrite_through}).  Queries joining
+    more than [opts.hier_threshold] relations plan through
     {!Dqo_opt.Hier} with [opts.partition_max]. *)
 
 val plan_on :
   t -> pool:Dqo_par.Pool.t -> mode -> Dqo_plan.Logical.t -> Dqo_opt.Pareto.entry
-(** {!plan} on a caller-owned pool (e.g. a server's long-lived one). *)
+(** [plan_on t ~pool] is [plan t ~pool]; kept only for the served-query
+    benchmark ([perfbench/]), which pins the name. *)
 
 val plan_sql : t -> mode -> string -> Dqo_opt.Pareto.entry
 
-val plan_sql_on :
-  t -> pool:Dqo_par.Pool.t -> mode -> string -> Dqo_opt.Pareto.entry
-
-val execute : t -> Dqo_plan.Physical.t -> Dqo_data.Relation.t
+val execute :
+  t -> ?pool:Dqo_par.Pool.t -> Dqo_plan.Physical.t -> Dqo_data.Relation.t
 (** Run a physical plan against the stored relations.  With
     [opts.threads = n > 1] the hot operators — hash joins, hash
     grouping, dense SPH grouping, the partition scatter — run on an
     [n]-domain {!Dqo_par.Pool}; results are identical to the
     sequential path (the parallel operators are deterministic by
     construction).  [opts.threads = 1] takes the pure sequential code
-    path.  The pool is created and torn down per call; a serving front
-    end should hold one long-lived pool and use {!execute_on} instead.
+    path.  Without [?pool] the pool is created and torn down per call;
+    a serving front end holds one long-lived pool and passes it.
+
+    SPH operators address a direct slot array when the key span is at
+    most 4 × (the larger of the input's rows and the rows of the base
+    relation owning the key column, plus 1024), and the column's FKS
+    perfect-hash AV otherwise.
     @raise Not_found / Invalid_argument on plans referencing unknown
-    relations or columns. *)
+    relations or columns, or prescribing SPH on a wider span without
+    an AV. *)
 
 val execute_on :
   t -> pool:Dqo_par.Pool.t -> Dqo_plan.Physical.t -> Dqo_data.Relation.t
-(** Like {!execute}, but on a caller-owned pool — the building block of
-    the serving front end ([Dqo_serve]), which multiplexes many
-    requests onto one long-lived pool.  A pool of size 1 takes the
-    sequential path; results are byte-identical either way. *)
+(** [execute_on t ~pool] is [execute t ~pool]; kept only for the
+    served-query benchmark, which pins the name. *)
 
 val run : t -> ?mode:mode -> ?threads:int -> Dqo_plan.Logical.t -> Dqo_data.Relation.t
 (** Optimise and execute; [mode]/[threads] default to the handle's
     {!opts}.  With [threads > 1] one pool serves both phases: the DP
     search fans its levels over it, then the chosen plan executes on
-    the same domains. *)
+    the same domains.
+    @raise Invalid_argument if [threads < 1]. *)
 
 val run_sql : t -> ?mode:mode -> ?threads:int -> string -> Dqo_data.Relation.t
 
 val explain_sql : t -> string -> string
 (** SQO-vs-DQO comparison report for the query; both searches run over
     a pool when the handle's {!opts} ask for more than one thread. *)
-
-val execute_analyzed :
-  t ->
-  ?metrics:Dqo_obs.Metrics.t ->
-  Dqo_plan.Physical.t ->
-  Dqo_data.Relation.t * Dqo_opt.Explain.analyzed
-(** Like {!execute}, but annotates every plan node with its actual row
-    count and cumulative wall time, and records per-operator metrics
-    into [metrics] (a private registry when omitted).  With
-    [opts.threads = n > 1] the plan is stamped with
-    [Physical.with_dop n] (so node labels carry [[dop=n]]) and executed
-    over an [n]-domain pool; each domain records into a private
-    registry merged into [metrics] after the barrier, keeping the
-    numbers correct under parallelism.
-
-    With [opts.feedback] enabled, per-node estimates fold in the learned
-    corrections, and after the run the tree is diffed against the
-    estimates: corrections land in {!corrections} and the q-error
-    distribution in [metrics] ([feedback.qerror], per-observation;
-    [feedback.observations]). *)
-
-val execute_analyzed_on :
-  t ->
-  pool:Dqo_par.Pool.t ->
-  ?metrics:Dqo_obs.Metrics.t ->
-  Dqo_plan.Physical.t ->
-  Dqo_data.Relation.t * Dqo_opt.Explain.analyzed
-(** {!execute_analyzed} on a caller-owned pool (its size supplies the
-    [dop] stamp). *)
 
 type analysis = {
   entry : Dqo_opt.Pareto.entry;  (** The chosen plan with its cost. *)
@@ -214,16 +190,29 @@ type analysis = {
   metrics : Dqo_obs.Metrics.t;
   hier : Dqo_opt.Hier.report option;
       (** The partition report when the query planned hierarchically
-          ([opts.hier] or past [opts.hier_threshold]); [None] for
-          exhaustive searches. *)
+          (past [opts.hier_threshold]); [None] for exhaustive
+          searches. *)
 }
 (** Everything EXPLAIN ANALYZE observed about one query. *)
 
 val explain_analyze : t -> Dqo_plan.Logical.t -> analysis
-(** Optimise with [opts.mode], execute with {!execute_analyzed}, and
-    return the full analysis.  With [opts.threads > 1] one pool serves
-    both phases; the optimiser's [opt.dp.*] counters and per-level wall
-    times land in [metrics] alongside the executor's. *)
+(** Optimise with [opts.mode] exactly as {!plan} does, then execute
+    annotating every plan node with its estimated and actual row count
+    and cumulative wall time, and return the full analysis.  With
+    [opts.threads = n > 1] one [n]-domain pool serves both phases and
+    the plan is stamped with [Physical.with_dop n] (node labels carry
+    [[dop=n]]); each domain records into a private registry merged into
+    [metrics] after the barrier.  The optimiser's [opt.dp.*] counters
+    and per-level wall times land in [metrics] alongside the executor's
+    per-operator records.
+
+    With [opts.feedback], per-node estimates fold in the learned
+    corrections, and after the run the tree is diffed against them:
+    corrections land in {!corrections} and the q-error distribution in
+    [metrics] ([feedback.qerror], [feedback.observations]).  With
+    [opts.learner] the value model trains on every node.  {!run} and
+    {!execute_prepared} execute the same annotated way whenever either
+    option is on. *)
 
 val explain_analyze_sql : t -> string -> string
 (** {!explain_analyze} on parsed SQL, rendered with
@@ -272,15 +261,11 @@ val av_generation : t -> int
 (** Physical-design generation: starts at 0, bumped by every
     {!register}, {!install_av}, and {!uninstall_av}. *)
 
-val prepare : t -> ?mode:mode -> string -> prepared
+val prepare : t -> ?pool:Dqo_par.Pool.t -> ?mode:mode -> string -> prepared
 (** Parse, bind and optimise once ([mode] defaults to the handle's
     {!opts} — the optimiser choice is part of the statement, so the
-    per-call override stays).  Optimisation runs through {!plan},
-    parallelising over the handle's [opts.threads].
+    per-call override stays).  Optimisation runs through {!plan}.
     @raise Dqo_sql.Parser.Error / Dqo_sql.Binder.Error on bad SQL. *)
-
-val prepare_on : t -> pool:Dqo_par.Pool.t -> ?mode:mode -> string -> prepared
-(** {!prepare} optimising on a caller-owned pool. *)
 
 val prepared_entry : prepared -> Dqo_opt.Pareto.entry
 (** The stored plan with its estimated cost and properties. *)
@@ -309,17 +294,15 @@ val prepared_drifted : t -> prepared -> bool
     (or a pruned search) now known to be off by at least that factor,
     and replanning is warranted. *)
 
-val reprepare : t -> prepared -> unit
+val reprepare : t -> ?pool:Dqo_par.Pool.t -> prepared -> unit
 (** Re-optimise the stored plan against the current catalog (and, with
     feedback on, the current correction store), stamp the handle with
     the current generation, and reset the statement's worst observed
     q-error. *)
 
-val reprepare_on : t -> pool:Dqo_par.Pool.t -> prepared -> unit
-(** {!reprepare} optimising on a caller-owned pool. *)
-
 val execute_prepared :
   t ->
+  ?pool:Dqo_par.Pool.t ->
   ?metrics:Dqo_obs.Metrics.t ->
   ?reprepare:bool ->
   prepared ->
@@ -331,8 +314,8 @@ val execute_prepared :
     plan also re-optimises (drift never raises: the plan is still
     correct, just suboptimal).  With [opts.feedback] the execution runs
     analysed — corrections land in {!corrections}, q-errors in
-    [?metrics], and the statement's {!prepared_worst_q} updates.
-    Parallelism comes from the handle's [opts.threads]. *)
+    [?metrics], and the statement's {!prepared_worst_q} updates.  A
+    replan and the execution run on the same pool (see {!opts}). *)
 
 val execute_prepared_on :
   t ->
@@ -341,16 +324,8 @@ val execute_prepared_on :
   ?reprepare:bool ->
   prepared ->
   Dqo_data.Relation.t
-(** {!execute_prepared} on a caller-owned pool (see {!execute_on});
-    with [~reprepare:true], a stale- or drifted-plan re-optimisation
-    also runs on that pool. *)
-
-val run_with_views : t -> Dqo_plan.Logical.t -> Dqo_data.Relation.t * bool
-(** Like {!run}, but first tries to answer the query from an installed
-    materialised-grouping AV: [GROUP BY key] over a base relation whose
-    [Grouping_result] view exists, with aggregates limited to [COUNT]
-    and [SUM(key)], is rewritten to a scan of the materialised result.
-    Returns the result and whether a view was used. *)
+(** [execute_prepared_on t ~pool] is [execute_prepared t ~pool]; kept
+    only for the served-query benchmark, which pins the name. *)
 
 val install_av : t -> Dqo_av.View.t -> unit
 (** Materialise an algorithmic view and update the catalog: a sorted

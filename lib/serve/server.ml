@@ -94,7 +94,7 @@ let rec worker_loop srv =
          correction store updated by the execution that crossed the
          threshold — the feedback loop closing without any client
          intervention. *)
-      Engine.reprepare_on srv.eng ~pool:srv.pool req.r_stmt.prepared;
+      Engine.reprepare srv.eng ~pool:srv.pool req.r_stmt.prepared;
       Metrics.incr srv.m "serve.replans";
       if drifted then Metrics.incr srv.m "feedback.replans"
     end;
@@ -106,7 +106,7 @@ let rec worker_loop srv =
     let fbm = Metrics.create () in
     let outcome =
       match
-        Engine.execute_prepared_on srv.eng ~pool:srv.pool ~metrics:fbm
+        Engine.execute_prepared srv.eng ~pool:srv.pool ~metrics:fbm
           req.r_stmt.prepared
       with
       | rel -> Done rel
@@ -328,7 +328,7 @@ let prepare s ?mode sql =
         (* Revalidate eagerly so prepare-time errors surface here and
            the hot submit path usually finds a fresh plan. *)
         if Engine.prepared_stale srv.eng st.prepared then begin
-          Engine.reprepare_on srv.eng ~pool:srv.pool st.prepared;
+          Engine.reprepare srv.eng ~pool:srv.pool st.prepared;
           Metrics.incr srv.m "serve.replans"
         end;
         st
@@ -343,7 +343,7 @@ let prepare s ?mode sql =
             id = srv.next_stmt;
             sql;
             mode;
-            prepared = Engine.prepare_on srv.eng ~pool:srv.pool ~mode sql;
+            prepared = Engine.prepare srv.eng ~pool:srv.pool ~mode sql;
           }
         in
         Hashtbl.add srv.cache (sql, mode) st;

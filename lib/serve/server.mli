@@ -1,11 +1,12 @@
 (** The serving front end: one long-lived pool, many concurrent
     prepared-statement executions.
 
-    [Engine.execute ~threads:n] spins up and tears down an [n]-domain
-    pool per call — fine for a one-shot CLI, wrong for a server.  A
+    [Engine.execute] at [opts.threads = n] spins up and tears down an
+    [n]-domain pool per call — fine for a one-shot CLI, wrong for a
+    server.  A
     {!t} owns {e one} pool for its whole lifetime and multiplexes every
     request onto it: executor threads pull requests from a bounded
-    queue and run them via [Engine.execute_prepared_on]; the pool
+    queue and run them via [Engine.execute_prepared ~pool]; the pool
     itself serialises parallel regions (see [Dqo_par.Pool]), so
     requests interleave between regions and the [lib/par] determinism
     guarantee carries over — any request schedule, any pool size, and

@@ -24,17 +24,19 @@ let fk_db ~r_sorted ~s_sorted ~dense ~seed =
   Engine.register db ~name:"S" pair.Datagen.s;
   (db, pair)
 
-(* Reference: group count of the FK join, computed naively. *)
-let reference_group_counts (pair : Datagen.fk_pair) =
+(* Reference: group count of the FK join over the S rows [keep]
+   accepts, computed naively. *)
+let reference_group_counts ?(keep = fun _ -> true) (pair : Datagen.fk_pair) =
   let ids = int_column pair.Datagen.r "id" in
   let a = int_column pair.Datagen.r "a" in
   let a_of_id = Hashtbl.create 1024 in
   Array.iteri (fun i id -> Hashtbl.replace a_of_id id a.(i)) ids;
   let counts = Hashtbl.create 1024 in
-  Array.iter
-    (fun r_id ->
-      let g = Hashtbl.find a_of_id r_id in
-      Hashtbl.replace counts g (1 + Option.value ~default:0 (Hashtbl.find_opt counts g)))
+  Array.iteri
+    (fun i r_id ->
+      if keep i then
+        let g = Hashtbl.find a_of_id r_id in
+        Hashtbl.replace counts g (1 + Option.value ~default:0 (Hashtbl.find_opt counts g)))
     (int_column pair.Datagen.s "r_id");
   counts
 
@@ -274,20 +276,23 @@ let test_adaptive_on_non_grouping_query () =
 
 (* --- answering queries from materialised-grouping AVs -------------------- *)
 
-let test_run_with_views_uses_materialised_grouping () =
+(* The relations a plan scans, in scan order. *)
+let scans (p : Physical.t) =
+  List.filter (String.starts_with ~prefix:"TableScan") (Physical.operators p)
+
+let test_view_answers_servable_grouping () =
   let db, pair = fk_db ~r_sorted:false ~s_sorted:false ~dense:true ~seed:93 in
-  let catalog = Engine.catalog db in
   let q =
-    Dqo_sql.Binder.plan_of_sql catalog
+    Dqo_sql.Binder.plan_of_sql (Engine.catalog db)
       "SELECT a, COUNT(*) AS cnt, SUM(a) AS s FROM R GROUP BY a"
   in
   (* Without the view: computed from base data. *)
-  let r1, used1 = Engine.run_with_views db q in
-  Alcotest.(check bool) "no view yet" false used1;
+  let r1 = Engine.run db q in
   Engine.install_av db
-    (Dqo_av.View.grouping_result catalog ~relation:"R" ~key:"a");
-  let r2, used2 = Engine.run_with_views db q in
-  Alcotest.(check bool) "view used" true used2;
+    (Dqo_av.View.grouping_result (Engine.catalog db) ~relation:"R" ~key:"a");
+  Alcotest.(check (list string)) "planned over the view" [ "TableScan(R__by_a)" ]
+    (scans (Engine.plan db Engine.DQO q).Pareto.plan);
+  let r2 = Engine.run db q in
   Alcotest.(check bool) "identical results" true
     (List.sort compare (Relation.rows r1) = List.sort compare (Relation.rows r2));
   (* Sanity: counts match a direct computation. *)
@@ -295,7 +300,7 @@ let test_run_with_views_uses_materialised_grouping () =
   Alcotest.(check int) "group count" (Dqo_util.Int_array.count_distinct a)
     (Relation.cardinality r2)
 
-let test_run_with_views_rejects_unservable_aggregates () =
+let test_view_rejects_unservable_aggregates () =
   let db, _ = fk_db ~r_sorted:false ~s_sorted:false ~dense:true ~seed:94 in
   Engine.install_av db
     (Dqo_av.View.grouping_result (Engine.catalog db) ~relation:"R" ~key:"a");
@@ -304,8 +309,8 @@ let test_run_with_views_rejects_unservable_aggregates () =
     Dqo_sql.Binder.plan_of_sql (Engine.catalog db)
       "SELECT a, MIN(id) AS m FROM R GROUP BY a"
   in
-  let _, used = Engine.run_with_views db q in
-  Alcotest.(check bool) "fallback" false used
+  Alcotest.(check (list string)) "planned over the base relation" [ "TableScan(R)" ]
+    (scans (Engine.plan db Engine.DQO q).Pareto.plan)
 
 (* --- prepared statements -------------------------------------------- *)
 
@@ -466,10 +471,10 @@ let test_hier_routing_forced () =
   let db, pair = fk_db ~r_sorted:false ~s_sorted:false ~dense:true ~seed:72 in
   let q = Dqo_sql.Binder.plan_of_sql (Engine.catalog db) hier_sql in
   let exhaustive = Engine.explain_analyze db q in
-  Engine.set_opts db { (Engine.opts db) with Engine.hier = true };
+  Engine.set_opts db { (Engine.opts db) with Engine.hier_threshold = 0 };
   let a = Engine.explain_analyze db q in
   (match a.Engine.hier with
-  | None -> Alcotest.fail "opts.hier = true must produce a partition report"
+  | None -> Alcotest.fail "hier_threshold = 0 must produce a partition report"
   | Some r ->
       Alcotest.(check int) "two leaves" 2 r.Dqo_opt.Hier.leaves;
       Alcotest.(check int) "one partition" 1
@@ -499,7 +504,7 @@ let test_hier_routing_by_threshold () =
 
 let test_hier_explain_analyze_sql_renders_partitions () =
   let db, _ = fk_db ~r_sorted:false ~s_sorted:false ~dense:true ~seed:74 in
-  Engine.set_opts db { (Engine.opts db) with Engine.hier = true };
+  Engine.set_opts db { (Engine.opts db) with Engine.hier_threshold = 0 };
   let report = Engine.explain_analyze_sql db hier_sql in
   Alcotest.(check bool) "mentions hierarchical planning" true
     (Astring.String.is_infix ~affix:"hierarchical planning" report);
@@ -507,6 +512,91 @@ let test_hier_explain_analyze_sql_renders_partitions () =
     (Astring.String.is_infix ~affix:"P0: 2 leaves" report);
   Alcotest.(check bool) "renders the stitch line" true
     (Astring.String.is_infix ~affix:"stitch:" report)
+
+(* --- one search, one executor walk ------------------------------------ *)
+
+let sorted_rows rel = List.sort compare (Relation.rows rel)
+let plan_string (e : Pareto.entry) = Format.asprintf "%a" Physical.pp e.Pareto.plan
+
+(* EXPLAIN ANALYZE plans exactly as [plan] does and its annotated walk
+   returns exactly what the plain executor returns, for every operator
+   kind, sequentially and pooled, exhaustive and hierarchical. *)
+let test_explain_analyze_matches_plan_and_execute () =
+  let db, _ = fk_db ~r_sorted:false ~s_sorted:false ~dense:true ~seed:75 in
+  let queries =
+    [
+      ("filter", "SELECT id, a FROM R WHERE a < 100");
+      ("project", "SELECT a FROM R");
+      ("join", "SELECT a, b FROM R JOIN S ON id = r_id WHERE b < 100");
+      ("fast grouping", "SELECT a, COUNT(*) AS cnt, SUM(a) AS s FROM R GROUP BY a");
+      ("generic grouping", "SELECT a, MIN(id) AS lo, AVG(id) AS mean FROM R GROUP BY a");
+    ]
+  in
+  List.iter
+    (fun (threads, hier_threshold) ->
+      Engine.set_opts db
+        { Engine.default_opts with Engine.threads; Engine.hier_threshold };
+      List.iter
+        (fun (label, sql) ->
+          let label =
+            Printf.sprintf "%s, threads=%d, hier_threshold=%d" label threads
+              hier_threshold
+          in
+          let q = Dqo_sql.Binder.plan_of_sql (Engine.catalog db) sql in
+          let planned = Engine.plan db Engine.DQO q in
+          let a = Engine.explain_analyze db q in
+          Alcotest.(check string) (label ^ ": plan") (plan_string planned)
+            (plan_string a.Engine.entry);
+          Alcotest.(check (float 0.0)) (label ^ ": cost") planned.Pareto.cost
+            a.Engine.entry.Pareto.cost;
+          Alcotest.(check bool) (label ^ ": rows") true
+            (sorted_rows a.Engine.result
+            = sorted_rows (Engine.execute db planned.Pareto.plan)))
+        queries)
+    [ (1, 16); (2, 16); (1, 0); (2, 0) ]
+
+(* At the paper's §4.3 scale, a selective filter on S leaves the SPH
+   join's build side far smaller than the span of its dense r_id keys,
+   and the grouping over the join output far smaller than the span of a.
+   Both must still run on slot arrays: the span is bounded by the base
+   relation owning the column. *)
+let test_sph_after_selective_filter () =
+  let rng = Dqo_util.Rng.create ~seed:7 in
+  let pair =
+    Datagen.fk_pair ~rng ~r_rows:25_000 ~s_rows:90_000 ~r_groups:20_000
+      ~r_sorted:false ~s_sorted:false ~dense:true
+  in
+  let db = Engine.create () in
+  Engine.register db ~name:"R" pair.Datagen.r;
+  Engine.register db ~name:"S" pair.Datagen.s;
+  let b = int_column pair.Datagen.s "b" in
+  List.iter
+    (fun cut ->
+      let expected =
+        List.sort compare
+          (Hashtbl.fold
+             (fun k v acc -> (k, v) :: acc)
+             (reference_group_counts ~keep:(fun i -> b.(i) < cut) pair)
+             [])
+      in
+      let sql =
+        Printf.sprintf
+          "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id WHERE b < %d \
+           GROUP BY a"
+          cut
+      in
+      List.iter
+        (fun threads ->
+          Engine.set_opts db { Engine.default_opts with Engine.threads };
+          let label = Printf.sprintf "b < %d, threads=%d" cut threads in
+          Alcotest.(check bool) (label ^ ": deep plan is SPH-based") true
+            (Physical.uses_sph (Engine.plan_sql db Engine.DQO sql).Pareto.plan);
+          Alcotest.(check (list (pair int int))) (label ^ ": dqo") expected
+            (result_to_alist (Engine.run_sql db ~mode:Engine.DQO sql));
+          Alcotest.(check (list (pair int int))) (label ^ ": sqo") expected
+            (result_to_alist (Engine.run_sql db ~mode:Engine.SQO sql)))
+        [ 1; 2 ])
+    [ 500; 25_000; 50_000 ]
 
 let () =
   Alcotest.run "dqo_engine"
@@ -545,13 +635,20 @@ let () =
       ( "view-answering",
         [
           Alcotest.test_case "uses materialised grouping" `Quick
-            test_run_with_views_uses_materialised_grouping;
+            test_view_answers_servable_grouping;
           Alcotest.test_case "rejects unservable aggregates" `Quick
-            test_run_with_views_rejects_unservable_aggregates;
+            test_view_rejects_unservable_aggregates;
         ] );
       ( "prepared",
         [ Alcotest.test_case "prepared statements" `Quick test_prepared_statements ]
       );
+      ( "merged-paths",
+        [
+          Alcotest.test_case "explain analyze matches plan and execute"
+            `Quick test_explain_analyze_matches_plan_and_execute;
+          Alcotest.test_case "SPH after a selective filter" `Quick
+            test_sph_after_selective_filter;
+        ] );
       ( "fuzz",
         [
           QCheck_alcotest.to_alcotest prop_engine_fuzz_single_table;
@@ -566,7 +663,7 @@ let () =
         [
           Alcotest.test_case "off by default" `Quick
             test_hier_routing_off_by_default;
-          Alcotest.test_case "forced via opts.hier" `Quick
+          Alcotest.test_case "forced via hier_threshold 0" `Quick
             test_hier_routing_forced;
           Alcotest.test_case "threshold routes" `Quick
             test_hier_routing_by_threshold;

@@ -52,7 +52,7 @@ let figure5_query =
     [ Logical.count_star () ]
 
 let factor ~r_sorted ~s_sorted ~dense =
-  Dqo_opt.Dqo.improvement_factor
+  Dqo_opt.Search.improvement_factor
     (figure5_catalog ~r_sorted ~s_sorted ~dense)
     figure5_query
 
@@ -173,12 +173,12 @@ let test_measured_improvement_factor () =
   let catalog, _ =
     measured_catalog ~r_sorted:false ~s_sorted:false ~dense:true
   in
-  let f = Dqo_opt.Dqo.improvement_factor catalog figure5_query in
+  let f = Dqo_opt.Search.improvement_factor catalog figure5_query in
   Alcotest.(check bool) "factor close to 4" true (f > 3.5 && f <= 4.1);
   let sparse_catalog, _ =
     measured_catalog ~r_sorted:false ~s_sorted:false ~dense:false
   in
-  let f = Dqo_opt.Dqo.improvement_factor sparse_catalog figure5_query in
+  let f = Dqo_opt.Search.improvement_factor sparse_catalog figure5_query in
   Alcotest.(check (float 0.001)) "sparse factor 1x" 1.0 f
 
 (* --- Pareto behaviour ----------------------------------------------- *)
@@ -464,7 +464,7 @@ let test_factor_scales_with_hash_constant () =
       Alcotest.(check (float 0.01))
         (Printf.sprintf "factor = hash constant %.1f" f)
         f
-        (Dqo_opt.Dqo.improvement_factor ~model catalog figure5_query))
+        (Dqo_opt.Search.improvement_factor ~model catalog figure5_query))
     [ 2.0; 4.0; 8.0 ];
   (* Beyond ~10 the shallow optimiser abandons hashing for
      sort-both-inputs + merge + ordered grouping, so the factor
@@ -476,7 +476,7 @@ let test_factor_scales_with_hash_constant () =
   let model = Model.with_hash_factor 20.0 in
   Alcotest.(check (float 0.01))
     "factor saturates at the sort-based plan" saturation
-    (Dqo_opt.Dqo.improvement_factor ~model catalog figure5_query)
+    (Dqo_opt.Search.improvement_factor ~model catalog figure5_query)
 
 let test_filter_estimate_feeds_grouping () =
   (* WHERE a = const collapses the estimated group count to 1; the DP's
