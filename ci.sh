@@ -238,4 +238,16 @@ printf '%s\n' "$pb_line" | grep -q '"correct": true' \
 printf '%s\n' "$pb_line" | grep -q '"failed": 0,' \
   || { echo "ci: serve-adhoc had failed requests" >&2; exit 1; }
 
+echo "== perfbench self-tuning smoke =="
+# Ten seconds of the feedback + learner + advisor workload: the learner
+# featurises and the advisor plans over the same property vectors the
+# join DP prunes on, so every request must still succeed with the
+# reference result.
+pb_line="$(python3 perfbench/run.py --workload self-tuning --seed 1 \
+  --seconds 10 --trace 0 | tail -1)"
+printf '%s\n' "$pb_line" | grep -q '"correct": true' \
+  || { echo "ci: self-tuning results differ from the reference" >&2; exit 1; }
+printf '%s\n' "$pb_line" | grep -q '"failed": 0,' \
+  || { echo "ci: self-tuning had failed requests" >&2; exit 1; }
+
 echo "ci: OK"

@@ -85,6 +85,7 @@ let columns_of t name =
 let relation_of_column t col =
   List.find_map
     (fun ti ->
-      if List.mem_assoc col ti.props.Dqo_plan.Props.columns then Some ti.name
-      else None)
+      match Dqo_plan.Props.column ti.props col with
+      | Some _ -> Some ti.name
+      | None -> None)
     t.tables

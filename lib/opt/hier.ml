@@ -264,30 +264,17 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
        keeping their full property vectors.  Skipped for a single
        partition, where the stitch is a verbatim passthrough and the
        export must stay byte-identical to the exhaustive frontier. *)
+    let restricted_dominates ((a : Pareto.entry), ra) ((b : Pareto.entry), rb) =
+      a.Pareto.cost <= b.Pareto.cost && Dqo_plan.Props.dominates ra rb
+    in
     let prune_for_stitch entries =
       if List.length parts = 1 then entries
       else
         let kept =
           List.fold_left
             (fun kept (e : Pareto.entry) ->
-              let rp =
-                Dqo_plan.Props.restrict e.Pareto.props stitch_interesting
-              in
-              if
-                List.exists
-                  (fun ((k : Pareto.entry), krp) ->
-                    k.Pareto.cost <= e.Pareto.cost
-                    && Dqo_plan.Props.dominates krp rp)
-                  kept
-              then kept
-              else
-                (e, rp)
-                :: List.filter
-                     (fun ((k : Pareto.entry), krp) ->
-                       not
-                         (e.Pareto.cost <= k.Pareto.cost
-                         && Dqo_plan.Props.dominates rp krp))
-                     kept)
+              Pareto.insert ~dominates:restricted_dominates kept
+                (e, Dqo_plan.Props.restrict e.Pareto.props stitch_interesting))
             [] entries
         in
         List.rev_map fst kept

@@ -7,11 +7,12 @@ type entry = {
   rows : int;
 }
 
-let dominates a b = a.cost <= b.cost && Props.dominates a.props b.props
+let insert ~dominates set x =
+  if List.exists (fun m -> dominates m x) set then set
+  else x :: List.filter (fun m -> not (dominates x m)) set
 
-let add set e =
-  if List.exists (fun m -> dominates m e) set then set
-  else e :: List.filter (fun m -> not (dominates e m)) set
+let dominates a b = a.cost <= b.cost && Props.dominates a.props b.props
+let add set e = insert ~dominates set e
 
 let add_all set es = List.fold_left add set es
 

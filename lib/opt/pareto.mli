@@ -17,6 +17,13 @@ val add : entry list -> entry -> entry list
     {e and} offers at least [e]'s properties; members that [e] renders
     redundant are dropped. *)
 
+val insert : dominates:('a -> 'a -> bool) -> 'a list -> 'a -> 'a list
+(** The step behind {!add} under any dominance relation:
+    [insert ~dominates set x] is [set] when a member dominates [x], else
+    [x] consed onto the members [x] does not dominate, in their order.
+    The hierarchical optimiser uses it to prune by cost and properties
+    restricted to the columns visible above a partition. *)
+
 val add_all : entry list -> entry list -> entry list
 
 val cheapest : entry list -> entry

@@ -12,6 +12,10 @@ module Metrics = Dqo_obs.Metrics
 module Feedback = Dqo_cost.Feedback
 module Learner = Dqo_learn.Learner
 
+(* Join-DP tables keyed by relation subsets: monomorphic equality and
+   hashing instead of the polymorphic ones on boxed bitsets. *)
+module Subsets = Hashtbl.Make (Bitset)
+
 type mode = Shallow | Deep
 
 (* One entry per DP step (base scan, select, project, group-by, or join
@@ -127,16 +131,21 @@ let distinct_or props col default =
   match Props.distinct_of props col with Some d -> d | None -> default
 
 (* After an operator produced [rows] tuples, no column can have more
-   distinct values than that. *)
+   distinct values than that.  Returns [props] itself when no count
+   changes, and reuses every column record that keeps its count. *)
 let scale_columns (props : Props.t) rows =
-  {
-    props with
-    Props.columns =
-      List.map
-        (fun (n, (c : Props.column)) ->
-          (n, { c with Props.distinct = min c.Props.distinct (max rows 0) }))
-        props.Props.columns;
-  }
+  let cap = max rows 0 in
+  let fits (_, (c : Props.column)) = c.Props.distinct <= cap in
+  if List.for_all fits props.Props.columns then props
+  else
+    {
+      props with
+      Props.columns =
+        List.map
+          (fun ((n, (c : Props.column)) as nc) ->
+            if fits nc then nc else (n, { c with Props.distinct = cap }))
+          props.Props.columns;
+    }
 
 let base_entry ctx name =
   let ti = Catalog.find ctx.catalog name in
@@ -199,29 +208,28 @@ let beam_gate ctx entries =
     if n <= k then entries
     else begin
       ctx.beam_pruned <- ctx.beam_pruned + (n - k);
+      (* Each plan is rendered at most once, and only if a tie needs it. *)
       let keyed =
         List.map
           (fun (e : Pareto.entry) ->
             ( Learner.score snap ~cost:e.Pareto.cost
                 (Learner.featurize ~props:e.Pareto.props ~rows:e.Pareto.rows),
+              lazy (Format.asprintf "%a" Physical.pp e.Pareto.plan),
               e ))
           entries
       in
       let sorted =
         List.stable_sort
-          (fun (sa, (a : Pareto.entry)) (sb, (b : Pareto.entry)) ->
+          (fun (sa, ra, (a : Pareto.entry)) (sb, rb, (b : Pareto.entry)) ->
             match Float.compare sa sb with
             | 0 -> (
               match Float.compare a.Pareto.cost b.Pareto.cost with
-              | 0 ->
-                String.compare
-                  (Format.asprintf "%a" Physical.pp a.Pareto.plan)
-                  (Format.asprintf "%a" Physical.pp b.Pareto.plan)
+              | 0 -> String.compare (Lazy.force ra) (Lazy.force rb)
               | c -> c)
             | c -> c)
           keyed
       in
-      List.filteri (fun i _ -> i < k) (List.map snd sorted)
+      List.filteri (fun i _ -> i < k) (List.map (fun (_, _, e) -> e) sorted)
     end
 
 (* ------------------------------------------------------------------ *)
@@ -302,7 +310,7 @@ let narrow_column props col p =
     props with
     Props.columns =
       List.map
-        (fun (n, c) -> if String.equal n col then (n, update c) else (n, c))
+        (fun ((n, c) as nc) -> if String.equal n col then (n, update c) else nc)
         props.Props.columns;
   }
 
@@ -362,9 +370,12 @@ let join_candidates ctx (e1 : Pareto.entry) (e2 : Pareto.entry) c1 c2 =
       (Cardinality.equi_join ~left_rows:e1.Pareto.rows
          ~right_rows:e2.Pareto.rows ~left_distinct:d1 ~right_distinct:d2)
   in
-  let union = Props.union_columns e1.Pareto.props e2.Pareto.props in
-  let unordered = scale_columns union out_rows in
-  let ordered = scale_columns (Props.with_sort union c1) out_rows in
+  (* Sorting touches only the order fields and scaling only the column
+     records, so the sorted variant reuses the one scaled vector. *)
+  let unordered =
+    scale_columns (Props.union_columns e1.Pareto.props e2.Pareto.props) out_rows
+  in
+  let ordered = Props.with_sort unordered c1 in
   let mk impl cost props =
     {
       Pareto.plan =
@@ -496,9 +507,9 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
         adj.(rl) <- Bitset.add ll adj.(rl)
       end)
     pred_endpoints;
-  let memo = Hashtbl.create 64 in
+  let memo = Subsets.create 64 in
   for i = 0 to k - 1 do
-    Hashtbl.replace memo (Bitset.singleton i) leaf_sets.(i)
+    Subsets.replace memo (Bitset.singleton i) leaf_sets.(i)
   done;
   let full = Bitset.full k in
   let subset_label s =
@@ -522,11 +533,11 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     let chunks = ref [] in
     Bitset.iter_subsets
       (fun s1 ->
-        match Hashtbl.find_opt memo s1 with
+        match Subsets.find_opt memo s1 with
         | None | Some [] -> ()
         | Some p1 -> (
           let s2 = Bitset.diff s s1 in
-          match Hashtbl.find_opt memo s2 with
+          match Subsets.find_opt memo s2 with
           | None | Some [] -> ()
           | Some p2 -> (
             match connecting s1 s2 with
@@ -608,18 +619,18 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     Bitset.fold (fun i acc -> Bitset.union acc adj.(i)) s Bitset.empty
   in
   let next_level prev =
-    let seen = Hashtbl.create (max 16 (Array.length prev * 2)) in
+    let seen = Subsets.create (max 16 (Array.length prev * 2)) in
     Array.iter
       (fun s ->
         Bitset.iter
           (fun v ->
             let s' = Bitset.add v s in
-            if not (Hashtbl.mem seen s') then Hashtbl.replace seen s' ())
+            if not (Subsets.mem seen s') then Subsets.replace seen s' ())
           (Bitset.diff (neighbours s) s))
       prev;
-    let arr = Array.make (Hashtbl.length seen) Bitset.empty in
+    let arr = Array.make (Subsets.length seen) Bitset.empty in
     let i = ref 0 in
-    Hashtbl.iter
+    Subsets.iter
       (fun s () ->
         arr.(!i) <- s;
         incr i)
@@ -643,7 +654,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     let pruned = ref 0 and beam = ref 0 in
     Array.iteri
       (fun i (entries, (local : ctx)) ->
-        Hashtbl.replace memo subs.(i) entries;
+        Subsets.replace memo subs.(i) entries;
         kept := !kept + List.length entries;
         (match local.steps with
         | [ st ] ->
@@ -670,7 +681,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
       }
       :: ctx.levels
   done;
-  match Hashtbl.find_opt memo full with
+  match Subsets.find_opt memo full with
   | Some [] | None ->
     invalid_arg "Search: join graph is disconnected (cross product needed)"
   | Some entries -> entries

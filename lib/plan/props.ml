@@ -10,6 +10,22 @@ type t = {
 let none =
   { sorted_by = None; clustered_by = None; columns = []; co_ordered = [] }
 
+(* Column lists are short and string-keyed; these walks compare names
+   with [String.equal] instead of the polymorphic [compare] behind
+   [List.assoc_opt]/[List.mem], which the join DP calls on every
+   candidate. *)
+let rec assoc name = function
+  | [] -> None
+  | (n, c) :: rest -> if String.equal n name then Some c else assoc name rest
+
+let rec mem_name name = function
+  | [] -> false
+  | n :: rest -> String.equal n name || mem_name name rest
+
+let rec mem_pair a b = function
+  | [] -> false
+  | (x, y) :: rest -> (String.equal x a && String.equal y b) || mem_pair a b rest
+
 let of_stats ?name ?(co_ordered = []) cols =
   let columns =
     List.map
@@ -24,7 +40,7 @@ let of_stats ?name ?(co_ordered = []) cols =
   in
   let sorted_by =
     match name with
-    | Some n when List.mem n sorted_names -> Some n
+    | Some n when mem_name n sorted_names -> Some n
     | Some _ | None ->
       (match sorted_names with [] -> None | n :: _ -> Some n)
   in
@@ -39,7 +55,7 @@ let of_stats ?name ?(co_ordered = []) cols =
   in
   { sorted_by; clustered_by; columns; co_ordered }
 
-let column t name = List.assoc_opt name t.columns
+let column t name = assoc name t.columns
 
 let sorted_on t name =
   match t.sorted_by with Some n -> String.equal n name | None -> false
@@ -49,7 +65,7 @@ let clustered_on t name =
   || (match t.clustered_by with Some n -> String.equal n name | None -> false)
   ||
   match t.sorted_by with
-  | Some s -> List.mem (s, name) t.co_ordered
+  | Some s -> mem_pair s name t.co_ordered
   | None -> false
 
 let dense_on t name =
@@ -65,7 +81,7 @@ let without_order t = { t with sorted_by = None; clustered_by = None }
 
 let rename_columns t renaming =
   let rename n =
-    match List.assoc_opt n renaming with Some n' -> n' | None -> n
+    match assoc n renaming with Some n' -> n' | None -> n
   in
   {
     sorted_by = Option.map rename t.sorted_by;
@@ -77,23 +93,23 @@ let rename_columns t renaming =
 let restrict t names =
   let keep field =
     match field with
-    | Some n when List.mem n names -> Some n
+    | Some n when mem_name n names -> Some n
     | Some _ | None -> None
   in
   {
     sorted_by = keep t.sorted_by;
     clustered_by = keep t.clustered_by;
-    columns = List.filter (fun (n, _) -> List.mem n names) t.columns;
+    columns = List.filter (fun (n, _) -> mem_name n names) t.columns;
     co_ordered =
       List.filter
-        (fun (a, b) -> List.mem a names && List.mem b names)
+        (fun (a, b) -> mem_name a names && mem_name b names)
         t.co_ordered;
   }
 
 let union_columns a b =
   let merged =
     a.columns
-    @ List.filter (fun (n, _) -> not (List.mem_assoc n a.columns)) b.columns
+    @ List.filter (fun (n, _) -> Option.is_none (assoc n a.columns)) b.columns
   in
   {
     sorted_by = None;
@@ -101,7 +117,7 @@ let union_columns a b =
     columns = merged;
     co_ordered =
       a.co_ordered
-      @ List.filter (fun p -> not (List.mem p a.co_ordered)) b.co_ordered;
+      @ List.filter (fun (x, y) -> not (mem_pair x y a.co_ordered)) b.co_ordered;
   }
 
 let shallow t =
@@ -121,18 +137,56 @@ let opt_sub a b =
   | Some _, None -> false
 
 let column_dominates (a : column) (b : column) =
-  (b.dense <= a.dense) && (not b.dense || (a.lo = b.lo && a.hi = b.hi))
+  (not b.dense) || (a.dense && a.lo = b.lo && a.hi = b.hi)
+
+(* [b]'s columns [bcs] against [a]'s.  Candidates built from the same
+   split list their columns in the same order, so each of [b]'s columns
+   is first looked for in [acs], the rest of [a]'s columns after the
+   previous match: in lockstep that is the head.  Candidates from other
+   splits list the same columns in another order; when the rest has no
+   match the lookup falls back to all of [a]'s columns [acs_all], and
+   the walk resumes in lockstep after wherever it matched.  Names are
+   unique within one vector, so every lookup finds the column lookup by
+   name would.  Vectors derived from one another share their names,
+   column records and often whole lists, so physical equality settles
+   most steps before any field is read. *)
+let rec columns_dominate acs_all acs bcs =
+  match bcs with
+  | [] -> true
+  | _ when acs == bcs -> true
+  | (bn, bc) :: brest -> seek acs_all bn bc brest acs ~wrapped:false
+
+and seek acs_all bn bc brest acs ~wrapped =
+  match acs with
+  | (an, ac) :: arest when an == bn || String.equal an bn ->
+    (ac == bc || column_dominates ac bc)
+    && columns_dominate acs_all arest brest
+  | _ :: arest -> seek acs_all bn bc brest arest ~wrapped
+  | [] ->
+    if wrapped then (not bc.dense) && columns_dominate acs_all acs_all brest
+    else seek acs_all bn bc brest acs_all ~wrapped:true
+
+(* Every pair of [bps] is in [a]'s co-ordering pairs [aps_all], by the
+   same resumable lockstep lookup as [columns_dominate]. *)
+let rec pairs_within aps_all aps bps =
+  match bps with
+  | [] -> true
+  | _ when aps == bps -> true
+  | bp :: brest -> seek_pair aps_all bp brest aps ~wrapped:false
+
+and seek_pair aps_all ((bx, by) as bp) brest aps ~wrapped =
+  match aps with
+  | ((ax, ay) as ap) :: arest
+    when ap == bp || (String.equal ax bx && String.equal ay by) ->
+    pairs_within aps_all arest brest
+  | _ :: arest -> seek_pair aps_all bp brest arest ~wrapped
+  | [] -> (not wrapped) && seek_pair aps_all bp brest aps_all ~wrapped:true
 
 let dominates a b =
   opt_sub a.sorted_by b.sorted_by
   && opt_sub a.clustered_by b.clustered_by
-  && List.for_all (fun p -> List.mem p a.co_ordered) b.co_ordered
-  && List.for_all
-       (fun (n, bc) ->
-         match List.assoc_opt n a.columns with
-         | Some ac -> column_dominates ac bc
-         | None -> not bc.dense)
-       b.columns
+  && pairs_within a.co_ordered a.co_ordered b.co_ordered
+  && columns_dominate a.columns a.columns b.columns
 
 let equal a b = dominates a b && dominates b a
 

@@ -953,6 +953,203 @@ let test_hier_70_relation_chain () =
     (let c = (cheapest entries).Pareto.cost in
      Float.is_finite c && c > 0.0)
 
+(* --- golden frontiers ----------------------------------------------- *)
+
+(* The served ad hoc shapes, rebuilt from the same generators: the §4.3
+   pair, a 7-relation star, a 10-relation chain and a 20-relation
+   snowflake, all fk -> pk over seeded data and measured into a catalog
+   exactly as the engine registers relations. *)
+module Golden = struct
+  module Column = Dqo_data.Column
+  module Relation = Dqo_data.Relation
+  module Schema = Dqo_data.Schema
+
+  let relation names cols =
+    Relation.create
+      (Schema.of_names (List.map (fun n -> (n, Schema.T_int)) names))
+      cols
+
+  let dense_keys ~rng ~shuffled rows =
+    let keys = Array.init rows (fun i -> i) in
+    if shuffled then Rng.shuffle rng keys;
+    Column.of_ints keys
+
+  let uniform ~rng ~bound rows =
+    Column.of_ints (Array.init rows (fun _ -> Rng.int rng bound))
+
+  let catalog tables =
+    Catalog.create (List.map (fun (n, r) -> Catalog.of_relation n r) tables)
+
+  let rs () =
+    let rng = Rng.create ~seed:1 in
+    let pair =
+      Dqo_data.Datagen.fk_pair ~rng ~r_rows:25_000 ~s_rows:90_000
+        ~r_groups:20_000 ~r_sorted:false ~s_sorted:false ~dense:true
+    in
+    catalog [ ("R", pair.Dqo_data.Datagen.r); ("S", pair.Dqo_data.Datagen.s) ]
+
+  let rs_sql where =
+    "SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE " ^ where
+    ^ " GROUP BY a"
+
+  let star () =
+    let rng = Rng.create ~seed:2 in
+    let hub =
+      relation
+        ("hub_k" :: List.init 6 (fun i -> Printf.sprintf "hub_f%d" (i + 1)))
+        (dense_keys ~rng ~shuffled:false 4_000
+        :: List.init 6 (fun _ -> uniform ~rng ~bound:5_000 4_000))
+    in
+    catalog
+      (("Hub", hub)
+      :: List.init 6 (fun i ->
+             let i = i + 1 in
+             ( Printf.sprintf "Sat%d" i,
+               relation [ Printf.sprintf "sat%d_k" i ]
+                 [ dense_keys ~rng ~shuffled:(i mod 2 = 1) 5_000 ] )))
+
+  let star_sql =
+    Printf.sprintf
+      "SELECT hub_k, COUNT(*) AS c FROM Hub%s WHERE hub_k < 2000 GROUP BY hub_k"
+      (String.concat ""
+         (List.init 6 (fun i ->
+              Printf.sprintf " JOIN Sat%d ON hub_f%d = sat%d_k" (i + 1) (i + 1)
+                (i + 1))))
+
+  (* [len] tables P1 -> ... -> P[len], each with key p<i>_k and (all but
+     the last) fk p<i>_f. *)
+  let chain_tables ~rng ~prefix ~rows ~shuffle_offset len =
+    List.init len (fun i ->
+        let i = i + 1 in
+        let col suffix =
+          Printf.sprintf "%s%d_%s" (String.lowercase_ascii prefix) i suffix
+        in
+        let k =
+          dense_keys ~rng ~shuffled:((i + shuffle_offset) mod 2 = 1) rows
+        in
+        let rel =
+          if i < len then
+            relation [ col "k"; col "f" ] [ k; uniform ~rng ~bound:rows rows ]
+          else relation [ col "k" ] [ k ]
+        in
+        (Printf.sprintf "%s%d" prefix i, rel))
+
+  let chain_joins ~prefix len =
+    let p = String.lowercase_ascii prefix in
+    String.concat ""
+      (List.init (len - 1) (fun i ->
+           Printf.sprintf " JOIN %s%d ON %s%d_f = %s%d_k" prefix (i + 2) p
+             (i + 1) p (i + 2)))
+
+  let chain () =
+    catalog
+      (chain_tables ~rng:(Rng.create ~seed:3) ~prefix:"T" ~rows:2_000
+         ~shuffle_offset:0 10)
+
+  let chain_sql =
+    "SELECT t1_k, COUNT(*) AS c FROM T1" ^ chain_joins ~prefix:"T" 10
+    ^ " WHERE t1_k < 1000 GROUP BY t1_k"
+
+  (* Hub Snow with three chains of 7, 6 and 6 tables: 20 relations. *)
+  let snow_chains = [ ("A", 7); ("B", 6); ("C", 6) ]
+
+  let snowflake () =
+    let rng = Rng.create ~seed:4 in
+    let hub =
+      relation
+        ("snow_k"
+        :: List.map (fun (p, _) -> "snow_" ^ String.lowercase_ascii p) snow_chains)
+        (dense_keys ~rng ~shuffled:false 1_000
+        :: List.map (fun _ -> uniform ~rng ~bound:1_000 1_000) snow_chains)
+    in
+    catalog
+      (("Snow", hub)
+      :: List.concat
+           (List.mapi
+              (fun c (prefix, len) ->
+                chain_tables ~rng ~prefix ~rows:1_000 ~shuffle_offset:c len)
+              snow_chains))
+
+  let snowflake_sql =
+    "SELECT snow_k, COUNT(*) AS c FROM Snow"
+    ^ String.concat ""
+        (List.map
+           (fun (prefix, len) ->
+             let p = String.lowercase_ascii prefix in
+             Printf.sprintf " JOIN %s1 ON snow_%s = %s1_k" prefix p p
+             ^ chain_joins ~prefix len)
+           snow_chains)
+    ^ " WHERE snow_k < 500 GROUP BY snow_k"
+
+  (* Every column record and co-ordering pair, in list order. *)
+  let props_dump (p : Props.t) =
+    let opt = Option.value ~default:"-" in
+    Printf.sprintf "%s/%s/[%s]/[%s]" (opt p.Props.sorted_by)
+      (opt p.Props.clustered_by)
+      (String.concat ","
+         (List.map
+            (fun (n, (c : Props.column)) ->
+              Printf.sprintf "%s:%b:%d:%d:%d" n c.Props.dense c.Props.lo
+                c.Props.hi c.Props.distinct)
+            p.Props.columns))
+      (String.concat ","
+         (List.map (fun (a, b) -> a ^ ">" ^ b) p.Props.co_ordered))
+
+  (* [fingerprint] plus every frontier entry's plan, exact (hex) cost,
+     rows and full property vector, for the query and for its GROUP BY
+     input, whose entries carry the joins' whole column lists; hashed. *)
+  let digest optimize query =
+    let input =
+      match query with Logical.Group_by (t, _, _) -> t | q -> q
+    in
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun l ->
+        let entries, stats = optimize l in
+        Buffer.add_string b (fingerprint (entries, stats));
+        List.iter
+          (fun (e : Pareto.entry) ->
+            Buffer.add_string b
+              (Format.asprintf "\n%a|%h|%d|%s" Physical.pp e.Pareto.plan
+                 e.Pareto.cost e.Pareto.rows (props_dump e.Pareto.props)))
+          entries)
+      [ query; input ];
+    Digest.to_hex (Digest.string (Buffer.contents b))
+end
+
+(* Digests recorded before the DP's property-vector operations were
+   specialised: a change to the search's inner loop must keep every
+   frontier byte-identical, column order included. *)
+let test_golden_frontiers () =
+  let both name catalog sql (deep, shallow) =
+    let query = Dqo_sql.Binder.plan_of_sql catalog sql in
+    List.iter
+      (fun (mode, label, expected) ->
+        Alcotest.(check string) (name ^ label) expected
+          (Golden.digest (Search.optimize_entries mode catalog) query))
+      [ (Search.Deep, " deep", deep); (Search.Shallow, " shallow", shallow) ]
+  in
+  let rs = Golden.rs () in
+  both "rs a<500" rs (Golden.rs_sql "a < 500")
+    ("2a0482c635670b30544450d50ac1dae3", "1bd6c60fa0a3366139cf389f531678ce");
+  both "rs b<25000" rs (Golden.rs_sql "b < 25000")
+    ("6ecf9f9bea1f8618dd16111ba277c6ce", "143f4432ec3c47e7ac5a6f0fdbfedb94");
+  both "star-7" (Golden.star ()) Golden.star_sql
+    ("7ef7aea75b3fb02c84e0866a8b90f845", "d552bac721d6d35d7857d3a0fb001af4");
+  both "chain-10" (Golden.chain ()) Golden.chain_sql
+    ("90381ad534c18ba810647f05292b8140", "81b6cf93440c700f507609c982af6018");
+  let snow = Golden.snowflake () in
+  let hier query =
+    let entries, stats, report =
+      Hier.optimize_entries ~partition_max:12 Search.Deep snow query
+    in
+    Alcotest.(check bool) "snowflake splits into partitions" true
+      (List.length report.Hier.partitions > 1);
+    (entries, stats)
+  in
+  Alcotest.(check string) "snowflake-20 hier" "8f7944bcf37aa67f12cfdda1330b4780"
+    (Golden.digest hier (Dqo_sql.Binder.plan_of_sql snow Golden.snowflake_sql))
+
 let () =
   Alcotest.run "dqo_opt"
     [
@@ -1038,6 +1235,8 @@ let () =
           Alcotest.test_case "70-relation chain" `Quick
             test_hier_70_relation_chain;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "frontier digests" `Quick test_golden_frontiers ] );
       ( "parallel",
         [
           Alcotest.test_case "pool matches sequential" `Quick

@@ -111,6 +111,172 @@ let prop_dominance_reflexive =
   QCheck.Test.make ~name:"dominance is reflexive" ~count:100
     (QCheck.make props_gen) (fun p -> Props.dominates p p)
 
+(* The property vector's list operations against a by-name reference
+   built on the generic [List] lookups.  Pairs are drawn so that the
+   second vector is often derived from the first (same columns in the
+   same order, shuffled, partly dropped or extended, sometimes sharing
+   whole lists), which exercises the lockstep walk and its fallback;
+   names are freshly copied strings half the time, so matching never
+   relies on physical equality. *)
+module Reference = struct
+  let opt_sub a b =
+    match (b, a) with
+    | None, _ -> true
+    | Some bn, Some an -> bn = an
+    | Some _, None -> false
+
+  let column (t : Props.t) n = List.assoc_opt n t.Props.columns
+
+  let dominates (a : Props.t) (b : Props.t) =
+    opt_sub a.Props.sorted_by b.Props.sorted_by
+    && opt_sub a.Props.clustered_by b.Props.clustered_by
+    && List.for_all (fun p -> List.mem p a.Props.co_ordered) b.Props.co_ordered
+    && List.for_all
+         (fun (n, (bc : Props.column)) ->
+           match List.assoc_opt n a.Props.columns with
+           | Some (ac : Props.column) ->
+             bc.dense <= ac.dense
+             && ((not bc.dense) || (ac.lo = bc.lo && ac.hi = bc.hi))
+           | None -> not bc.dense)
+         b.Props.columns
+
+  let union_columns (a : Props.t) (b : Props.t) =
+    {
+      Props.sorted_by = None;
+      clustered_by = None;
+      columns =
+        a.Props.columns
+        @ List.filter
+            (fun (n, _) -> not (List.mem_assoc n a.Props.columns))
+            b.Props.columns;
+      co_ordered =
+        a.Props.co_ordered
+        @ List.filter
+            (fun p -> not (List.mem p a.Props.co_ordered))
+            b.Props.co_ordered;
+    }
+
+  let restrict (t : Props.t) names =
+    let keep = function Some n when List.mem n names -> Some n | _ -> None in
+    {
+      Props.sorted_by = keep t.Props.sorted_by;
+      clustered_by = keep t.Props.clustered_by;
+      columns = List.filter (fun (n, _) -> List.mem n names) t.Props.columns;
+      co_ordered =
+        List.filter
+          (fun (x, y) -> List.mem x names && List.mem y names)
+          t.Props.co_ordered;
+    }
+end
+
+let name_pool = [ "a"; "b"; "c"; "d"; "e"; "f" ]
+
+let props_pair_gen =
+  let open QCheck.Gen in
+  let name n =
+    map (fun fresh -> if fresh then Bytes.to_string (Bytes.of_string n) else n) bool
+  in
+  let col_gen =
+    let* dense = bool in
+    let* lo = int_bound 2 in
+    let* hi = int_range 2 4 in
+    let* distinct = int_range 1 5 in
+    return { Props.dense; lo; hi; distinct }
+  in
+  let columns_of names =
+    flatten_l (List.map (fun n -> pair (name n) col_gen) names)
+  in
+  let pick_names = shuffle_l name_pool in
+  let subset l = map (fun keep -> List.filteri (fun i _ -> i < keep) l) (int_bound (List.length l)) in
+  let order_gen cols =
+    oneofl
+      (None :: Some "z" :: List.map (fun (n, _) -> Some n) cols)
+  in
+  let pairs_of cols =
+    let names = List.map fst cols in
+    let* candidates =
+      flatten_l
+        (List.concat_map
+           (fun x -> List.map (fun y -> map (fun k -> (k, (x, y))) bool) names)
+           names)
+    in
+    shuffle_l (List.filter_map (fun (k, p) -> if k then Some p else None) candidates)
+  in
+  let vector cols =
+    let* sorted_by = order_gen cols in
+    let* clustered_by = oneofl [ sorted_by; None ] in
+    let* co_ordered = pairs_of cols in
+    return { Props.sorted_by; clustered_by; columns = cols; co_ordered }
+  in
+  let* names = pick_names in
+  let* names = subset names in
+  let* a_cols = columns_of names in
+  let* a = vector a_cols in
+  let* derive = int_bound 4 in
+  let* b =
+    match derive with
+    | 0 ->
+      (* Independent: other names, other order. *)
+      let* names = pick_names >>= subset in
+      columns_of names >>= vector
+    | 1 ->
+      (* Same columns, same order, some records changed. *)
+      let* cols =
+        flatten_l
+          (List.map
+             (fun (n, c) ->
+               let* change = bool in
+               if change then map (fun c' -> (n, c')) col_gen else return (n, c))
+             a.Props.columns)
+      in
+      vector cols
+    | 2 ->
+      (* Same columns shuffled, shared records. *)
+      let* cols = shuffle_l a.Props.columns in
+      let* co = shuffle_l a.Props.co_ordered in
+      return { a with Props.columns = cols; co_ordered = co }
+    | 3 ->
+      (* A prefix of the columns plus a suffix of new ones. *)
+      let* keep = subset a.Props.columns in
+      let* extra = columns_of (List.filter (fun n -> not (List.mem_assoc n keep)) name_pool) in
+      let* extra = subset extra in
+      vector (keep @ extra)
+    | _ ->
+      (* Shared lists, different order fields. *)
+      let* sorted_by = order_gen a.Props.columns in
+      return { a with Props.sorted_by; clustered_by = sorted_by }
+  in
+  let* swap = bool in
+  let* names = pick_names >>= subset in
+  return (if swap then (b, a, names) else (a, b, names))
+
+let print_props (p : Props.t) =
+  let opt = Option.value ~default:"-" in
+  Printf.sprintf "{sorted=%s; clustered=%s; cols=[%s]; co=[%s]}"
+    (opt p.Props.sorted_by) (opt p.Props.clustered_by)
+    (String.concat "; "
+       (List.map
+          (fun (n, (c : Props.column)) ->
+            Printf.sprintf "%s:%b:%d:%d:%d" n c.dense c.lo c.hi c.distinct)
+          p.Props.columns))
+    (String.concat "; " (List.map (fun (x, y) -> x ^ ">" ^ y) p.Props.co_ordered))
+
+let prop_list_ops_match_reference =
+  QCheck.Test.make ~name:"list operations match by-name reference" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b, names) ->
+         Printf.sprintf "a=%s\nb=%s\nnames=[%s]" (print_props a) (print_props b)
+           (String.concat ";" names))
+       props_pair_gen)
+    (fun (a, b, names) ->
+      Props.dominates a b = Reference.dominates a b
+      && Props.dominates b a = Reference.dominates b a
+      && Props.union_columns a b = Reference.union_columns a b
+      && Props.restrict a names = Reference.restrict a names
+      && List.for_all
+           (fun n -> Props.column a n = Reference.column a n)
+           ("z" :: name_pool))
+
 (* --- logical ------------------------------------------------------------ *)
 
 let test_logical_constructors_and_relations () =
@@ -280,6 +446,7 @@ let () =
             test_props_rename_restrict_union;
           qtest prop_dominance_transitive;
           qtest prop_dominance_reflexive;
+          qtest prop_list_ops_match_reference;
           Alcotest.test_case "of_stats" `Quick test_props_of_stats;
         ] );
       ( "logical",
