@@ -185,6 +185,10 @@ test "$(grep -c '^result ticket=' "$serve_out")" = 4 || { echo "ci: expected 4 r
 # Determinism: all four concurrent executions carry one distinct digest.
 test "$(grep '^result ticket=' "$serve_out" | sed 's/.*sum=//' | sort -u | wc -l)" = 1 \
   || { echo "ci: concurrent results differ" >&2; exit 1; }
+# Pin the digest across versions: this input has always digested to
+# this value, so a change to the digest function itself fails here.
+test "$(grep '^result ticket=' "$serve_out" | sed 's/.*sum=//' | sort -u)" = 0b8b6e1f38ed0d6e \
+  || { echo "ci: serve digest differs from the pinned 0b8b6e1f38ed0d6e" >&2; exit 1; }
 grep -q '^ok stats requests=4' "$serve_out" || { echo "ci: serve stats missing" >&2; exit 1; }
 grep -q '^ok bye$' "$serve_out" || { echo "ci: serve did not quit cleanly" >&2; exit 1; }
 

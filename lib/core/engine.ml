@@ -2,7 +2,6 @@ module Relation = Dqo_data.Relation
 module Schema = Dqo_data.Schema
 module Column = Dqo_data.Column
 module Int_col = Dqo_data.Int_col
-module Col_stats = Dqo_data.Col_stats
 module Physical = Dqo_plan.Physical
 module Logical = Dqo_plan.Logical
 module Catalog = Dqo_opt.Catalog
@@ -305,10 +304,10 @@ let fks_join fks ~left ~right =
 type sph = Slots of { lo : int; hi : int } | Fks_av of Fks.t
 
 let sph_strategy t ~op col keys =
-  let stats = Col_stats.analyze keys in
-  (* An empty input has [hi < lo]; one slot serves it. *)
-  let lo = stats.Col_stats.lo in
-  let hi = max lo stats.Col_stats.hi in
+  (* One slot serves an empty input. *)
+  let lo, hi =
+    if Int_col.length keys = 0 then (0, 0) else Int_col.min_max keys
+  in
   let base_rows =
     match Catalog.relation_of_column t.catalog col with
     | Some rel -> (Catalog.find t.catalog rel).Catalog.rows

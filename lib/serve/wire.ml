@@ -3,45 +3,92 @@
    comes from [submit]/[wait], which hand requests to the server's
    executor threads and collect them later. *)
 
+module Column = Dqo_data.Column
+module Int_col = Dqo_data.Int_col
 module Relation = Dqo_data.Relation
+module Schema = Dqo_data.Schema
 module Value = Dqo_data.Value
 module Metrics = Dqo_obs.Metrics
 
 (* djb2-xor over a canonical rendering of every cell: schema order
-   within a row, rows sorted structurally first.  Sorting makes the
-   digest a {e bag} fingerprint — physical-design changes (an advisor
-   materialising or evicting an AV mid-run) may legitimately reorder
-   result rows, and the digest's job is to certify the relation's
-   content, not its storage order.  Stable across runs (no
-   [Hashtbl.hash] — its output may differ between OCaml versions, and
-   the digest lands in CI transcripts). *)
+   within a row, rows sorted first.  Sorting makes the digest a {e bag}
+   fingerprint — physical-design changes (an advisor materialising or
+   evicting an AV mid-run) may legitimately reorder result rows, and
+   the digest's job is to certify the relation's content, not its
+   storage order.  Stable across runs (no [Hashtbl.hash] — its output
+   may differ between OCaml versions, and the digest lands in CI
+   transcripts).
+
+   The canonical order is the one [List.sort compare] gives the boxed
+   [Relation.rows]; the digest reaches it without boxing.  Every column
+   holds one constructor and none holds [Null], so polymorphic
+   [compare] on a row list is the lexicographic order of the per-column
+   [Int.compare]/[Float.compare]/[String.compare].  Rows equal under it
+   may still hash differently (NaN payloads), so the permutation sort
+   is stable, as [List.sort] is. *)
+type cells = Ints of int array | Floats of float array | Strings of string array
+
+let cells = function
+  | Column.Ints c -> (
+    match Int_col.as_flat_array c with
+    | Some a -> Ints a
+    | None -> Ints (Int_col.to_array c))
+  | Column.Floats a -> Floats a
+  | Column.Strings a -> Strings a
+
+let compare_cells = function
+  | Ints a -> fun i j -> Int.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
+  | Floats a -> fun i j -> Float.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
+  | Strings a -> fun i j -> String.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
+
+let mix_byte h b = ((h * 33) lxor b) land max_int
+
+let mix_int h i =
+  let h = ref h in
+  for shift = 0 to 7 do
+    h := mix_byte !h ((i lsr (8 * shift)) land 0xff)
+  done;
+  !h
+
+let mix_cell h cells r =
+  match cells with
+  | Ints a -> mix_int (mix_byte h 1) (Array.unsafe_get a r)
+  | Floats a ->
+    mix_int (mix_byte h 2) (Int64.to_int (Int64.bits_of_float (Array.unsafe_get a r)))
+  | Strings a ->
+    let h = ref (mix_byte h 3) in
+    String.iter (fun c -> h := mix_byte !h (Char.code c)) (Array.unsafe_get a r);
+    !h
+
 let digest rel =
-  let h = ref 5381 in
-  let mix_byte b = h := ((!h * 33) lxor b) land max_int in
-  let mix_string s = String.iter (fun c -> mix_byte (Char.code c)) s in
-  let mix_int i =
-    for shift = 0 to 7 do
-      mix_byte ((i lsr (8 * shift)) land 0xff)
-    done
+  let n = Relation.cardinality rel in
+  let cols =
+    Array.init (Schema.arity (Relation.schema rel)) (fun k ->
+        cells (Relation.column_at rel k))
   in
-  mix_int (Relation.cardinality rel);
-  List.iter
-    (fun row ->
-      List.iter
-        (fun v ->
-          match v with
-          | Value.Null -> mix_byte 0
-          | Value.Int i ->
-            mix_byte 1;
-            mix_int i
-          | Value.Float f ->
-            mix_byte 2;
-            mix_int (Int64.to_int (Int64.bits_of_float f))
-          | Value.String s ->
-            mix_byte 3;
-            mix_string s)
-        row)
-    (List.sort compare (Relation.rows rel));
+  let cmps = Array.map compare_cells cols in
+  (* Key-ordered operators (SPHG, OG, SOG, BSG) emit a strictly
+     increasing first column: those rows are already in order. *)
+  let in_order =
+    Array.length cmps = 0
+    ||
+    let first = cmps.(0) in
+    let rec go r = r >= n || (first (r - 1) r < 0 && go (r + 1)) in
+    go 1
+  in
+  let compare_rows i j =
+    let rec go k =
+      if k = Array.length cmps then 0
+      else
+        let c = cmps.(k) i j in
+        if c <> 0 then c else go (k + 1)
+    in
+    go 0
+  in
+  let perm = Array.init n Fun.id in
+  if not in_order then Array.stable_sort compare_rows perm;
+  let h = ref (mix_int 5381 n) in
+  Array.iter (fun r -> Array.iter (fun c -> h := mix_cell !h c r) cols) perm;
   Printf.sprintf "%016x" (!h land max_int)
 
 let result_header ?ticket rel =

@@ -43,8 +43,9 @@
     eviction) legitimately reordered the output rows. *)
 
 val digest : Dqo_data.Relation.t -> string
-(** Deterministic content digest (row count, column count, and every
-    value; rows canonically sorted first), rendered as hex. *)
+(** Deterministic content digest, rendered as hex: the row count, then
+    every value in schema order, each prefixed by a type tag, with rows
+    canonically sorted first.  The column count is not hashed. *)
 
 val serve : Server.t -> in_channel -> out_channel -> unit
 (** Run the command loop until [quit] or end of input.  The server is

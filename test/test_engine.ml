@@ -598,6 +598,65 @@ let test_sph_after_selective_filter () =
         [ 1; 2 ])
     [ 500; 25_000; 50_000 ]
 
+(* SPH bounds over an empty or one-row input.  S.b sits at 0 or 1000
+   except for a single 500, so a range inside (0, 1000) keeps almost
+   every row by the uniform estimate while really keeping none or one:
+   the deep plan still chooses SPHJ and SPHG, and both then read their
+   [lo]/[hi] from an empty or one-row key column. *)
+let test_sph_on_empty_and_single_row_input () =
+  let r_rows = 4_000 and s_rows = 12_000 in
+  let rng = Dqo_util.Rng.create ~seed:31 in
+  let r =
+    Relation.create
+      (Schema.of_names [ ("id", Schema.T_int); ("a", Schema.T_int) ])
+      [
+        Dqo_data.Column.of_ints (Array.init r_rows Fun.id);
+        Dqo_data.Column.of_ints (Array.init r_rows (fun i -> i mod 3_000));
+      ]
+  in
+  let s =
+    Relation.create
+      (Schema.of_names [ ("r_id", Schema.T_int); ("b", Schema.T_int) ])
+      [
+        Dqo_data.Column.of_ints
+          (Array.init s_rows (fun _ -> Dqo_util.Rng.int rng r_rows));
+        Dqo_data.Column.of_ints
+          (Array.init s_rows (fun i ->
+               if i = 7 then 500 else if i mod 2 = 0 then 0 else 1000));
+      ]
+  in
+  let db = Engine.create () in
+  Engine.register db ~name:"R" r;
+  Engine.register db ~name:"S" s;
+  let digest = Dqo_serve.Wire.digest in
+  List.iter
+    (fun (range, rows) ->
+      let sql =
+        Printf.sprintf
+          "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id WHERE b \
+           BETWEEN %s GROUP BY a"
+          range
+      in
+      List.iter
+        (fun threads ->
+          Engine.set_opts db { Engine.default_opts with Engine.threads };
+          let label = Printf.sprintf "b between %s, threads=%d" range threads in
+          let plan = plan_string (Engine.plan_sql db Engine.DQO sql) in
+          List.iter
+            (fun op ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: deep plan uses %s" label op)
+                true
+                (Astring.String.is_infix ~affix:(op ^ "(") plan))
+            [ "SPHJ"; "SPHG" ];
+          let dqo = Engine.run_sql db ~mode:Engine.DQO sql in
+          Alcotest.(check int) (label ^ ": rows") rows (Relation.cardinality dqo);
+          Alcotest.(check string) (label ^ ": digest matches sqo")
+            (digest (Engine.run_sql db ~mode:Engine.SQO sql))
+            (digest dqo))
+        [ 1; 2 ])
+    [ ("501 AND 999", 0); ("400 AND 600", 1) ]
+
 let () =
   Alcotest.run "dqo_engine"
     [
@@ -648,6 +707,8 @@ let () =
             `Quick test_explain_analyze_matches_plan_and_execute;
           Alcotest.test_case "SPH after a selective filter" `Quick
             test_sph_after_selective_filter;
+          Alcotest.test_case "SPH on empty and one-row input" `Quick
+            test_sph_on_empty_and_single_row_input;
         ] );
       ( "fuzz",
         [

@@ -7,6 +7,11 @@ module Wire = Dqo_serve.Wire
 module Metrics = Dqo_obs.Metrics
 module Datagen = Dqo_data.Datagen
 module Rng = Dqo_util.Rng
+module Relation = Dqo_data.Relation
+module Schema = Dqo_data.Schema
+module Column = Dqo_data.Column
+module Int_col = Dqo_data.Int_col
+module Value = Dqo_data.Value
 
 let demo_sql = "SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY a"
 
@@ -280,6 +285,157 @@ let test_wire_errors_keep_serving () =
   | _ -> Alcotest.fail "expected two error lines");
   Alcotest.(check bool) "clean quit" true (List.mem "ok bye" lines)
 
+(* --- result digest -------------------------------------------------- *)
+
+(* The boxed digest [Wire.digest] replaced, kept as its reference: box
+   every row, sort the rows with polymorphic [compare], hash the cells. *)
+let reference_digest rel =
+  let h = ref 5381 in
+  let mix_byte b = h := ((!h * 33) lxor b) land max_int in
+  let mix_string s = String.iter (fun c -> mix_byte (Char.code c)) s in
+  let mix_int i =
+    for shift = 0 to 7 do
+      mix_byte ((i lsr (8 * shift)) land 0xff)
+    done
+  in
+  mix_int (Relation.cardinality rel);
+  List.iter
+    (fun row ->
+      List.iter
+        (fun v ->
+          match v with
+          | Value.Null -> mix_byte 0
+          | Value.Int i ->
+            mix_byte 1;
+            mix_int i
+          | Value.Float f ->
+            mix_byte 2;
+            mix_int (Int64.to_int (Int64.bits_of_float f))
+          | Value.String s ->
+            mix_byte 3;
+            mix_string s)
+        row)
+    (List.sort compare (Relation.rows rel));
+  Printf.sprintf "%016x" (!h land max_int)
+
+(* Random relations for the digest property.  A column's kind fixes its
+   type and, for ints, its storage; rows are drawn mostly from a small
+   pool so duplicates are common; the first column is left as drawn,
+   sorted, or replaced by a strictly increasing run. *)
+type kind = Flat | W32 | W64 | Floats | Strings
+type first = As_drawn | Sorted | Strict
+
+let nan_with_payload p = Int64.float_of_bits (Int64.logor 0x7FF0000000000000L p)
+
+let float_cells =
+  [| Float.nan; nan_with_payload 1L; nan_with_payload 0x8000000000001L;
+     -.Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity; 1.5; -2.25 |]
+
+let string_cells = [| ""; "a"; "ab"; "abc"; "abd"; "b"; "ba"; "\000" |]
+
+let int_cells = [| min_int; -3; -1; 0; 1; 2; 7; 1 lsl 40; max_int |]
+
+let gen_cell kind =
+  let open QCheck.Gen in
+  let pick a = map (fun i -> a.(i)) (int_bound (Array.length a - 1)) in
+  match kind with
+  | Flat | W64 -> map (fun i -> Value.Int i) (pick int_cells)
+  | W32 -> map (fun i -> Value.Int i) (int_range (-4) 4)
+  | Floats -> map (fun f -> Value.Float f) (pick float_cells)
+  | Strings -> map (fun s -> Value.String s) (pick string_cells)
+
+let strict_cell kind i =
+  match kind with
+  | Flat | W32 | W64 -> Value.Int (i - 100)
+  | Floats -> Value.Float (Float.of_int i -. 99.5)
+  | Strings -> Value.String (Printf.sprintf "k%03d" i)
+
+let digest_column kind (cells : Value.t array) =
+  let ints () = Array.map Value.int_exn cells in
+  let chunked w =
+    let a = ints () in
+    Column.of_int_col
+      (Int_col.init ~backend:(Int_col.Chunked w) ~chunk_rows:16 (Array.length a)
+         (fun i -> a.(i)))
+  in
+  match kind with
+  | Flat -> Column.of_ints (ints ())
+  | W32 -> chunked Int_col.W32
+  | W64 -> chunked Int_col.W64
+  | Floats ->
+    Column.Floats
+      (Array.map (function Value.Float f -> f | _ -> assert false) cells)
+  | Strings ->
+    Column.Strings
+      (Array.map (function Value.String s -> s | _ -> assert false) cells)
+
+let gen_relation =
+  let open QCheck.Gen in
+  let* kinds = list_size (int_bound 4) (oneofl [ Flat; W32; W64; Floats; Strings ]) in
+  let* n = if kinds = [] then return 0 else int_bound 200 in
+  let* first = oneofl [ As_drawn; Sorted; Strict ] in
+  let gen_row = flatten_l (List.map gen_cell kinds) in
+  let* pool = list_size (int_range 1 6) gen_row in
+  let* rows =
+    list_repeat n (frequency [ (4, oneofl pool); (1, gen_row) ])
+  in
+  let rows = Array.of_list (List.map Array.of_list rows) in
+  let columns =
+    List.mapi
+      (fun k kind ->
+        let cells = Array.map (fun row -> row.(k)) rows in
+        (if k = 0 then
+           match first with
+           | As_drawn -> ()
+           | Sorted -> Array.stable_sort compare cells
+           | Strict -> Array.iteri (fun i _ -> cells.(i) <- strict_cell kind i) cells);
+        (Printf.sprintf "c%d" k, kind, cells))
+      kinds
+  in
+  let ty = function
+    | Flat | W32 | W64 -> Schema.T_int
+    | Floats -> Schema.T_float
+    | Strings -> Schema.T_string
+  in
+  return
+    (Relation.create
+       (Schema.of_names (List.map (fun (name, kind, _) -> (name, ty kind)) columns))
+       (List.map (fun (_, kind, cells) -> digest_column kind cells) columns))
+
+let print_relation rel =
+  let cell = function
+    | Value.Float f -> Printf.sprintf "%h/%016Lx" f (Int64.bits_of_float f)
+    | v -> Printf.sprintf "%S" (Value.to_string v)
+  in
+  String.concat "\n"
+    (List.map (fun row -> String.concat " " (List.map cell row)) (Relation.rows rel))
+
+let prop_digest_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"columnar digest = boxed reference"
+    (QCheck.make ~print:print_relation gen_relation)
+    (fun rel -> String.equal (Wire.digest rel) (reference_digest rel))
+
+(* Hex digests printed by the boxed implementation before the columnar
+   one replaced it: the byte stream must not change across versions. *)
+let test_digest_golden () =
+  let db = demo_db () in
+  let check label expected rel =
+    Alcotest.(check string) (label ^ ": reference") expected (reference_digest rel);
+    Alcotest.(check string) (label ^ ": digest") expected (Wire.digest rel)
+  in
+  check "4.3 query" "15cac3aead453a3e" (Engine.run_sql db demo_sql);
+  check "avg" "3595ba095812d035"
+    (Engine.run_sql db "SELECT b, AVG(r_id) AS m FROM S GROUP BY b");
+  check "strings" "3b657e10865fa9cc"
+    (Relation.create
+       (Schema.of_names
+          [ ("name", Schema.T_string); ("n", Schema.T_int); ("x", Schema.T_float) ])
+       [
+         Column.Strings [| "abc"; ""; "ab"; "abc"; "b"; "" |];
+         Column.of_ints [| 3; 1; 2; 3; -5; 0 |];
+         Column.Floats [| 0.5; -0.0; Float.nan; 0.5; Float.infinity; 2.0 |];
+       ])
+
 let () =
   Alcotest.run "dqo_serve"
     [
@@ -312,5 +468,10 @@ let () =
             test_wire_submit_wait_and_overload;
           Alcotest.test_case "errors keep serving" `Quick
             test_wire_errors_keep_serving;
+        ] );
+      ( "digest",
+        [
+          QCheck_alcotest.to_alcotest prop_digest_matches_reference;
+          Alcotest.test_case "golden hex" `Quick test_digest_golden;
         ] );
     ]
