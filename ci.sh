@@ -148,6 +148,59 @@ echo "== dqo run --threads 2 smoke =="
 dune exec bin/dqo.exe -- run --threads 2 --r-rows 2000 --s-rows 6000 \
   --groups 1500 > /dev/null
 
+echo "== dqo run column-pruning pin =="
+# Joins and filters gather only the columns their consumers read.  A
+# root projection over a join and a generic grouping over a join must
+# print the same relation (header and rows, in output order) as the
+# executor that gathered every column; the rows' order also pins the
+# join's pair order.
+run_pin() {
+  dune exec bin/dqo.exe -- run --r-rows 2000 --s-rows 6000 --groups 1500 "$1" \
+    | sed -n '/^|/p;/ rows)$/p'
+}
+pin_out="$(run_pin 'SELECT id, a, b FROM R JOIN S ON id = r_id WHERE a < 3')"
+test "$pin_out" = "$(cat <<'EOF'
+(id INT, a INT, b INT) (11 rows)
+| 1 | 0 | 89865
+| 1 | 0 | 286736
+| 1 | 0 | 858926
+| 3 | 2 | 357366
+| 3 | 2 | 641850
+| 3 | 2 | 981165
+| 2 | 1 | 687983
+| 2 | 1 | 514961
+| 2 | 1 | 63259
+| 0 | 0 | 71583
+| 0 | 0 | 70123
+EOF
+)" || { echo "ci: root-projected join differs from the pinned output" >&2; exit 1; }
+pin_out="$(run_pin 'SELECT b, MIN(a) AS m, AVG(id) AS v FROM R JOIN S ON id = r_id WHERE a < 300 GROUP BY b')"
+test "$pin_out" = "$(cat <<'EOF'
+(b INT, m INT, v FLOAT) (1164 rows)
+| 210577 | 60 | 80
+| 889383 | 60 | 80
+| 989905 | 60 | 80
+| 907661 | 60 | 80
+| 155310 | 60 | 80
+| 28120 | 127 | 170
+| 701736 | 127 | 170
+| 870362 | 127 | 170
+| 400998 | 127 | 170
+| 899094 | 197 | 263
+| 508551 | 197 | 263
+| 91710 | 197 | 263
+| 672131 | 197 | 263
+| 690778 | 227 | 303
+| 967866 | 227 | 303
+| 855976 | 196 | 262
+| 618786 | 141 | 188
+| 499568 | 141 | 188
+| 27966 | 10 | 14
+| 835805 | 10 | 14
+| ...
+EOF
+)" || { echo "ci: grouped join differs from the pinned output" >&2; exit 1; }
+
 echo "== dqo explain --analyze --learned smoke =="
 # Round 1 plans cold (exhaustive); round 2 replans with the trained
 # value model and must render the beam gate's activity.

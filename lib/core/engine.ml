@@ -252,46 +252,26 @@ let fks_grouping fks ~keys ~values =
   { Dqo_exec.Group_result.keys = out_k; counts = out_c; sums = out_s }
 
 let fks_join fks ~left ~right =
-  (* SPH join where the perfect hash comes from an AV: bucket heads are
-     indexed by FKS slot.  Chain-walking needs random access to the
-     build keys, so materialise the build side once (zero-copy when
-     flat). *)
-  let larr = Int_col.unsafe_array left in
-  let g = max 1 (Fks.length fks) in
-  let head = Array.make g (-1) in
-  let next = Array.make (max 1 (Array.length larr)) (-1) in
-  Array.iteri
-    (fun i k ->
+  (* SPH join where the perfect hash comes from an AV: the FKS slot is
+     the slot id of {!Join.slot_join}.  Distinct keys get distinct
+     slots, so every left row in a slot carries the slot's key and the
+     probe checks key equality once per probe row. *)
+  let slots = Fks.length fks in
+  let slot_key = Array.make (max 1 slots) 0 in
+  let lslot = Array.make (Int_col.length left) 0 in
+  Int_col.iteri left ~f:(fun i k ->
       match Fks.slot fks k with
       | Some s ->
-        next.(i) <- head.(s);
-        head.(s) <- i
+        lslot.(i) <- s;
+        slot_key.(s) <- k
       | None ->
-        invalid_arg "Engine: build key outside the perfect-hash AV's key set")
-    larr;
-  let lbuf = ref [] and rbuf = ref [] and count = ref 0 in
+        invalid_arg "Engine: build key outside the perfect-hash AV's key set");
+  let rslot = Array.make (Int_col.length right) (-1) in
   Int_col.iteri right ~f:(fun j k ->
       match Fks.slot fks k with
-      | None -> ()
-      | Some s ->
-        let e = ref head.(s) in
-        while !e >= 0 do
-          if larr.(!e) = k then begin
-            lbuf := !e :: !lbuf;
-            rbuf := j :: !rbuf;
-            incr count
-          end;
-          e := next.(!e)
-        done);
-  let l = Array.make !count 0 and r = Array.make !count 0 in
-  let pos = ref (!count - 1) in
-  List.iter2
-    (fun a b ->
-      l.(!pos) <- a;
-      r.(!pos) <- b;
-      decr pos)
-    !lbuf !rbuf;
-  { Join.left = l; right = r }
+      | Some s when slot_key.(s) = k -> rslot.(j) <- s
+      | Some _ | None -> ());
+  Join.slot_join ~slots ~left:lslot ~right:rslot
 
 (* The one SPH affordability rule, shared by the join and the grouping:
    a direct slot array over the key span [lo, hi] is affordable when the
@@ -327,7 +307,7 @@ let sph_strategy t ~op col keys =
    when a pool with more than one domain is present, the hot operators
    run their [Dqo_par] counterparts (per-domain metrics registries merge
    into [metrics] after each barrier). *)
-let exec_join t ?pool ?metrics left_rel right_rel lc rc
+let exec_join t ?pool ?metrics ?keep left_rel right_rel lc rc
     (impl : Physical.join_impl) =
   let lk = Relation.int_col left_rel lc in
   let rk = Relation.int_col right_rel rc in
@@ -350,7 +330,7 @@ let exec_join t ?pool ?metrics left_rel right_rel lc rc
       | Slots { lo; hi } -> Join.sph_join ~lo ~hi ~left:lk ~right:rk
       | Fks_av fks -> fks_join fks ~left:lk ~right:rk)
   in
-  Join.materialize left_rel right_rel pairs
+  Join.materialize ?keep left_rel right_rel pairs
 
 (* The five-algorithm fast path computes COUNT and SUM over one payload
    column; it applies when every aggregate is COUNT or SUM over a single
@@ -529,30 +509,96 @@ let group_generic rel key aggs =
   in
   Relation.create schema (Column.of_ints key_arr :: List.map snd typed)
 
-(* The one operator match.  [child] evaluates a sub-plan, left before
-   right: the plain walk recurses directly, the analysed walk also times
-   and annotates each node. *)
-let exec_node t ?pool ?metrics ~child (p : Physical.t) =
+(* The schema a plan node's output has when every column is gathered:
+   what the clash rule below compares. *)
+let rec output_schema t (p : Physical.t) =
+  match p with
+  | Physical.Table_scan name -> Relation.schema (relation t name)
+  | Physical.Filter_op (sub, _, _) | Physical.Sort_enforcer (sub, _) ->
+    output_schema t sub
+  | Physical.Project_op (sub, cols) -> Schema.project (output_schema t sub) cols
+  | Physical.Join_op (l, r, _, _, _) ->
+    Schema.concat (output_schema t l) (output_schema t r)
+  | Physical.Group_op (_, key, aggs, _) ->
+    Schema.of_names
+      ((key, Schema.T_int)
+      :: List.map
+           (fun (a : Logical.aggregate) ->
+             ( a.Logical.alias,
+               match a.Logical.spec with
+               | Aggregate.Avg -> Schema.T_float
+               | Aggregate.Count | Aggregate.Sum | Aggregate.Min
+               | Aggregate.Max ->
+                 Schema.T_int ))
+           aggs)
+
+(* Live columns.  [need] names the columns a node's consumer reads;
+   [None] asks for all of them (the root).  A node may return more
+   columns than asked, never fewer; filters, sorts and joins gather only
+   the asked ones, in schema order. *)
+let with_col need col =
+  Option.map (fun names -> col :: names) need
+
+let restrict need rel =
+  match need with
+  | None -> rel
+  | Some names ->
+    Relation.project rel
+      (List.filter_map
+         (fun (f : Schema.field) ->
+           if List.exists (String.equal f.Schema.name) names then
+             Some f.Schema.name
+           else None)
+         (Schema.fields (Relation.schema rel)))
+
+(* The one operator match.  [child need sub] evaluates a sub-plan, left
+   before right: the plain walk recurses directly, the analysed walk
+   also times and annotates each node.  A join whose inputs share a
+   column name renames the right-hand copy from the full input schemas,
+   so it and its subtree gather every column. *)
+let exec_node t ?pool ?metrics ~child ~need (p : Physical.t) =
   match p with
   | Physical.Table_scan name -> relation t name
   | Physical.Filter_op (sub, col, pred) ->
-    Dqo_exec.Filter.select_relation (child sub) ~column:col pred
-  | Physical.Project_op (sub, cols) -> Relation.project (child sub) cols
+    let rel = child (with_col need col) sub in
+    Relation.take (restrict need rel)
+      (Dqo_exec.Filter.select (Relation.int_col rel col) pred)
+  | Physical.Project_op (sub, cols) ->
+    Relation.project (child (Some cols) sub) cols
   | Physical.Sort_enforcer (sub, col) ->
-    Dqo_exec.Sort_op.by_column (child sub) col
+    let rel = child (with_col need col) sub in
+    Relation.take (restrict need rel)
+      (Dqo_exec.Sort_op.permutation (Relation.int_col rel col))
   | Physical.Join_op (l, r, lc, rc, impl) ->
-    let lr = child l in
-    let rr = child r in
-    exec_join t ?pool ?metrics lr rr lc rc impl
+    let ls = output_schema t l and rs = output_schema t r in
+    let clash =
+      List.exists
+        (fun (f : Schema.field) -> Schema.mem ls f.Schema.name)
+        (Schema.fields rs)
+    in
+    let need = if clash then None else need in
+    let side schema key =
+      Option.map
+        (fun names -> key :: List.filter (Schema.mem schema) names)
+        need
+    in
+    let lr = child (side ls lc) l in
+    let rr = child (side rs rc) r in
+    exec_join t ?pool ?metrics ?keep:need lr rr lc rc impl
   | Physical.Group_op (sub, key, aggs, impl) -> (
-    let rel = child sub in
+    let reads =
+      key
+      :: List.filter_map (fun (a : Logical.aggregate) -> a.Logical.column) aggs
+    in
+    let rel = child (Some reads) sub in
     match fast_path_payload aggs with
     | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
     | None -> group_generic rel key aggs)
 
-let rec execute_in t ?pool p = exec_node t ?pool ~child:(execute_in t ?pool) p
+let rec execute_in t ?pool need p =
+  exec_node t ?pool ~child:(execute_in t ?pool) ~need p
 
-let execute t ?pool p = on_pool t ?pool (fun pool -> execute_in t ?pool p)
+let execute t ?pool p = on_pool t ?pool (fun pool -> execute_in t ?pool None p)
 
 (* Kept only for the served-query benchmark, which pins this name. *)
 let execute_on t ~pool p = execute t ~pool p
@@ -635,15 +681,15 @@ let execute_analyzed t ?pool ?metrics ~gated (p : Physical.t) =
       Physical.with_dop (Dqo_par.Pool.size pool) p
     | Some _ | None -> p
   in
-  let rec go p =
+  let rec go need p =
     let children = ref [] in
-    let child sub =
-      let rel, c = go sub in
+    let child need sub =
+      let rel, c = go need sub in
       children := c :: !children;
       rel
     in
     let t0 = Dqo_obs.Metrics.now_ns () in
-    let rel = exec_node t ?pool ~metrics:m ~child p in
+    let rel = exec_node t ?pool ~metrics:m ~child ~need p in
     let wall_ns = Dqo_obs.Metrics.now_ns () - t0 in
     let children = List.rev !children in
     let actual_rows = Relation.cardinality rel in
@@ -666,7 +712,7 @@ let execute_analyzed t ?pool ?metrics ~gated (p : Physical.t) =
         children;
       } )
   in
-  let rel, root = go p in
+  let rel, root = go None p in
   (* Learning happens after the whole tree is built: per-node estimation
      above must read a store that does not change mid-analysis.  The
      value model trains first, on estimates consistent with the store
@@ -689,7 +735,7 @@ let run t ?mode ?threads l =
   on_pool t ?threads (fun pool ->
       let p = (cheapest t ?pool mode l).Dqo_opt.Pareto.plan in
       if learning t then fst (execute_analyzed t ?pool ~gated p)
-      else execute_in t ?pool p)
+      else execute_in t ?pool None p)
 
 type analysis = {
   entry : Dqo_opt.Pareto.entry;

@@ -25,9 +25,25 @@ let int_col = function
 
 let to_int_array c = Int_col.to_array (int_col c)
 
+(* One allocation and a monomorphic fill; both paths keep the bounds
+   check, so an out-of-range id raises [Invalid_argument]. *)
+let take_ints c idx =
+  let n = Array.length idx in
+  let dst = Array.make n 0 in
+  (match Int_col.as_flat_array c with
+  | Some a ->
+    for k = 0 to n - 1 do
+      Array.unsafe_set dst k a.(Array.unsafe_get idx k)
+    done
+  | None ->
+    for k = 0 to n - 1 do
+      Array.unsafe_set dst k (Int_col.get c (Array.unsafe_get idx k))
+    done);
+  dst
+
 let take c idx =
   match c with
-  | Ints c -> of_ints (Array.map (fun i -> Int_col.get c i) idx)
+  | Ints c -> of_ints (take_ints c idx)
   | Floats a -> Floats (Array.map (fun i -> a.(i)) idx)
   | Strings a -> Strings (Array.map (fun i -> a.(i)) idx)
 

@@ -41,7 +41,11 @@ val of_values : Schema.ty -> Value.t list -> t
 
 val take : t -> int array -> t
 (** [take c idx] gathers [c] at positions [idx] (row-id selection).  The
-    result is flat regardless of the source backend. *)
+    result is flat regardless of the source backend.  Integer columns
+    are gathered by one allocation and a monomorphic loop: flat columns
+    read their backing array, other backends go through
+    {!Int_col.get}.
+    @raise Invalid_argument if an id is outside [\[0, length c)]. *)
 
 val sub : t -> pos:int -> len:int -> t
 

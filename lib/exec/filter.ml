@@ -30,10 +30,6 @@ let select column p =
       done);
   Array.sub out 0 !m
 
-let select_relation r ~column p =
-  let ids = select (Dqo_data.Relation.int_col r column) p in
-  Dqo_data.Relation.take r ids
-
 let selectivity p ~lo ~hi =
   let width = Float.of_int (hi - lo + 1) in
   if width <= 0.0 then 0.0

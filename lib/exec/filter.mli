@@ -17,12 +17,6 @@ val eval : predicate -> int -> bool
 val select : Dqo_data.Int_col.t -> predicate -> int array
 (** [select column p] returns the row ids satisfying [p], ascending. *)
 
-val select_relation :
-  Dqo_data.Relation.t -> column:string -> predicate -> Dqo_data.Relation.t
-(** Materialising convenience wrapper.
-    @raise Not_found / Invalid_argument as for
-    {!Dqo_data.Relation.int_col}. *)
-
 val selectivity : predicate -> lo:int -> hi:int -> float
 (** Estimated fraction of a uniform [\[lo, hi\]] domain satisfying the
     predicate — used by the cardinality estimator. *)

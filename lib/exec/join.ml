@@ -42,50 +42,86 @@ let reader col =
   | Some a -> fun i -> a.(i)
   | None -> Int_col.get col
 
-(* Build a multimap over [left]: key -> chain of left row ids, where
-   [head] is indexed by the dense slot of the key and [next] chains
-   duplicates (most recent first).  The probe side streams segment by
-   segment. *)
-let probe_chains ~head_of ~next ~right b =
-  Int_col.iter_seg right ~f:(fun pos buf off len ->
+(* The exact-size emit shared by SPHJ, HJ and the engine's FKS join: a
+   multimap over the left rows in compressed sparse rows.  Left row [i]
+   lives in slot [key i - lo], where [key] reads [lkeys]; [rslot.(j)] is
+   right row [j]'s slot, or [-1] when it matches nothing.
+
+   Rows are counted per slot and bucketed by slot into [ids]; within a
+   slot the left ids run in descending order, so that pairs come out in
+   the order of a chained multimap (most recent first), the reference
+   the tests compare against.  The probe then counts its exact output
+   before allocating [left]/[right] once and filling them.
+   A left slot outside [\[0, slots)] raises [Invalid_argument outside]. *)
+let emit ~outside ~slots ~lo ~lkeys ~rslot =
+  let n = Int_col.length lkeys in
+  (* [start.(s)] counts slot [s], then (inclusive prefix sums) marks
+     its end; filling left rows in ascending order from the end
+     backwards leaves it at the slot's start.  [start.(slots)] is [n]. *)
+  let start = Array.make (slots + 1) 0 in
+  Int_col.iter_seg lkeys ~f:(fun _ buf off len ->
       for k = 0 to len - 1 do
-        let j = pos + k in
-        let e = ref (head_of (Array.unsafe_get buf (off + k))) in
-        while !e >= 0 do
-          buf_push b !e j;
-          e := next.(!e)
-        done
-      done)
+        let s = Array.unsafe_get buf (off + k) - lo in
+        if s < 0 || s >= slots then invalid_arg outside;
+        Array.unsafe_set start s (Array.unsafe_get start s + 1)
+      done);
+  for s = 1 to slots - 1 do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  start.(slots) <- n;
+  let ids = Array.make n 0 in
+  Int_col.iter_seg lkeys ~f:(fun pos buf off len ->
+      for k = 0 to len - 1 do
+        let s = Array.unsafe_get buf (off + k) - lo in
+        let p = Array.unsafe_get start s - 1 in
+        Array.unsafe_set start s p;
+        Array.unsafe_set ids p (pos + k)
+      done);
+  let m = Array.length rslot in
+  let total = ref 0 in
+  for j = 0 to m - 1 do
+    let s = Array.unsafe_get rslot j in
+    if s >= 0 then total := !total + start.(s + 1) - start.(s)
+  done;
+  let left = Array.make !total 0 and right = Array.make !total 0 in
+  let o = ref 0 in
+  for j = 0 to m - 1 do
+    let s = Array.unsafe_get rslot j in
+    if s >= 0 then
+      for p = start.(s) to start.(s + 1) - 1 do
+        Array.unsafe_set left !o (Array.unsafe_get ids p);
+        Array.unsafe_set right !o j;
+        incr o
+      done
+  done;
+  { left; right }
+
+let slot_join ~slots ~left ~right =
+  emit ~outside:"Join.slot_join: left slot out of range" ~slots ~lo:0
+    ~lkeys:(Int_col.of_array left) ~rslot:right
 
 let hash_join ?(hash = Dqo_hash.Hash_fn.Murmur3) ?(table = Grouping.Chaining)
     ~left ~right () =
   let n = Int_col.length left in
-  let next = Array.make (max 1 n) (-1) in
-  let b = buf_create () in
-  (* All three table kinds expose the same dense-slot interface; the
-     multimap layer on top is shared. *)
+  (* All three table kinds hand out dense slots in insertion order; the
+     emit on top is shared. *)
   let build (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t)
       (tbl : t) =
-    let head = ref (Array.make (max 16 n) (-1)) in
+    let lslot = Array.make n 0 in
     Int_col.iter_seg left ~f:(fun pos buf off len ->
         for k = 0 to len - 1 do
-          let i = pos + k in
-          let slot = T.find_or_add tbl (Array.unsafe_get buf (off + k)) in
-          if slot >= Array.length !head then begin
-            let grown = Array.make (2 * Array.length !head) (-1) in
-            Array.blit !head 0 grown 0 (Array.length !head);
-            head := grown
-          end;
-          next.(i) <- !head.(slot);
-          !head.(slot) <- i
+          lslot.(pos + k) <- T.find_or_add tbl (Array.unsafe_get buf (off + k))
         done);
-    let head = !head in
-    let head_of key =
-      match T.find tbl key with Some slot -> head.(slot) | None -> -1
-    in
-    probe_chains ~head_of ~next ~right b
+    let rslot = Array.make (Int_col.length right) (-1) in
+    Int_col.iter_seg right ~f:(fun pos buf off len ->
+        for k = 0 to len - 1 do
+          match T.find tbl (Array.unsafe_get buf (off + k)) with
+          | Some s -> rslot.(pos + k) <- s
+          | None -> ()
+        done);
+    slot_join ~slots:(T.length tbl) ~left:lslot ~right:rslot
   in
-  (match table with
+  match table with
   | Grouping.Chaining ->
     build (module Dqo_hash.Chain_table)
       (Dqo_hash.Chain_table.create ~hash ~expected:n ())
@@ -94,29 +130,19 @@ let hash_join ?(hash = Dqo_hash.Hash_fn.Murmur3) ?(table = Grouping.Chaining)
       (Dqo_hash.Linear_probe.create ~hash ~expected:n ())
   | Grouping.Robin_hood ->
     build (module Dqo_hash.Robin_hood)
-      (Dqo_hash.Robin_hood.create ~hash ~expected:n ()));
-  buf_result b
+      (Dqo_hash.Robin_hood.create ~hash ~expected:n ())
 
 let sph_join ~lo ~hi ~left ~right =
   if hi < lo then invalid_arg "Join.sph_join: hi < lo";
-  let domain = hi - lo + 1 in
-  let n = Int_col.length left in
-  let head = Array.make domain (-1) in
-  let next = Array.make (max 1 n) (-1) in
-  Int_col.iter_seg left ~f:(fun pos buf off len ->
+  let slots = hi - lo + 1 in
+  let rslot = Array.make (Int_col.length right) (-1) in
+  Int_col.iter_seg right ~f:(fun pos buf off len ->
       for k = 0 to len - 1 do
-        let i = pos + k in
         let key = Array.unsafe_get buf (off + k) in
-        if key < lo || key > hi then
-          invalid_arg "Join.sph_join: build key outside dense domain";
-        let slot = key - lo in
-        next.(i) <- head.(slot);
-        head.(slot) <- i
+        if key >= lo && key <= hi then rslot.(pos + k) <- key - lo
       done);
-  let b = buf_create () in
-  let head_of key = if key < lo || key > hi then -1 else head.(key - lo) in
-  probe_chains ~head_of ~next ~right b;
-  buf_result b
+  emit ~outside:"Join.sph_join: build key outside dense domain" ~slots ~lo
+    ~lkeys:left ~rslot
 
 (* Merge join over key/id accessors: [lkey]/[rkey] enumerate the inputs
    in key order, [lid]/[rid] map merge ranks back to row ids; equal-key
@@ -239,23 +265,32 @@ let run_observed ?obs alg ~left ~right =
       ~rows_out:cardinality
       (fun () -> run alg ~left ~right)
 
-let materialize l r pairs =
-  let lt = Dqo_data.Relation.take l pairs.left in
-  let rt = Dqo_data.Relation.take r pairs.right in
-  let schema =
-    Dqo_data.Schema.concat
-      (Dqo_data.Relation.schema l)
-      (Dqo_data.Relation.schema r)
+let materialize ?keep l r pairs =
+  let ls = Dqo_data.Relation.schema l in
+  let la = Dqo_data.Schema.arity ls in
+  let fields =
+    List.mapi (fun i f -> (i, f))
+      (Dqo_data.Schema.fields
+         (Dqo_data.Schema.concat ls (Dqo_data.Relation.schema r)))
   in
-  let columns =
-    List.init
-      (Dqo_data.Schema.arity schema)
-      (fun i ->
-        let la = Dqo_data.Schema.arity (Dqo_data.Relation.schema l) in
-        if i < la then Dqo_data.Relation.column_at lt i
-        else Dqo_data.Relation.column_at rt (i - la))
+  let kept =
+    match keep with
+    | None -> fields
+    | Some names ->
+      List.filter
+        (fun (_, (f : Dqo_data.Schema.field)) ->
+          List.exists (String.equal f.Dqo_data.Schema.name) names)
+        fields
   in
-  Dqo_data.Relation.create schema columns
+  let gather (i, _) =
+    if i < la then
+      Dqo_data.Column.take (Dqo_data.Relation.column_at l i) pairs.left
+    else
+      Dqo_data.Column.take (Dqo_data.Relation.column_at r (i - la)) pairs.right
+  in
+  Dqo_data.Relation.create
+    (Dqo_data.Schema.create (List.map snd kept))
+    (List.map gather kept)
 
 let nested_loop_reference ~left ~right =
   let b = buf_create () in

@@ -19,6 +19,15 @@ val name : algorithm -> string
 
 val cardinality : result -> int
 
+val slot_join : slots:int -> left:int array -> right:int array -> result
+(** The exact-size emit behind HJ and SPHJ, over slots chosen by the
+    caller: [left.(i)] is left row [i]'s slot in [\[0, slots)] and
+    [right.(j)] is right row [j]'s slot, or [-1] for no match.  Pairs
+    come out by right row, and within a slot by descending left row
+    id.  The left rows are bucketed by slot (compressed sparse rows)
+    and the output arrays are allocated once, at their exact size.
+    @raise Invalid_argument if a left slot is outside [\[0, slots)]. *)
+
 val hash_join :
   ?hash:Dqo_hash.Hash_fn.t ->
   ?table:Grouping.table_kind ->
@@ -26,13 +35,14 @@ val hash_join :
   right:Dqo_data.Int_col.t ->
   unit ->
   result
-(** HJ: build a hash multimap on [left], probe with [right]. *)
+(** HJ: slots from the table's [find_or_add] on [left] and [find] on
+    [right], joined by {!slot_join}. *)
 
 val sph_join :
   lo:int -> hi:int -> left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
-(** SPHJ: the build side's key domain [\[lo, hi\]] is dense; the key is
-    the offset into the bucket-head array.  Probe keys outside the domain
-    simply do not match.
+(** SPHJ: the build side's key domain [\[lo, hi\]] is dense; a key's
+    slot is [key - lo].  Probe keys outside the domain simply do not
+    match.  Pairs come out in {!slot_join}'s order.
     @raise Invalid_argument if a {e left} key falls outside [\[lo, hi\]]. *)
 
 val merge_join : left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
@@ -63,9 +73,19 @@ val run_observed :
     pairs, wall time).  Without [obs] it is exactly {!run}. *)
 
 val materialize :
-  Dqo_data.Relation.t -> Dqo_data.Relation.t -> result -> Dqo_data.Relation.t
-(** [materialize l r pairs] gathers both sides; the output schema is the
-    concatenation of the input schemas (right-side clashes renamed). *)
+  ?keep:string list ->
+  Dqo_data.Relation.t ->
+  Dqo_data.Relation.t ->
+  result ->
+  Dqo_data.Relation.t
+(** [materialize ?keep l r pairs] gathers the joined rows.  The output
+    schema is the concatenation of the input schemas (right-side clashes
+    renamed with ["'"]), restricted to the names in [keep] in schema
+    order; only those columns are gathered.  Without [keep] every column
+    is.  When [l] and [r] share a column name the renaming depends on
+    the full input schemas, so a caller that prunes columns must pass
+    both inputs whole and omit [keep] for such a join.  [keep] must name
+    at least one output column. *)
 
 val nested_loop_reference : left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
 (** O(n·m) reference implementation for the property-based tests. *)

@@ -96,6 +96,95 @@ let test_relation_ops () =
         (Relation.create schema
            [ Column.of_ints [| 1 |]; Column.of_ints [| 1; 2 |] ]))
 
+(* --- gather ------------------------------------------------------------- *)
+
+(* [Column.take] and [Relation.take] against the reference
+   [Array.map (Int_col.get c)], on every int backend (small chunks, so
+   short columns span several) plus float and string columns; ids may
+   be empty and repeat. *)
+let gather_gen =
+  QCheck.Gen.(
+    let* n = oneof [ return 0; int_range 1 200 ] in
+    let* values = array_size (return n) (int_range (-1_000_000) 1_000_000) in
+    let* backend = int_bound 3 in
+    let* ids =
+      if n = 0 then return [||]
+      else
+        let* k = oneof [ return 0; int_bound 300 ] in
+        array_size (return k) (int_bound (n - 1))
+    in
+    return (values, backend, ids))
+
+let int_backend values = function
+  | 0 -> Int_col.of_array (Array.copy values)
+  | 1 ->
+    Int_col.init ~backend:(Int_col.Chunked Int_col.W32) ~chunk_rows:16
+      (Array.length values) (fun i -> values.(i))
+  | 2 ->
+    Int_col.init ~backend:(Int_col.Chunked Int_col.W64) ~chunk_rows:16
+      (Array.length values) (fun i -> values.(i))
+  | _ ->
+    Int_col.const (Array.length values)
+      (if Array.length values = 0 then 0 else values.(0))
+
+let gather_relation (values, backend, _) =
+  Relation.create
+    (Schema.of_names
+       [ ("i", Schema.T_int); ("f", Schema.T_float); ("s", Schema.T_string) ])
+    [
+      Column.of_int_col (int_backend values backend);
+      Column.Floats (Array.map (fun v -> Float.of_int v /. 4.0) values);
+      Column.Strings (Array.map string_of_int values);
+    ]
+
+let prop_take_matches_reference =
+  QCheck.Test.make ~name:"Column.take / Relation.take = reference gather"
+    ~count:300
+    (QCheck.make gather_gen)
+    (fun ((_, _, ids) as input) ->
+      let rel = gather_relation input in
+      let taken = Relation.take rel ids in
+      let reference = function
+        | Column.Ints c -> Column.of_ints (Array.map (Int_col.get c) ids)
+        | Column.Floats a -> Column.Floats (Array.map (fun i -> a.(i)) ids)
+        | Column.Strings a -> Column.Strings (Array.map (fun i -> a.(i)) ids)
+      in
+      Relation.cardinality taken = Array.length ids
+      && List.for_all
+           (fun i ->
+             let c = Relation.column_at rel i in
+             let expected = reference c in
+             Column.equal (Column.take c ids) expected
+             && Column.equal (Relation.column_at taken i) expected)
+           [ 0; 1; 2 ])
+
+let test_take_out_of_range () =
+  let values = [| 5; 6; 7 |] in
+  let rel = gather_relation (values, 0, [||]) in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun backend ->
+      let c = Column.of_int_col (int_backend values backend) in
+      List.iter
+        (fun id ->
+          Alcotest.(check bool)
+            (Printf.sprintf "int backend %d, id %d" backend id)
+            true
+            (raises (fun () -> Column.take c [| 0; id |])))
+        [ 3; -1 ])
+    [ 0; 1; 2; 3 ];
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "column %d, id 3" i)
+        true
+        (raises (fun () -> Column.take (Relation.column_at rel i) [| 3 |])))
+    [ 1; 2 ];
+  Alcotest.(check bool) "relation, id 3" true
+    (raises (fun () -> Relation.take rel [| 1; 3 |]))
+
 (* --- col_stats ---------------------------------------------------------- *)
 
 let test_col_stats_detection () =
@@ -323,6 +412,8 @@ let () =
         [
           Alcotest.test_case "column ops" `Quick test_column_ops;
           Alcotest.test_case "relation ops" `Quick test_relation_ops;
+          qtest prop_take_matches_reference;
+          Alcotest.test_case "take out of range" `Quick test_take_out_of_range;
         ] );
       ( "stats",
         [

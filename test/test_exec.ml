@@ -248,6 +248,121 @@ let test_join_materialize () =
     (fun i id -> Alcotest.(check int) "join predicate" id r_ids.(i))
     ids
 
+(* --- join pair order ------------------------------------------------------ *)
+
+(* The chained joins the exact-size emit replaced, kept as references:
+   a multimap of bucket heads indexed by slot, with [next] chaining the
+   left rows of a slot most recent first, probed row by row. *)
+let chained_probe ~head_of ~next ~right =
+  let l = ref [] and r = ref [] in
+  Int_col.iteri right ~f:(fun j key ->
+      let e = ref (head_of key) in
+      while !e >= 0 do
+        l := !e :: !l;
+        r := j :: !r;
+        e := next.(!e)
+      done);
+  {
+    Join.left = Array.of_list (List.rev !l);
+    right = Array.of_list (List.rev !r);
+  }
+
+let chained_hash_join ~table ~left ~right =
+  let n = Int_col.length left in
+  let next = Array.make (max 1 n) (-1) in
+  let build (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t)
+      (tbl : t) =
+    let head = ref (Array.make (max 16 n) (-1)) in
+    Int_col.iteri left ~f:(fun i key ->
+        let slot = T.find_or_add tbl key in
+        if slot >= Array.length !head then begin
+          let grown = Array.make (2 * Array.length !head) (-1) in
+          Array.blit !head 0 grown 0 (Array.length !head);
+          head := grown
+        end;
+        next.(i) <- !head.(slot);
+        !head.(slot) <- i);
+    let head = !head in
+    let head_of key =
+      match T.find tbl key with Some slot -> head.(slot) | None -> -1
+    in
+    chained_probe ~head_of ~next ~right
+  in
+  match table with
+  | Grouping.Chaining ->
+    build (module Dqo_hash.Chain_table)
+      (Dqo_hash.Chain_table.create ~expected:n ())
+  | Grouping.Linear_probing ->
+    build (module Dqo_hash.Linear_probe)
+      (Dqo_hash.Linear_probe.create ~expected:n ())
+  | Grouping.Robin_hood ->
+    build (module Dqo_hash.Robin_hood)
+      (Dqo_hash.Robin_hood.create ~expected:n ())
+
+let chained_sph_join ~lo ~hi ~left ~right =
+  let n = Int_col.length left in
+  let head = Array.make (hi - lo + 1) (-1) in
+  let next = Array.make (max 1 n) (-1) in
+  Int_col.iteri left ~f:(fun i key ->
+      next.(i) <- head.(key - lo);
+      head.(key - lo) <- i);
+  let head_of key = if key < lo || key > hi then -1 else head.(key - lo) in
+  chained_probe ~head_of ~next ~right
+
+(* Small chunks so that short columns still span several of them. *)
+let column_of backend keys =
+  Int_col.init ~backend ~chunk_rows:16 (Array.length keys) (fun i -> keys.(i))
+
+let backends =
+  [ Int_col.Flat; Int_col.Chunked Int_col.W32; Int_col.Chunked Int_col.W64 ]
+
+(* Sides of 0..150 rows; a key spread of 1 gives heavy duplicates on
+   both sides; keys straddle zero; probe keys reach past the build
+   side's [lo, hi] on both ends. *)
+let pair_order_gen =
+  QCheck.Gen.(
+    let side_len = oneof [ return 0; int_range 1 150 ] in
+    let* spread = oneofl [ 0; 2; 40 ] in
+    let* base = int_range (-30) 30 in
+    let* n = side_len in
+    let* m = side_len in
+    let* left = array_size (return n) (int_range base (base + spread)) in
+    let* right =
+      array_size (return m) (int_range (base - 5) (base + spread + 5))
+    in
+    let* lb = oneofl backends in
+    let* rb = oneofl backends in
+    return (left, right, lb, rb))
+
+let print_pair_order (left, right, _, _) =
+  let arr a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "left=[%s] right=[%s]" (arr left) (arr right)
+
+let same_pairs (a : Join.result) (b : Join.result) =
+  a.Join.left = b.Join.left && a.Join.right = b.Join.right
+
+let prop_pair_order_matches_chained =
+  QCheck.Test.make ~name:"SPHJ/HJ pair order = chained reference" ~count:300
+    (QCheck.make ~print:print_pair_order pair_order_gen)
+    (fun (left, right, lb, rb) ->
+      let left = column_of lb left and right = column_of rb right in
+      let lo, hi =
+        if Int_col.length left = 0 then (0, 0) else Int_col.min_max left
+      in
+      let sph (lo, hi) =
+        same_pairs
+          (Join.sph_join ~lo ~hi ~left ~right)
+          (chained_sph_join ~lo ~hi ~left ~right)
+      in
+      sph (lo, hi)
+      && sph (lo - 3, hi + 2)
+      && List.for_all
+           (fun table ->
+             same_pairs
+               (Join.hash_join ~table ~left ~right ())
+               (chained_hash_join ~table ~left ~right))
+           [ Grouping.Chaining; Grouping.Linear_probing; Grouping.Robin_hood ])
+
 (* --- sort / filter ----------------------------------------------------------- *)
 
 let test_sort_op_stable () =
@@ -514,6 +629,7 @@ let () =
             test_join_duplicates_cross_product;
           Alcotest.test_case "sph domain" `Quick test_sph_join_domain;
           Alcotest.test_case "materialize" `Quick test_join_materialize;
+          qtest prop_pair_order_matches_chained;
         ] );
       ( "sort-filter",
         [
