@@ -729,6 +729,7 @@ let optimizer_scaling ~threads =
                 ("median_ms", Json.Float median_ms);
                 ("speedup_vs_1", Json.Float speedup);
                 ("plans_considered", Json.Int stats.Search.plans_considered);
+                ("candidates_built", Json.Int stats.Search.candidates_built);
                 ("pareto_kept", Json.Int stats.Search.pareto_kept);
                 ("plan_identical", Json.Bool identical);
                 ( "levels",

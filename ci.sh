@@ -94,10 +94,10 @@ echo "== bench --hier smoke =="
 # to the exhaustive search (plans, execution digests, pooled parity),
 # a forced multi-partition split must still execute to the same
 # digest, and the 40-relation snowflake must plan in bounded time
-# (the exhaustive arm is capped at the 10-relation identity schema).
+# (the exhaustive arm runs up to the 16-relation snowflake).
 hr_out="$(mktemp -t bench_hier_XXXXXX.json)"
 trap 'rm -f "$out" "$ln_out" "$hr_out"' EXIT
-dune exec bench/main.exe -- --hier --hier-exhaustive-cap 10 \
+dune exec bench/main.exe -- --hier --hier-exhaustive-cap 16 \
   --hier-max-relations 40 --json "$hr_out" > /dev/null
 
 grep -q '"hierarchical_planning"' "$hr_out" \
@@ -120,6 +120,15 @@ if grep -q '"split_digest_identical": false' "$hr_out"; then
 fi
 grep -q '"relations": 40' "$hr_out" \
   || { echo "ci: hier sweep is missing the 40-relation snowflake" >&2; exit 1; }
+# The 16-relation snowflake plans exhaustively too: its record must
+# carry an exhaustive time, and the hierarchical plan must cost within
+# 1.1x of the exhaustive optimum.
+awk '/"relations": 16,/{f=1} f && /"exhaustive_ms":/{gsub(/[",]/,""); print $2; exit}' "$hr_out" \
+  | awk 'NR==1{exit !($1 + 0 > 0)} END{if (NR==0) exit 1}' \
+  || { echo "ci: 16-relation snowflake has no exhaustive timing" >&2; exit 1; }
+awk '/"relations": 16,/{f=1} f && /"cost_ok":/{gsub(/[",]/,""); print $2; exit} f && /}/{exit}' "$hr_out" \
+  | grep -qx true \
+  || { echo "ci: 16-relation hierarchical plan not within 1.1x (or no cost_ok)" >&2; exit 1; }
 # The 40-relation hierarchical plan must land in bounded time (< 60 s;
 # exhaustive DP would not finish at all).
 awk '/"relations": 40/{f=1} f && /"hier_ms":/{gsub(/[",]/,""); print $2; exit}' "$hr_out" \

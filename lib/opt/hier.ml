@@ -126,6 +126,7 @@ let merge_stats ~outer ~pieces entries : Search.stats =
   let all = pieces @ [ outer ] in
   {
     Search.plans_considered = sum (fun (s : Search.stats) -> s.Search.plans_considered) all;
+    candidates_built = sum (fun (s : Search.stats) -> s.Search.candidates_built) all;
     pareto_kept = List.length entries;
     enforcers_added = sum (fun (s : Search.stats) -> s.Search.enforcers_added) all;
     candidates_pruned = sum (fun (s : Search.stats) -> s.Search.candidates_pruned) all;

@@ -44,6 +44,7 @@ type level_stat = {
 
 type stats = {
   plans_considered : int;
+  candidates_built : int;
   pareto_kept : int;
   enforcers_added : int;
   candidates_pruned : int;
@@ -77,6 +78,7 @@ type ctx = {
      listed name returns its frontier verbatim. *)
   virtuals : (string * Pareto.entry list) list;
   mutable considered : int;
+  mutable built : int; (* of [considered], the entries allocated *)
   mutable enforced : int;
   mutable pruned : int;
   mutable scored : int; (* entries the learner scored *)
@@ -94,6 +96,7 @@ let sub_ctx ctx =
     pool = None;
     metrics = None;
     considered = 0;
+    built = 0;
     enforced = 0;
     pruned = 0;
     scored = 0;
@@ -117,7 +120,9 @@ let interesting_columns l =
 (* ------------------------------------------------------------------ *)
 (* Entry helpers.                                                      *)
 
-let count ctx n = ctx.considered <- ctx.considered + n
+let count ctx n =
+  ctx.considered <- ctx.considered + n;
+  ctx.built <- ctx.built + n
 
 let record_step ctx step ~generated ~enforcers kept_entries =
   let kept = List.length kept_entries in
@@ -360,69 +365,305 @@ let project_entry cols (e : Pareto.entry) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Join candidates for one pair of Pareto entries and one predicate.   *)
+(* Join candidates for one split of a subset.                          *)
 
-let join_candidates ctx (e1 : Pareto.entry) (e2 : Pareto.entry) c1 c2 =
-  let d1 = distinct_or e1.Pareto.props c1 e1.Pareto.rows in
-  let d2 = distinct_or e2.Pareto.props c2 e2.Pareto.rows in
-  let out_rows =
-    correct_join ctx c1 c2
-      (Cardinality.equi_join ~left_rows:e1.Pareto.rows
-         ~right_rows:e2.Pareto.rows ~left_distinct:d1 ~right_distinct:d2)
-  in
-  (* Sorting touches only the order fields and scaling only the column
-     records, so the sorted variant reuses the one scaled vector. *)
-  let unordered =
-    scale_columns (Props.union_columns e1.Pareto.props e2.Pareto.props) out_rows
-  in
-  let ordered = Props.with_sort unordered c1 in
-  let mk impl cost props =
+(* The join algorithms the DP offers a pair of entries, in candidate
+   order: a hash join per molecule, then OJ, SOJ, SPHJ and BSJ.
+   [ordered] marks the two whose output is sorted on the left join
+   column; the others leave it unordered. *)
+type need = Always | Both_sorted | Dense_left | Known_left
+
+type join_alg = { impl : Physical.join_impl; ordered : bool; need : need }
+
+let join_algs ctx =
+  let alg ?(table = Grouping.Chaining) ?(hash = Dqo_hash.Hash_fn.Murmur3)
+      j_alg ordered need =
     {
-      Pareto.plan =
-        Physical.Join_op (e1.Pareto.plan, e2.Pareto.plan, c1, c2, impl);
-      cost = e1.Pareto.cost +. e2.Pareto.cost +. cost;
-      props;
-      rows = out_rows;
+      impl =
+        { (Physical.default_join j_alg) with
+          Physical.j_table = table; j_hash = hash };
+      ordered;
+      need;
     }
   in
-  let jcost impl =
-    Model.join_cost ctx.model ~impl ~left_rows:e1.Pareto.rows
-      ~right_rows:e2.Pareto.rows ~left_distinct:d1
-  in
-  let hash_joins =
-    List.map
-      (fun (table, hash) ->
-        let impl =
-          { (Physical.default_join Join.HJ) with
-            Physical.j_table = table; j_hash = hash }
+  Array.of_list
+    (List.map
+       (fun (table, hash) ->
+         (* A black-box hash table's output order is unknown — the paper's
+            "assume unordered to be on the safe side". *)
+         alg ~table ~hash Join.HJ false Always)
+       (hash_molecules ctx)
+    @ [
+        alg Join.OJ true Both_sorted;
+        alg Join.SOJ true Always;
+        alg Join.SPHJ false Dense_left;
+        alg Join.BSJ false Known_left;
+      ])
+
+(* Which of [algs] apply to a pair joined on [c1 = c2], as a bit mask
+   over [algs]' indices: [left] is the left entry's record of [c1],
+   [both_sorted] whether the left entry is sorted on [c1] and the right
+   one on [c2].  The one place that decides it: the candidate builder
+   and the candidate counter both read its mask. *)
+let applicable algs ~(left : Props.column option) ~both_sorted =
+  let mask = ref 0 in
+  Array.iteri
+    (fun i a ->
+      let ok =
+        match a.need with
+        | Always -> true
+        | Both_sorted -> both_sorted
+        | Dense_left -> (
+          match left with Some c -> c.Props.dense | None -> false)
+        | Known_left -> Option.is_some left
+      in
+      if ok then mask := !mask lor (1 lsl i))
+    algs;
+  !mask
+
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* Class ids over a frontier: entries whose column and co-ordering lists
+   are physically the same list share an id.  Shared lists are the
+   rule, not luck — a sort enforcer keeps its source's lists, and every
+   candidate of one memoised join union shares its lists — so hashing
+   the column list and comparing physically within a bucket finds every
+   class in one pass.  Returns the ids and the class count. *)
+let list_classes (a : Pareto.entry array) =
+  let seen = Hashtbl.create 16 in
+  let next = ref 0 in
+  let ids =
+    Array.map
+      (fun (e : Pareto.entry) ->
+        let p = e.Pareto.props in
+        let h = Hashtbl.hash p.Props.columns in
+        let bucket = Option.value ~default:[] (Hashtbl.find_opt seen h) in
+        let same ((q : Props.t), _) =
+          q.Props.columns == p.Props.columns
+          && q.Props.co_ordered == p.Props.co_ordered
         in
-        (* A black-box hash table's output order is unknown — the paper's
-           "assume unordered to be on the safe side". *)
-        mk impl (jcost impl) unordered)
-      (hash_molecules ctx)
+        match List.find_opt same bucket with
+        | Some (_, id) -> id
+        | None ->
+          let id = !next in
+          incr next;
+          Hashtbl.replace seen h ((p, id) :: bucket);
+          id)
+      a
   in
-  let simple alg props =
-    let impl = Physical.default_join alg in
-    mk impl (jcost impl) props
+  (ids, !next)
+
+(* A memoised subset frontier as the join DP reads it: its entries, also
+   as an array, with their list classes and twin slots (list class and
+   rows) worked out once rather than in every split that reads it. *)
+type frontier = {
+  entries : Pareto.entry list;
+  arr : Pareto.entry array;
+  ids : int array; (* list class of each entry *)
+  classes : int;
+  slot : int array; (* twin slot of each entry *)
+  slots : int;
+}
+
+let frontier entries =
+  let arr = Array.of_list entries in
+  let ids, classes = list_classes arr in
+  let by_class = Array.make classes [] in
+  let slots = ref 0 in
+  let slot =
+    Array.mapi
+      (fun i (e : Pareto.entry) ->
+        let rec find = function
+          | [] ->
+            let sl = !slots in
+            incr slots;
+            by_class.(ids.(i)) <- (e.Pareto.rows, sl) :: by_class.(ids.(i));
+            sl
+          | (rows, sl) :: rest -> if rows = e.Pareto.rows then sl else find rest
+        in
+        find by_class.(ids.(i)))
+      arr
   in
-  let candidates =
-    hash_joins
-    @ (if
-         Props.sorted_on e1.Pareto.props c1
-         && Props.sorted_on e2.Pareto.props c2
-       then [ simple Join.OJ ordered ]
-       else [])
-    @ [ simple Join.SOJ ordered ]
-    @ (if Props.dense_on e1.Pareto.props c1 then
-         [ simple Join.SPHJ unordered ]
-       else [])
-    @
-    match Props.column e1.Pareto.props c1 with
-    | Some _ -> [ simple Join.BSJ unordered ]
-    | None -> []
+  { entries; arr; ids; classes; slot; slots = !slots }
+
+(* A join's output forgets its inputs' orders ({!Props.union_columns}
+   resets them); only OJ reads them, and only on the join column.  So
+   an entry [t] with the same (physically shared) column and
+   co-ordering lists as [e], the same rows, a strictly lower cost, and
+   — when [e] is sorted on the join column — that order too, is a
+   {e twin} of [e]: every candidate [e] would form in a join on that
+   column is matched by [t]'s candidate of the same algorithm, with
+   equal properties and rows and a lower cost.  [twins f sorted] maps
+   each entry of [f] to its cheapest twin, or [-1]; [sorted.(i)] says
+   whether entry [i] is sorted on the join column. *)
+let twins f sorted =
+  let cheapest = Array.make f.slots (-1) in
+  let cheapest_sorted = Array.make f.slots (-1) in
+  let cheaper i j = j < 0 || f.arr.(i).Pareto.cost < f.arr.(j).Pareto.cost in
+  Array.iteri
+    (fun i sl ->
+      if cheaper i cheapest.(sl) then cheapest.(sl) <- i;
+      if sorted.(i) && cheaper i cheapest_sorted.(sl) then
+        cheapest_sorted.(sl) <- i)
+    f.slot;
+  Array.mapi
+    (fun i sl ->
+      let t = if sorted.(i) then cheapest_sorted.(sl) else cheapest.(sl) in
+      if t >= 0 && f.arr.(t).Pareto.cost < f.arr.(i).Pareto.cost then t
+      else -1)
+    f.slot
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* All join candidates of one split [(f1, f2)] on [c1 = c2], in the
+   order the pairs and algorithms enumerate, minus those that provably
+   cannot reach the subset's Pareto frontier — they are counted (in
+   [ctx] and [generated]) but never allocated.  [emit] receives each
+   pair's surviving candidates as a list in {e reverse} candidate order.
+
+   A candidate dropped here always has a kept witness that dominates
+   it in the frontier fold: a strictly dominating one anywhere in the
+   stream, or a dominating one earlier in it.  Either kills the
+   candidate in the fold, and kills everything the candidate would
+   have, so the frontier — members and order — is unchanged.  Two
+   rules drop:
+
+   - {b dead input order}: a pair whose left entry has a twin (see
+     {!twins}), or whose right entry has one, is skipped when every
+     applicable algorithm's candidate is strictly cheaper for the twin
+     after the float sums.  On a tie the pair is built, and the fold's
+     stream order breaks the tie as it always did.
+   - {b within a pair}: an unordered candidate is dropped when an
+     earlier kept candidate of the pair costs no more, an ordered one
+     when an earlier kept ordered one does — the ordered vector is the
+     unordered one sorted on [c1], so it dominates.
+
+   Each pair's output properties are one [scale_columns] of the union
+   of the inputs' column lists, memoised per split on the two inputs'
+   list classes and the output rows. *)
+let join_split ctx algs ~generated ~emit c1 c2 f1 f2 =
+  let a1 = f1.arr and ids1 = f1.ids and a2 = f2.arr and ids2 = f2.ids in
+  let n2 = f2.classes in
+  let sorted_on c (e : Pareto.entry) = Props.sorted_on e.Pareto.props c in
+  let sorted1 = Array.map (sorted_on c1) a1 in
+  let sorted2 = Array.map (sorted_on c2) a2 in
+  let twin1 = twins f1 sorted1 and twin2 = twins f2 sorted2 in
+  let unions = Int_tbl.create 16 in
+  let union i j (e1 : Pareto.entry) (e2 : Pareto.entry) out_rows =
+    let key = (ids1.(i) * n2) + ids2.(j) in
+    let cached = Option.value ~default:[] (Int_tbl.find_opt unions key) in
+    match List.find_opt (fun (r, _, _) -> r = out_rows) cached with
+    | Some (_, unordered, ordered) -> (unordered, ordered)
+    | None ->
+      let unordered =
+        scale_columns
+          (Props.union_columns e1.Pareto.props e2.Pareto.props)
+          out_rows
+      in
+      (* Sorting touches only the order fields, so the sorted variant
+         shares the scaled column list. *)
+      let ordered = Props.with_sort unordered c1 in
+      Int_tbl.replace unions key ((out_rows, unordered, ordered) :: cached);
+      (unordered, ordered)
   in
-  count ctx (List.length candidates);
-  candidates
+  let distinct2 =
+    Array.map
+      (fun (e : Pareto.entry) -> distinct_or e.Pareto.props c2 e.Pareto.rows)
+      a2
+  in
+  let nalgs = Array.length algs in
+  let jcost = Array.make nalgs 0.0 in
+  Array.iteri
+    (fun i (e1 : Pareto.entry) ->
+      let left = Props.column e1.Pareto.props c1 in
+      let d1 =
+        match left with Some c -> c.Props.distinct | None -> e1.Pareto.rows
+      in
+      let unsorted = applicable algs ~left ~both_sorted:false in
+      let sorted = applicable algs ~left ~both_sorted:sorted1.(i) in
+      let n_unsorted = popcount unsorted and n_sorted = popcount sorted in
+      (* Join costs and the output rows depend on the right entry only
+         through its rows and distinct count, which runs of right
+         entries share: recompute them when those change. *)
+      let rows2 = ref (-1) and d2 = ref (-1) and out_rows = ref 0 in
+      Array.iteri
+        (fun j (e2 : Pareto.entry) ->
+          let mask = if sorted2.(j) then sorted else unsorted in
+          let n = if sorted2.(j) then n_sorted else n_unsorted in
+          ctx.considered <- ctx.considered + n;
+          generated := !generated + n;
+          if e2.Pareto.rows <> !rows2 then begin
+            rows2 := e2.Pareto.rows;
+            d2 := -1;
+            for k = 0 to nalgs - 1 do
+              if sorted land (1 lsl k) <> 0 then
+                jcost.(k) <-
+                  Model.join_cost ctx.model ~impl:algs.(k).impl
+                    ~left_rows:e1.Pareto.rows ~right_rows:!rows2
+                    ~left_distinct:d1
+            done
+          end;
+          if distinct2.(j) <> !d2 then begin
+            d2 := distinct2.(j);
+            out_rows :=
+              correct_join ctx c1 c2
+                (Cardinality.equi_join ~left_rows:e1.Pareto.rows
+                   ~right_rows:!rows2 ~left_distinct:d1 ~right_distinct:!d2)
+          end;
+          let out_rows = !out_rows in
+          let base = e1.Pareto.cost +. e2.Pareto.cost in
+          (* Every candidate built on [other] instead of [base] is
+             strictly cheaper, exactly as the candidates sum it. *)
+          let below other =
+            other < base
+            &&
+            let rec go k =
+              k >= nalgs
+              || (mask land (1 lsl k) = 0
+                 || other +. jcost.(k) < base +. jcost.(k))
+                 && go (k + 1)
+            in
+            go 0
+          in
+          let skip =
+            (twin1.(i) >= 0
+            && below (a1.(twin1.(i)).Pareto.cost +. e2.Pareto.cost))
+            || twin2.(j) >= 0
+               && below (e1.Pareto.cost +. a2.(twin2.(j)).Pareto.cost)
+          in
+          if not skip then begin
+            let unordered, ordered = union i j e1 e2 out_rows in
+            let kept = ref [] in
+            let min_any = ref Float.nan and min_ordered = ref Float.nan in
+            for k = 0 to nalgs - 1 do
+              if mask land (1 lsl k) <> 0 then begin
+                let a = algs.(k) in
+                let cost = base +. jcost.(k) in
+                let dominated =
+                  if a.ordered then !min_ordered <= cost else !min_any <= cost
+                in
+                if not dominated then begin
+                  kept :=
+                    {
+                      Pareto.plan =
+                        Physical.Join_op
+                          (e1.Pareto.plan, e2.Pareto.plan, c1, c2, a.impl);
+                      cost;
+                      props = (if a.ordered then ordered else unordered);
+                      rows = out_rows;
+                    }
+                    :: !kept;
+                  ctx.built <- ctx.built + 1;
+                  if not (!min_any <= cost) then min_any := cost;
+                  if a.ordered && not (!min_ordered <= cost) then
+                    min_ordered := cost
+                end
+              end
+            done;
+            emit !kept
+          end)
+        a2)
+    a1
 
 (* ------------------------------------------------------------------ *)
 (* Join-subtree DP over relation subsets (System-R style, no cross
@@ -509,7 +750,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     pred_endpoints;
   let memo = Subsets.create 64 in
   for i = 0 to k - 1 do
-    Subsets.replace memo (Bitset.singleton i) leaf_sets.(i)
+    Subsets.replace memo (Bitset.singleton i) (frontier leaf_sets.(i))
   done;
   let full = Bitset.full k in
   let subset_label s =
@@ -519,45 +760,47 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     ^ "}"
   in
   (* Solve one subset against the (read-only) memo of smaller subsets,
-     recording counters into [local] only.  Candidate chunks are consed
-     and concatenated at the end: same order as the old
-     [new @ !candidates] accumulation, without re-copying the new chunk
-     each time.  Splits whose halves are disconnected (not in the memo
-     — only connected subsets are enumerated) or unconnectable
-     contribute no candidates, exactly as they always did; the memo
-     lookup is cheaper than the predicate scan, so it goes first.  With
-     a learner, the beam gate cuts the merged Pareto frontier to the
-     top-k before it is recorded and memoised — the pruning that keeps
-     downstream candidate products flat. *)
+     recording counters into [local] only.  Each pair's candidate chunk
+     is consed as it is built, and the chunks are folded into the
+     frontier last chunk first: the candidate stream, whose order fixes
+     the frontier's entry order, runs from the last pair to the first,
+     without concatenating the chunks.
+     Splits whose halves are disconnected (not in the memo — only
+     connected subsets are enumerated) or unconnectable contribute no
+     candidates, exactly as they always did; the memo lookup is cheaper
+     than the predicate scan, so it goes first.  With a learner, the
+     beam gate cuts the merged Pareto frontier to the top-k before it
+     is recorded and memoised — the pruning that keeps downstream
+     candidate products flat. *)
+  let algs = join_algs ctx in
   let solve local s =
-    let chunks = ref [] in
+    let chunks = ref [] and generated = ref 0 in
+    let emit chunk = chunks := chunk :: !chunks in
     Bitset.iter_subsets
       (fun s1 ->
         match Subsets.find_opt memo s1 with
-        | None | Some [] -> ()
-        | Some p1 -> (
+        | None | Some { entries = []; _ } -> ()
+        | Some f1 -> (
           let s2 = Bitset.diff s s1 in
           match Subsets.find_opt memo s2 with
-          | None | Some [] -> ()
-          | Some p2 -> (
+          | None | Some { entries = []; _ } -> ()
+          | Some f2 -> (
             match connecting s1 s2 with
             | None -> ()
             | Some (c1, c2) ->
-              List.iter
-                (fun e1 ->
-                  List.iter
-                    (fun e2 ->
-                      chunks := join_candidates local e1 e2 c1 c2 :: !chunks)
-                    p2)
-                p1)))
+              join_split local algs ~generated ~emit c1 c2 f1 f2)))
       s;
-    let candidates = List.concat !chunks in
-    let survivors = Pareto.add_all [] candidates in
+    (* A chunk holds its pair's candidates in reverse order. *)
+    let survivors =
+      List.fold_left
+        (fun acc chunk ->
+          List.fold_right (fun e acc -> Pareto.add acc e) chunk acc)
+        [] !chunks
+    in
     let enforced = enforcer_variants local survivors in
     count local (List.length enforced);
     let merged = Pareto.add_all survivors enforced in
-    record_step local (subset_label s)
-      ~generated:(List.length candidates)
+    record_step local (subset_label s) ~generated:!generated
       ~enforcers:(List.length enforced)
       (beam_gate local merged)
   in
@@ -571,20 +814,23 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     (match reg with
     | None -> ()
     | Some m ->
-      let generated, kept =
+      let generated, enforcers, kept =
         match local.steps with
-        | [ st ] -> (st.generated, st.kept)
-        | [] | _ :: _ :: _ -> (0, List.length entries)
+        | [ st ] -> (st.generated, st.enforcers, st.kept)
+        | [] | _ :: _ :: _ -> (0, 0, List.length entries)
       in
       Metrics.incr m "opt.dp.subproblems";
       Metrics.incr ~by:generated m "opt.dp.candidates_generated";
+      (* The join candidates the task allocated; the rest of [generated]
+         were proved dominated without being built. *)
+      Metrics.incr ~by:(local.built - enforcers) m "opt.dp.candidates_built";
       Metrics.incr ~by:kept m "opt.dp.pareto_kept";
       (if ctx.learner <> None then begin
          Metrics.incr ~by:local.scored m "opt.learn.scored";
          Metrics.incr ~by:local.beam_pruned m "opt.learn.pruned"
        end);
       Metrics.add_span_ns m "opt.dp.wall_ns" wall_ns);
-    (entries, local)
+    (frontier entries, local)
   in
   (* All subsets of one cardinality, each claimed by exactly one worker
      (chunk 1, like [Pool.map_tasks]); results land in per-index slots
@@ -653,9 +899,9 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     let generated = ref 0 and kept = ref 0 in
     let pruned = ref 0 and beam = ref 0 in
     Array.iteri
-      (fun i (entries, (local : ctx)) ->
-        Subsets.replace memo subs.(i) entries;
-        kept := !kept + List.length entries;
+      (fun i (f, (local : ctx)) ->
+        Subsets.replace memo subs.(i) f;
+        kept := !kept + List.length f.entries;
         (match local.steps with
         | [ st ] ->
           generated := !generated + st.generated;
@@ -663,6 +909,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
         | [] | _ :: _ :: _ -> ());
         beam := !beam + local.beam_pruned;
         ctx.considered <- ctx.considered + local.considered;
+        ctx.built <- ctx.built + local.built;
         ctx.enforced <- ctx.enforced + local.enforced;
         ctx.pruned <- ctx.pruned + local.pruned;
         ctx.scored <- ctx.scored + local.scored;
@@ -682,9 +929,9 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
       :: ctx.levels
   done;
   match Subsets.find_opt memo full with
-  | Some [] | None ->
+  | Some { entries = []; _ } | None ->
     invalid_arg "Search: join graph is disconnected (cross product needed)"
-  | Some entries -> entries
+  | Some f -> f.entries
 
 let rec plan_node ctx (l : Logical.t) : Pareto.entry list =
   match l with
@@ -828,6 +1075,7 @@ let make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
     learner = gate;
     virtuals;
     considered = 0;
+    built = 0;
     enforced = 0;
     pruned = 0;
     scored = 0;
@@ -839,6 +1087,7 @@ let make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
 let finish_stats ctx ~pool ~gate ~cold entries =
   {
     plans_considered = ctx.considered;
+    candidates_built = ctx.built;
     pareto_kept = List.length entries;
     enforcers_added = ctx.enforced;
     candidates_pruned = ctx.pruned;
@@ -905,6 +1154,7 @@ let stats_to_json (s : stats) =
   Dqo_obs.Json.Obj
     [
       ("plans_considered", Dqo_obs.Json.Int s.plans_considered);
+      ("candidates_built", Dqo_obs.Json.Int s.candidates_built);
       ("pareto_kept", Dqo_obs.Json.Int s.pareto_kept);
       ("enforcers_added", Dqo_obs.Json.Int s.enforcers_added);
       ("candidates_pruned", Dqo_obs.Json.Int s.candidates_pruned);

@@ -24,6 +24,16 @@
     frontiers, counters, and trace are byte-identical for any pool
     size.
 
+    {b Candidates built only where they can survive.}  A join's output
+    forgets its inputs' orders, and within one pair of entries the
+    sorted-output algorithms dominate the unsorted ones at equal cost,
+    so most join candidates cannot reach their subset's frontier.  The
+    DP proves that from costs and shared property lists before
+    allocating them: such candidates count in {!stats.plans_considered}
+    and the trace as generated, but not in {!stats.candidates_built},
+    and every frontier (entry order included), counter and trace is
+    the one building every candidate would give.
+
     {b Learned beam gate.}  With [?learner], every join subset's Pareto
     frontier is additionally cut to the [?beam] entries whose
     {!Dqo_learn.Learner.score} (estimated cost × predicted
@@ -67,6 +77,11 @@ type level_stat = {
 
 type stats = {
   plans_considered : int;  (** Candidate entries generated overall. *)
+  candidates_built : int;
+      (** Of {!plans_considered}, the entries actually allocated.  The
+          join DP counts every candidate a pair generates but builds
+          only those that can reach the subset's frontier, so the
+          difference is the work proved redundant without doing it. *)
   pareto_kept : int;  (** Entries surviving in the root Pareto set. *)
   enforcers_added : int;  (** Sort enforcers generated overall. *)
   candidates_pruned : int;  (** Entries dominated away overall. *)

@@ -670,27 +670,39 @@ let test_parallel_domain_sweep_deep_model () =
   let counters m =
     List.map
       (fun c -> (c, Dqo_obs.Metrics.counter m c))
-      [ "opt.dp.subproblems"; "opt.dp.candidates_generated"; "opt.dp.pareto_kept" ]
+      [
+        "opt.dp.subproblems";
+        "opt.dp.candidates_generated";
+        "opt.dp.candidates_built";
+        "opt.dp.pareto_kept";
+      ]
   in
   let m0 = Dqo_obs.Metrics.create () in
-  let base =
-    fingerprint
-      (Search.optimize_entries ~model:Model.deep ~metrics:m0 Search.Deep catalog
-         query)
+  let ((_, base_stats) as base_result) =
+    Search.optimize_entries ~model:Model.deep ~metrics:m0 Search.Deep catalog
+      query
   in
+  let base = fingerprint base_result in
   let base_counters = counters m0 in
   Alcotest.(check bool) "sequential run recorded dp counters" true
     (List.for_all (fun (_, v) -> v > 0) base_counters);
+  (* The DP skips candidates it proves dominated: fewer are built than
+     generated, and the saved work is the same for every pool size. *)
+  Alcotest.(check bool) "built fewer join candidates than generated" true
+    (List.assoc "opt.dp.candidates_built" base_counters
+    < List.assoc "opt.dp.candidates_generated" base_counters);
   for domains = 1 to 8 do
     Pool.with_pool ~domains (fun pool ->
         let m = Dqo_obs.Metrics.create () in
-        let fp =
-          fingerprint
-            (Search.optimize_entries ~model:Model.deep ~pool ~metrics:m
-               Search.Deep catalog query)
+        let ((_, stats) as result) =
+          Search.optimize_entries ~model:Model.deep ~pool ~metrics:m
+            Search.Deep catalog query
         in
         Alcotest.(check string) (Printf.sprintf "deep model domains=%d" domains)
-          base fp;
+          base (fingerprint result);
+        Alcotest.(check int)
+          (Printf.sprintf "candidates built domains=%d" domains)
+          base_stats.Search.candidates_built stats.Search.candidates_built;
         Alcotest.(check (list (pair string int)))
           (Printf.sprintf "dp metrics domains=%d" domains)
           base_counters (counters m))
@@ -1118,15 +1130,17 @@ module Golden = struct
 end
 
 (* Digests recorded before the DP's property-vector operations were
-   specialised: a change to the search's inner loop must keep every
-   frontier byte-identical, column order included. *)
+   specialised, and (the molecule-model and partition-of-4 ones) before
+   the DP skipped candidates it proves dominated: a change to the
+   search's inner loop must keep every frontier byte-identical, column
+   order included. *)
 let test_golden_frontiers () =
-  let both name catalog sql (deep, shallow) =
+  let both ?model name catalog sql (deep, shallow) =
     let query = Dqo_sql.Binder.plan_of_sql catalog sql in
     List.iter
       (fun (mode, label, expected) ->
         Alcotest.(check string) (name ^ label) expected
-          (Golden.digest (Search.optimize_entries mode catalog) query))
+          (Golden.digest (Search.optimize_entries ?model mode catalog) query))
       [ (Search.Deep, " deep", deep); (Search.Shallow, " shallow", shallow) ]
   in
   let rs = Golden.rs () in
@@ -1138,17 +1152,520 @@ let test_golden_frontiers () =
     ("7ef7aea75b3fb02c84e0866a8b90f845", "d552bac721d6d35d7857d3a0fb001af4");
   both "chain-10" (Golden.chain ()) Golden.chain_sql
     ("90381ad534c18ba810647f05292b8140", "81b6cf93440c700f507609c982af6018");
+  (* Nine hash molecules per pair: the in-pair filter's heaviest case. *)
+  both ~model:Model.deep "star-7 molecules" (Golden.star ()) Golden.star_sql
+    ("768e24377802abbebb7099c2fa5fa54e", "d552bac721d6d35d7857d3a0fb001af4");
+  both ~model:Model.deep "chain-10 molecules" (Golden.chain ())
+    Golden.chain_sql
+    ("13e74760da531294eea77825dff53129", "81b6cf93440c700f507609c982af6018");
   let snow = Golden.snowflake () in
-  let hier query =
+  let hier ~partition_max query =
     let entries, stats, report =
-      Hier.optimize_entries ~partition_max:12 Search.Deep snow query
+      Hier.optimize_entries ~partition_max Search.Deep snow query
     in
     Alcotest.(check bool) "snowflake splits into partitions" true
       (List.length report.Hier.partitions > 1);
     (entries, stats)
   in
+  let snow_query = Dqo_sql.Binder.plan_of_sql snow Golden.snowflake_sql in
   Alcotest.(check string) "snowflake-20 hier" "8f7944bcf37aa67f12cfdda1330b4780"
-    (Golden.digest hier (Dqo_sql.Binder.plan_of_sql snow Golden.snowflake_sql))
+    (Golden.digest (hier ~partition_max:12) snow_query);
+  (* Small partitions: more stitch DPs, over frontiers whose lists were
+     built in other searches. *)
+  Alcotest.(check string) "snowflake-20 hier, partitions of 4" "8785f047fb294b7877dd403307119a40"
+    (Golden.digest (hier ~partition_max:4) snow_query)
+
+(* --- reference join DP ------------------------------------------------- *)
+
+(* The sequential join DP as it stood before the search learned to skip
+   candidates it can prove dominated: every pair's candidates built,
+   the chunks concatenated, folded through [Pareto.add_all], sort
+   enforcers added on the survivors.  No pool, feedback or learner. *)
+module Reference = struct
+  module Bitset = Dqo_util.Bitset
+  module Subsets = Hashtbl.Make (Bitset)
+  module Join = Dqo_exec.Join
+  module Grouping = Dqo_exec.Grouping
+  module Hash_fn = Dqo_hash.Hash_fn
+  module Cardinality = Dqo_cost.Cardinality
+
+  type ctx = {
+    mode : Search.mode;
+    model : Model.t;
+    interesting : string list;
+    mutable considered : int;
+    mutable enforced : int;
+    mutable pruned : int;
+    mutable steps : Search.trace_step list;
+    mutable levels : Search.level_stat list;
+  }
+
+  let count ctx n = ctx.considered <- ctx.considered + n
+
+  let record_step ctx step ~generated ~enforcers kept_entries =
+    let kept = List.length kept_entries in
+    let pruned = max 0 (generated + enforcers - kept) in
+    ctx.enforced <- ctx.enforced + enforcers;
+    ctx.pruned <- ctx.pruned + pruned;
+    ctx.steps <- { Search.step; generated; enforcers; kept; pruned } :: ctx.steps;
+    kept_entries
+
+  let enforcer_variants ctx entries =
+    List.concat_map
+      (fun (e : Pareto.entry) ->
+        List.filter_map
+          (fun col ->
+            match Props.column e.Pareto.props col with
+            | None -> None
+            | Some _ ->
+              if Props.sorted_on e.Pareto.props col then None
+              else
+                Some
+                  {
+                    Pareto.plan = Physical.Sort_enforcer (e.Pareto.plan, col);
+                    cost =
+                      e.Pareto.cost
+                      +. Model.sort_cost ctx.model ~rows:e.Pareto.rows;
+                    props = Props.with_sort e.Pareto.props col;
+                    rows = e.Pareto.rows;
+                  })
+          ctx.interesting)
+      entries
+
+  let hash_molecules ctx =
+    match ctx.mode with
+    | Search.Deep when ctx.model.Model.deep_molecules ->
+      List.concat_map
+        (fun table ->
+          List.map
+            (fun hash -> (table, hash))
+            [ Hash_fn.Murmur3; Hash_fn.Fibonacci; Hash_fn.Multiply_shift ])
+        [ Grouping.Chaining; Grouping.Linear_probing; Grouping.Robin_hood ]
+    | Search.Deep | Search.Shallow -> [ (Grouping.Chaining, Hash_fn.Murmur3) ]
+
+  let join_candidates ctx (e1 : Pareto.entry) (e2 : Pareto.entry) c1 c2 =
+    let d1 = Search.distinct_or e1.Pareto.props c1 e1.Pareto.rows in
+    let d2 = Search.distinct_or e2.Pareto.props c2 e2.Pareto.rows in
+    let out_rows =
+      Cardinality.equi_join ~left_rows:e1.Pareto.rows
+        ~right_rows:e2.Pareto.rows ~left_distinct:d1 ~right_distinct:d2
+    in
+    let unordered =
+      Search.scale_columns
+        (Props.union_columns e1.Pareto.props e2.Pareto.props)
+        out_rows
+    in
+    let ordered = Props.with_sort unordered c1 in
+    let mk impl cost props =
+      {
+        Pareto.plan =
+          Physical.Join_op (e1.Pareto.plan, e2.Pareto.plan, c1, c2, impl);
+        cost = e1.Pareto.cost +. e2.Pareto.cost +. cost;
+        props;
+        rows = out_rows;
+      }
+    in
+    let jcost impl =
+      Model.join_cost ctx.model ~impl ~left_rows:e1.Pareto.rows
+        ~right_rows:e2.Pareto.rows ~left_distinct:d1
+    in
+    let hash_joins =
+      List.map
+        (fun (table, hash) ->
+          let impl =
+            { (Physical.default_join Join.HJ) with
+              Physical.j_table = table; j_hash = hash }
+          in
+          mk impl (jcost impl) unordered)
+        (hash_molecules ctx)
+    in
+    let simple alg props =
+      let impl = Physical.default_join alg in
+      mk impl (jcost impl) props
+    in
+    let candidates =
+      hash_joins
+      @ (if
+           Props.sorted_on e1.Pareto.props c1
+           && Props.sorted_on e2.Pareto.props c2
+         then [ simple Join.OJ ordered ]
+         else [])
+      @ [ simple Join.SOJ ordered ]
+      @ (if Props.dense_on e1.Pareto.props c1 then
+           [ simple Join.SPHJ unordered ]
+         else [])
+      @
+      match Props.column e1.Pareto.props c1 with
+      | Some _ -> [ simple Join.BSJ unordered ]
+      | None -> []
+    in
+    count ctx (List.length candidates);
+    candidates
+
+  let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
+      ~predicates =
+    let k = Array.length leaf_sets in
+    let col_leaf = Hashtbl.create 16 in
+    Array.iteri
+      (fun i entries ->
+        match entries with
+        | [] -> ()
+        | (e : Pareto.entry) :: _ ->
+          List.iter
+            (fun (n, _) ->
+              if not (Hashtbl.mem col_leaf n) then Hashtbl.add col_leaf n i)
+            e.Pareto.props.Props.columns)
+      leaf_sets;
+    let pred_endpoints =
+      Array.of_list
+        (List.filter_map
+           (fun (lc, rc) ->
+             match
+               (Hashtbl.find_opt col_leaf lc, Hashtbl.find_opt col_leaf rc)
+             with
+             | Some ll, Some rl -> Some (ll, rl, lc, rc)
+             | None, _ | _, None -> None)
+           predicates)
+    in
+    let connecting s1 s2 =
+      let n = Array.length pred_endpoints in
+      let rec go i =
+        if i >= n then None
+        else
+          let ll, rl, lc, rc = pred_endpoints.(i) in
+          if Bitset.mem ll s1 && Bitset.mem rl s2 then Some (lc, rc)
+          else if Bitset.mem rl s1 && Bitset.mem ll s2 then Some (rc, lc)
+          else go (i + 1)
+      in
+      go 0
+    in
+    let adj = Array.make k Bitset.empty in
+    Array.iter
+      (fun (ll, rl, _, _) ->
+        if ll <> rl then begin
+          adj.(ll) <- Bitset.add rl adj.(ll);
+          adj.(rl) <- Bitset.add ll adj.(rl)
+        end)
+      pred_endpoints;
+    let memo = Subsets.create 64 in
+    for i = 0 to k - 1 do
+      Subsets.replace memo (Bitset.singleton i) leaf_sets.(i)
+    done;
+    let subset_label s =
+      "subset{"
+      ^ String.concat ","
+          (List.map (fun i -> leaf_names.(i)) (Bitset.to_list s))
+      ^ "}"
+    in
+    let solve s =
+      let chunks = ref [] in
+      Bitset.iter_subsets
+        (fun s1 ->
+          match Subsets.find_opt memo s1 with
+          | None | Some [] -> ()
+          | Some p1 -> (
+            let s2 = Bitset.diff s s1 in
+            match Subsets.find_opt memo s2 with
+            | None | Some [] -> ()
+            | Some p2 -> (
+              match connecting s1 s2 with
+              | None -> ()
+              | Some (c1, c2) ->
+                List.iter
+                  (fun e1 ->
+                    List.iter
+                      (fun e2 ->
+                        chunks := join_candidates ctx e1 e2 c1 c2 :: !chunks)
+                      p2)
+                  p1)))
+        s;
+      let candidates = List.concat !chunks in
+      let survivors = Pareto.add_all [] candidates in
+      let enforced = enforcer_variants ctx survivors in
+      count ctx (List.length enforced);
+      let merged = Pareto.add_all survivors enforced in
+      record_step ctx (subset_label s)
+        ~generated:(List.length candidates)
+        ~enforcers:(List.length enforced) merged
+    in
+    let neighbours s =
+      Bitset.fold (fun i acc -> Bitset.union acc adj.(i)) s Bitset.empty
+    in
+    let next_level prev =
+      let seen = Subsets.create 16 in
+      Array.iter
+        (fun s ->
+          Bitset.iter
+            (fun v -> Subsets.replace seen (Bitset.add v s) ())
+            (Bitset.diff (neighbours s) s))
+        prev;
+      let arr = Array.of_seq (Subsets.to_seq_keys seen) in
+      Array.sort Bitset.compare arr;
+      arr
+    in
+    let level = ref (Array.init k Bitset.singleton) in
+    for card = 2 to k do
+      let subs = next_level !level in
+      level := subs;
+      let generated = ref 0 and kept = ref 0 and pruned = ref 0 in
+      Array.iter
+        (fun s ->
+          let entries = solve s in
+          Subsets.replace memo s entries;
+          kept := !kept + List.length entries;
+          match ctx.steps with
+          | st :: _ ->
+            generated := !generated + st.Search.generated;
+            pruned := !pruned + st.Search.pruned
+          | [] -> ())
+        subs;
+      ctx.levels <-
+        {
+          Search.level = card;
+          subproblems = Array.length subs;
+          level_generated = !generated;
+          level_kept = !kept;
+          level_pruned = !pruned;
+          level_beam_pruned = 0;
+          level_wall_ms = 0.0;
+        }
+        :: ctx.levels
+    done;
+    Option.value ~default:[] (Subsets.find_opt memo (Bitset.full k))
+
+  (* What [Search.optimize_frontiers] returns, rebuilt by the copy. *)
+  let optimize_frontiers ~model ~interesting ~names ~leaves ~predicates mode =
+    let ctx =
+      {
+        mode;
+        model;
+        interesting;
+        considered = 0;
+        enforced = 0;
+        pruned = 0;
+        steps = [];
+        levels = [];
+      }
+    in
+    let entries =
+      dp_frontiers ctx ~leaf_names:names ~leaf_sets:leaves ~predicates
+    in
+    ( entries,
+      ( ctx.considered,
+        List.length entries,
+        ctx.enforced,
+        ctx.pruned,
+        List.rev ctx.steps,
+        List.rev ctx.levels ) )
+end
+
+(* Frontier (plans, exact costs, rows, full property vectors in list
+   order), counters, trace and level stats (wall times aside). *)
+let dp_dump entries (considered, kept, enforced, pruned, trace, levels) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Pareto.entry) ->
+      Buffer.add_string b
+        (Format.asprintf "%a|%h|%d|%s\n" Physical.pp e.Pareto.plan
+           e.Pareto.cost e.Pareto.rows (Golden.props_dump e.Pareto.props)))
+    entries;
+  Buffer.add_string b
+    (Printf.sprintf "considered=%d kept=%d enforced=%d pruned=%d\n" considered
+       kept enforced pruned);
+  List.iter
+    (fun (t : Search.trace_step) ->
+      Buffer.add_string b
+        (Printf.sprintf "%s:%d:%d:%d:%d\n" t.Search.step t.Search.generated
+           t.Search.enforcers t.Search.kept t.Search.pruned))
+    trace;
+  List.iter
+    (fun (lv : Search.level_stat) ->
+      Buffer.add_string b
+        (Printf.sprintf "L%d:%d:%d:%d:%d:%d\n" lv.Search.level
+           lv.Search.subproblems lv.Search.level_generated lv.Search.level_kept
+           lv.Search.level_pruned lv.Search.level_beam_pruned))
+    levels;
+  Buffer.contents b
+
+(* Random leaf frontiers built to hit every corner the join DP's
+   candidate skipping depends on: sort variants that share their
+   source's lists (twins) next to copies with equal but unshared lists,
+   row variants on shared lists (one union, several output row counts),
+   rows 0 and 1 (sorting is free, so twins tie on cost), costs near
+   2^53 (float sums tie), dense and sparse columns, co-ordering pairs,
+   and chain, star and cycle graphs of 2-7 leaves. *)
+type dp_case = {
+  shape : string;
+  mode : Search.mode;
+  deep_model : bool;
+  names : string array;
+  leaves : Pareto.entry list array;
+  predicates : (string * string) list;
+  interesting : string list;
+}
+
+let dp_case_gen st =
+  let int n = Random.State.int st n in
+  let pick l = List.nth l (int (List.length l)) in
+  let chance p = Random.State.float st 1.0 < p in
+  let k = 2 + int 6 in
+  let shape = pick [ "chain"; "star"; "cycle" ] in
+  let colname i m = Printf.sprintf "l%dc%d" i m in
+  let ncols = Array.init k (fun _ -> 1 + int 3) in
+  let rows () =
+    match int 5 with
+    | 0 -> 0
+    | 1 -> 1
+    | 2 -> 2 + int 20
+    | _ -> 50 + int 2_000
+  in
+  let big = 9007199254740992.0 (* 2^53 *) in
+  let cost () =
+    if chance 0.3 then big +. Float.of_int (2 * int 4)
+    else Float.of_int (int 5_000) +. Random.State.float st 1.0
+  in
+  let leaf i =
+    let columns () =
+      List.init ncols.(i) (fun m ->
+          let d = 1 + int 60 in
+          if chance 0.5 then
+            (colname i m, { Props.dense = true; lo = 0; hi = d - 1; distinct = d })
+          else
+            (colname i m, { Props.dense = false; lo = 0; hi = -1; distinct = d }))
+    in
+    let co_ordered =
+      if ncols.(i) > 1 && chance 0.5 then [ (colname i 0, colname i 1) ] else []
+    in
+    let order () =
+      if chance 0.4 then Some (colname i (int ncols.(i))) else None
+    in
+    let props columns =
+      let sorted_by = order () in
+      { Props.sorted_by; clustered_by = sorted_by; columns; co_ordered }
+    in
+    let plan n = Physical.Table_scan (Printf.sprintf "L%d_%d" i n) in
+    let serial = ref 0 in
+    let entry props ~rows ~cost =
+      incr serial;
+      { Pareto.plan = plan !serial; cost; props; rows }
+    in
+    (* Sources share their column statistics or draw their own, and
+       often their rows: equal rows over other distinct counts. *)
+    let shared = columns () and first_rows = rows () in
+    let sources =
+      List.init (1 + int 2) (fun _ ->
+          entry
+            (props (if chance 0.5 then shared else columns ()))
+            ~rows:(if chance 0.5 then first_rows else rows ())
+            ~cost:(cost ()))
+    in
+    List.concat_map
+      (fun (src : Pareto.entry) ->
+        let variant () =
+          let c = colname i (int ncols.(i)) in
+          let delta =
+            match int 4 with
+            | 0 -> 0.0
+            | 1 -> 2.0 (* a tie once summed near 2^53 *)
+            | 2 -> Model.sort_cost Model.table2 ~rows:src.Pareto.rows
+            | _ -> 1.0 +. Float.of_int (int 3_000)
+          in
+          match int 4 with
+          | 0 ->
+            (* Sort variant sharing the source's lists. *)
+            entry
+              (Props.with_sort src.Pareto.props c)
+              ~rows:src.Pareto.rows ~cost:(src.Pareto.cost +. delta)
+          | 1 ->
+            (* Equal but unshared lists. *)
+            let p = src.Pareto.props in
+            entry
+              {
+                p with
+                Props.columns = List.map Fun.id p.Props.columns;
+                co_ordered = List.map Fun.id p.Props.co_ordered;
+                sorted_by = (if chance 0.5 then Some c else p.Props.sorted_by);
+              }
+              ~rows:src.Pareto.rows ~cost:(src.Pareto.cost +. delta)
+          | 2 ->
+            (* Same lists, other rows. *)
+            entry src.Pareto.props ~rows:(rows ())
+              ~cost:(src.Pareto.cost +. delta)
+          | _ ->
+            (* Cheaper, possibly unsorted: a twin of the source. *)
+            entry
+              (if chance 0.5 then Props.without_order src.Pareto.props
+               else src.Pareto.props)
+              ~rows:src.Pareto.rows
+              ~cost:(Float.max 0.0 (src.Pareto.cost -. delta))
+        in
+        src :: List.init (int 3) (fun _ -> variant ()))
+      sources
+  in
+  let leaves = Array.init k leaf in
+  let edge a b =
+    (colname a (int ncols.(a)), colname b (int ncols.(b)))
+  in
+  let edges =
+    match shape with
+    | "star" -> List.init (k - 1) (fun j -> (0, j + 1))
+    | "cycle" -> List.init k (fun j -> (j, (j + 1) mod k))
+    | _ -> List.init (k - 1) (fun j -> (j, j + 1))
+  in
+  let predicates =
+    List.map (fun (a, b) -> if chance 0.5 then edge a b else edge b a) edges
+  in
+  let interesting =
+    List.concat
+      (List.init k (fun i ->
+           List.filter (fun _ -> chance 0.5)
+             (List.init ncols.(i) (colname i))))
+  in
+  {
+    shape;
+    mode = (if chance 0.5 then Search.Deep else Search.Shallow);
+    deep_model = chance 0.5;
+    names = Array.init k (Printf.sprintf "L%d");
+    leaves;
+    predicates;
+    interesting;
+  }
+
+let dp_case_print c =
+  Printf.sprintf "%s of %d leaves, %s mode, %s model, %d leaf entries" c.shape
+    (Array.length c.names)
+    (match c.mode with Search.Deep -> "deep" | Search.Shallow -> "shallow")
+    (if c.deep_model then "deep" else "table2")
+    (Array.fold_left (fun acc l -> acc + List.length l) 0 c.leaves)
+
+let prop_dp_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"optimize_frontiers = reference DP (frontier, counters, trace)"
+    (QCheck.make ~print:dp_case_print dp_case_gen)
+    (fun c ->
+      let model = if c.deep_model then Model.deep else Model.table2 in
+      let entries, (stats : Search.stats) =
+        Search.optimize_frontiers ~model ~interesting:c.interesting
+          ~names:c.names ~leaves:c.leaves ~predicates:c.predicates c.mode
+          (Catalog.create [])
+      in
+      let r_entries, r_stats =
+        Reference.optimize_frontiers ~model ~interesting:c.interesting
+          ~names:c.names ~leaves:c.leaves ~predicates:c.predicates c.mode
+      in
+      let got =
+        dp_dump entries
+          ( stats.Search.plans_considered,
+            stats.Search.pareto_kept,
+            stats.Search.enforcers_added,
+            stats.Search.candidates_pruned,
+            stats.Search.trace,
+            stats.Search.levels )
+      in
+      let want = dp_dump r_entries r_stats in
+      String.equal got want
+      && stats.Search.candidates_built <= stats.Search.plans_considered
+      || QCheck.Test.fail_reportf "search:\n%s\nreference:\n%s" got want)
 
 let () =
   Alcotest.run "dqo_opt"
@@ -1237,6 +1754,8 @@ let () =
         ] );
       ( "golden",
         [ Alcotest.test_case "frontier digests" `Quick test_golden_frontiers ] );
+      ( "reference-dp",
+        [ QCheck_alcotest.to_alcotest prop_dp_matches_reference ] );
       ( "parallel",
         [
           Alcotest.test_case "pool matches sequential" `Quick
