@@ -210,6 +210,138 @@ test "$pin_out" = "$(cat <<'EOF'
 EOF
 )" || { echo "ci: grouped join differs from the pinned output" >&2; exit 1; }
 
+echo "== dqo explain plan pin =="
+# The measured catalog (sortedness, density, distinct counts,
+# co-ordering) drives these plan choices: the §4.3 query over default,
+# sorted, sparse and skewed data, and a filtered variant, must print the
+# plans (and estimates) pinned here.
+explain_pin() {
+  dune exec bin/dqo.exe -- explain --r-rows 2000 --s-rows 6000 --groups 1500 "$@"
+}
+pin_out="$(
+  echo "== default"; explain_pin
+  echo "== --sorted"; explain_pin --sorted
+  echo "== --sparse"; explain_pin --sparse
+  echo "== --skew 1.0"; explain_pin --skew 1.0
+  echo "== a < 10000"
+  explain_pin 'SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 10000 GROUP BY a'
+)"
+test "$pin_out" = "$(cat <<'EOF'
+== default
+=== SQO (shallow) ===
+cost      56000
+rows      1500
+props     {sorted=-; clustered=a; dense=[]}
+plan:
+HG(chaining, murmur3)(key=a)
+  HJ(chaining, murmur3)(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+=== DQO (deep) ===
+cost      14000
+rows      1500
+props     {sorted=a; clustered=a; dense=[a]}
+plan:
+SPHG(key=a)
+  SPHJ(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+improvement factor (estimated cost): 4.00x
+== --sorted
+=== SQO (shallow) ===
+cost      14000
+rows      1500
+props     {sorted=-; clustered=a; dense=[]}
+plan:
+OG(key=a)
+  OJ(id = r_id)
+    TableScan(R)
+    TableScan(S)
+
+=== DQO (deep) ===
+cost      14000
+rows      1500
+props     {sorted=a; clustered=a; dense=[a]}
+plan:
+SPHG(key=a)
+  OJ(id = r_id)
+    TableScan(R)
+    TableScan(S)
+
+improvement factor (estimated cost): 1.00x
+== --sparse
+=== SQO (shallow) ===
+cost      56000
+rows      1500
+props     {sorted=-; clustered=a; dense=[]}
+plan:
+HG(chaining, murmur3)(key=a)
+  HJ(chaining, murmur3)(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+=== DQO (deep) ===
+cost      56000
+rows      1500
+props     {sorted=-; clustered=a; dense=[]}
+plan:
+HG(chaining, murmur3)(key=a)
+  HJ(chaining, murmur3)(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+improvement factor (estimated cost): 1.00x
+== --skew 1.0
+=== SQO (shallow) ===
+cost      56000
+rows      1500
+props     {sorted=-; clustered=a; dense=[]}
+plan:
+HG(chaining, murmur3)(key=a)
+  HJ(chaining, murmur3)(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+=== DQO (deep) ===
+cost      14000
+rows      1500
+props     {sorted=a; clustered=a; dense=[a]}
+plan:
+SPHG(key=a)
+  SPHJ(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+improvement factor (estimated cost): 4.00x
+== a < 10000
+=== SQO (shallow) ===
+cost      37000
+rows      660
+props     {sorted=-; clustered=a; dense=[]}
+plan:
+HG(chaining, murmur3)(key=a)
+  HJ(chaining, murmur3)(r_id = id)
+    TableScan(S)
+    Filter(a < 10000)
+      TableScan(R)
+
+=== DQO (deep) ===
+cost      16000
+rows      1500
+props     {sorted=a; clustered=a; dense=[a]}
+plan:
+SPHG(key=a)
+  SPHJ(r_id = id)
+    TableScan(S)
+    Filter(a < 10000)
+      TableScan(R)
+
+improvement factor (estimated cost): 2.31x
+EOF
+)" || { echo "ci: dqo explain differs from the pinned plans" >&2; exit 1; }
+
 echo "== dqo explain --analyze --learned smoke =="
 # Round 1 plans cold (exhaustive); round 2 replans with the trained
 # value model and must render the beam gate's activity.

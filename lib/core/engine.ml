@@ -44,10 +44,15 @@ let check_opts o =
   if o.partition_max < 1 then invalid_arg "Engine.opts: partition_max < 1";
   o
 
+type stored = { rel : Relation.t; info : Catalog.table_info }
+
 type t = {
   model : Dqo_cost.Model.t;
   mutable opts : opts;
-  mutable relations : (string * Relation.t) list;
+  (* Each stored relation with its measured properties, computed once
+     when the relation is added or replaced (relations are immutable
+     once registered, so the measurement stays true). *)
+  mutable relations : (string * stored) list;
   mutable catalog : Catalog.t;
   (* Installed views with the resident bytes measured at install time,
      so an advisor can enforce a memory budget against reality. *)
@@ -124,9 +129,13 @@ let installed_avs t = List.map fst t.avs
 let installed_av_sizes t = t.avs
 let av_bytes t = List.fold_left (fun acc (_, b) -> acc + b) 0 t.avs
 
+let measured name rel = (name, { rel; info = Catalog.of_relation name rel })
+
+(* The catalog is the stored measurements with the catalog-level views
+   applied; nothing is measured here. *)
 let rebuild_catalog t =
-  (* Grouping-result AVs already exist as stored relations and are
-     measured directly; re-applying them would duplicate the catalog
+  (* Grouping-result AVs already exist as stored relations, measured
+     when installed; re-applying them would duplicate the catalog
      entry. *)
   let catalog_level_avs =
     List.filter
@@ -138,21 +147,23 @@ let rebuild_catalog t =
   in
   t.catalog <-
     Dqo_av.View.apply_all
-      (Catalog.create
-         (List.map (fun (n, r) -> Catalog.of_relation n r) t.relations))
+      (Catalog.create (List.map (fun (_, s) -> s.info) t.relations))
       catalog_level_avs
 
 let register t ~name rel =
   if List.mem_assoc name t.relations then
     invalid_arg ("Engine.register: relation already registered: " ^ name);
-  t.relations <- t.relations @ [ (name, rel) ];
+  t.relations <- t.relations @ [ measured name rel ];
   t.generation <- t.generation + 1;
   rebuild_catalog t
 
-let relation t name =
+let stored t name =
   match List.assoc_opt name t.relations with
-  | Some r -> r
+  | Some s -> s
   | None -> raise Not_found
+
+let relation t name = (stored t name).rel
+let measurement t name = (stored t name).info
 
 let catalog t = t.catalog
 
@@ -966,8 +977,8 @@ let install_av t (v : Dqo_av.View.t) =
       | Dqo_av.View.M_sorted sorted ->
         t.relations <-
           List.map
-            (fun (n, r) ->
-              if String.equal n rel_name then (n, sorted) else (n, r))
+            (fun ((n, _) as entry) ->
+              if String.equal n rel_name then measured n sorted else entry)
             t.relations;
         measure_bytes rel m
       | Dqo_av.View.M_fks _ | Dqo_av.View.M_dense_bounds _
@@ -1002,7 +1013,7 @@ let install_av t (v : Dqo_av.View.t) =
               Column.of_ints g.Dqo_exec.Group_result.sums;
             ]
         in
-        t.relations <- t.relations @ [ (name, mat) ];
+        t.relations <- t.relations @ [ measured name mat ];
         measure_bytes rel m
       | Dqo_av.View.M_sorted _ | Dqo_av.View.M_fks _
       | Dqo_av.View.M_dense_bounds _ ->
@@ -1023,9 +1034,9 @@ let uninstall_av t id =
     (match v.Dqo_av.View.kind with
     | Dqo_av.View.Sorted_projection _ ->
       (* The stored rows stay physically sorted — there is no "unsort";
-         only the accounting entry goes away.  The rebuilt catalog
-         re-measures the relation, so the (still true) sortedness keeps
-         being visible to the optimiser. *)
+         only the accounting entry goes away.  The stored measurement
+         was taken on the sorted rows, so the (still true) sortedness
+         keeps being visible to the optimiser. *)
       ()
     | Dqo_av.View.Perfect_hash { column; _ } ->
       Hashtbl.remove t.fks_index column

@@ -120,11 +120,22 @@ val effective_beam : t -> int option
 
 val register : t -> name:string -> Dqo_data.Relation.t -> unit
 (** Add a base relation; its statistics (sortedness, density, distinct
-    counts, co-ordering) are measured immediately.
+    counts, co-ordering) are measured once, here, and stored with it:
+    later registrations and view installs or evictions re-use the
+    measurement.  The relation must not be mutated after registering
+    it, or the catalog describes data that is no longer there.
     @raise Invalid_argument if the name is taken. *)
 
 val relation : t -> string -> Dqo_data.Relation.t
 (** @raise Not_found for unknown names. *)
+
+val measurement : t -> string -> Dqo_opt.Catalog.table_info
+(** The stored relation's measured properties
+    ({!Dqo_opt.Catalog.of_relation}), taken when it was registered or
+    last replaced by a view install — before any catalog-level view
+    (sorted projection, perfect hash) applies.  {!catalog} is these
+    measurements with the installed views applied.
+    @raise Not_found for unknown names. *)
 
 val catalog : t -> Dqo_opt.Catalog.t
 
@@ -329,10 +340,11 @@ val execute_prepared_on :
 
 val install_av : t -> Dqo_av.View.t -> unit
 (** Materialise an algorithmic view and update the catalog: a sorted
-    projection physically reorders the stored relation; a perfect-hash
-    AV builds (and stores) a dense-domain or FKS structure that the
-    executor uses whenever a plan calls for SPH on that column; a
-    grouping result stores the per-group COUNT/SUM relation.  The
+    projection physically reorders the stored relation and measures
+    the reordered rows; a perfect-hash AV builds (and stores) a
+    dense-domain or FKS structure that the executor uses whenever a
+    plan calls for SPH on that column, measuring nothing; a grouping
+    result stores and measures the per-group COUNT/SUM relation.  The
     structure's resident bytes are measured and recorded (see
     {!av_bytes}).  Bumps {!av_generation}, invalidating outstanding
     {!prepared} plans.  Once a [Grouping_result] view is installed,
@@ -345,9 +357,10 @@ val uninstall_av : t -> string -> unit
 (** Evict the installed view with this id ({!Dqo_av.View.t}[.id]): a
     perfect-hash AV drops its FKS structure, a grouping result drops
     the materialised relation, and a sorted projection drops only its
-    accounting entry (the stored rows stay physically sorted — the
-    rebuilt catalog re-measures them, so the optimiser keeps seeing
-    the still-true order).  Bumps {!av_generation}, so outstanding
+    accounting entry (the stored rows stay physically sorted, and
+    their measurement was taken on the sorted rows at install, so the
+    optimiser keeps seeing the still-true order).  Nothing is measured
+    again.  Bumps {!av_generation}, so outstanding
     {!prepared} plans revalidate and replan away from the view.
     @raise Invalid_argument for an id that is not installed. *)
 

@@ -7,29 +7,19 @@ type t = {
   clustered : bool;
 }
 
-let is_clustered col =
-  (* Equal values must form one contiguous run each: every value's first
-     occurrence index must be preceded only by other runs; detect by
-     checking that a value never reappears after its run ended. *)
-  let seen = Hashtbl.create 64 in
-  let ok = ref true in
+(* Runs of equal adjacent values, streamed chunk-wise. *)
+let runs col =
+  let r = ref 0 in
   let prev = ref min_int in
   let first = ref true in
   Int_col.iter_seg col ~f:(fun _ buf off len ->
-      if !ok then begin
-        let k = ref off in
-        let stop = off + len in
-        while !ok && !k < stop do
-          let v = Array.unsafe_get buf !k in
-          if !first || !prev <> v then begin
-            if Hashtbl.mem seen v then ok := false else Hashtbl.add seen v ()
-          end;
-          first := false;
-          prev := v;
-          incr k
-        done
-      end);
-  !ok
+      for k = off to off + len - 1 do
+        let v = Array.unsafe_get buf k in
+        if !first || v <> !prev then incr r;
+        first := false;
+        prev := v
+      done);
+  !r
 
 let analyze col =
   let n = Int_col.length col in
@@ -39,26 +29,18 @@ let analyze col =
   else begin
     let sorted = Int_col.is_sorted col in
     let lo, hi = Int_col.min_max col in
+    let runs = runs col in
+    (* A sorted column has one run per value; otherwise count the
+       values on a sorted copy. *)
     let distinct =
-      if sorted then begin
-        (* Streaming run count — no materialised copy. *)
-        let d = ref 0 in
-        let prev = ref min_int in
-        let first = ref true in
-        Int_col.iter_seg col ~f:(fun _ buf off len ->
-            for k = off to off + len - 1 do
-              let v = Array.unsafe_get buf k in
-              if !first || v <> !prev then incr d;
-              first := false;
-              prev := v
-            done);
-        !d
-      end
+      if sorted then runs
       else Dqo_util.Int_array.count_distinct (Int_col.to_array col)
     in
     let range = hi - lo + 1 in
     let dense = range <= 2 * distinct in
-    let clustered = if sorted then true else is_clustered col in
+    (* Each value is one contiguous run exactly when there are as many
+       runs as values. *)
+    let clustered = runs = distinct in
     { sorted; distinct; lo; hi; dense; clustered }
   end
 

@@ -20,8 +20,10 @@ type t = {
 
 val analyze : Int_col.t -> t
 (** [analyze c] measures every property exactly, streaming chunk-wise
-    over any backend (plus one sort of a materialised copy for the
-    distinct count of unsorted columns). *)
+    over any backend (plus {!Dqo_util.Int_array.count_distinct} over a
+    materialised copy of an unsorted column).  [clustered] is [true]
+    exactly when the column has as many runs of equal adjacent values
+    as distinct values. *)
 
 val density_ratio : t -> float
 (** [distinct / (hi - lo + 1)]; 1.0 for a minimal dense domain, 0 for an

@@ -1,17 +1,7 @@
 let permutation keys =
-  (* The permutation sort is whole-column: flat backends sort over their
-     backing array directly, chunked backends are materialised once. *)
-  let keys = Dqo_data.Int_col.unsafe_array keys in
-  let n = Array.length keys in
-  let perm = Array.init n (fun i -> i) in
-  (* [Array.sort] is not stable; sort (key, index) packed comparisons so
-     ties keep their original order, which makes the permutation stable. *)
-  let cmp i j =
-    let c = Int.compare keys.(i) keys.(j) in
-    if c <> 0 then c else Int.compare i j
-  in
-  Array.sort cmp perm;
-  perm
+  (* Whole-column: flat backends sort over their backing array directly
+     (read only), chunked backends are materialised once. *)
+  Dqo_util.Int_array.stable_permutation (Dqo_data.Int_col.unsafe_array keys)
 
 let by_column r name =
   let keys = Dqo_data.Relation.int_col r name in

@@ -7,7 +7,8 @@
 
 val permutation : Dqo_data.Int_col.t -> int array
 (** [permutation keys] returns a stable permutation [p] such that
-    [keys.(p.(0)) <= keys.(p.(1)) <= ...]. *)
+    [keys.(p.(0)) <= keys.(p.(1)) <= ...], in linear time
+    ({!Dqo_util.Int_array.stable_permutation}). *)
 
 val by_column : Dqo_data.Relation.t -> string -> Dqo_data.Relation.t
 (** [by_column r name] returns [r] physically reordered so that column

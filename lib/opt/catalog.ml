@@ -14,25 +14,19 @@ let create tables =
 
 let table ~name ~rows ~props = { name; rows; props }
 
-(* Does ordering the rows by [by] leave [col] clustered (each value one
-   contiguous run)?  True whenever [col] is a monotone function of [by]. *)
-let co_orders by col =
-  let perm = Dqo_exec.Sort_op.permutation by in
-  (* The clustering check random-accesses [col] through the
-     permutation; materialise once (zero-copy when flat). *)
+(* Does ordering the rows by the permutation [perm] leave [col]
+   clustered (each value one contiguous run)?  Exactly when the reordered
+   column has as many runs as [col] has distinct values; true whenever
+   [col] is a monotone function of the sort key. *)
+let clustered_along perm col ~distinct =
+  (* Random access through the permutation; materialise once (zero-copy
+     when flat). *)
   let col = Dqo_data.Int_col.unsafe_array col in
-  let seen = Hashtbl.create 64 in
-  let n = Array.length perm in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let v = col.(perm.(!i)) in
-    if !i = 0 || col.(perm.(!i - 1)) <> v then begin
-      if Hashtbl.mem seen v then ok := false else Hashtbl.add seen v ()
-    end;
-    incr i
+  let runs = ref 0 in
+  for i = 0 to Array.length perm - 1 do
+    if i = 0 || col.(perm.(i - 1)) <> col.(perm.(i)) then incr runs
   done;
-  !ok
+  !runs = distinct
 
 let of_relation name rel =
   let schema = Dqo_data.Relation.schema rel in
@@ -41,23 +35,26 @@ let of_relation name rel =
       (fun (f : Dqo_data.Schema.field) ->
         match f.ty with
         | Dqo_data.Schema.T_int ->
-          Some (f.name, Dqo_data.Relation.int_col rel f.name)
+          let col = Dqo_data.Relation.int_col rel f.name in
+          Some (f.name, col, Dqo_data.Col_stats.analyze col)
         | Dqo_data.Schema.T_float | Dqo_data.Schema.T_string -> None)
       (Dqo_data.Schema.fields schema)
   in
-  let stats =
-    List.map (fun (n, col) -> (n, Dqo_data.Col_stats.analyze col)) int_cols
-  in
-  (* Detect co-ordering between column pairs (capped: the check sorts). *)
+  (* Detect co-ordering between column pairs (capped: the check sorts),
+     sorting each column once for all the columns it may order. *)
   let co_ordered =
     if Dqo_data.Relation.cardinality rel > 2_000_000 then []
     else
       List.concat_map
-        (fun (n1, c1) ->
+        (fun (n1, c1, _) ->
+          let perm = lazy (Dqo_exec.Sort_op.permutation c1) in
           List.filter_map
-            (fun (n2, c2) ->
+            (fun (n2, c2, (s2 : Dqo_data.Col_stats.t)) ->
               if String.equal n1 n2 then None
-              else if co_orders c1 c2 then Some (n1, n2)
+              else if
+                clustered_along (Lazy.force perm) c2
+                  ~distinct:s2.Dqo_data.Col_stats.distinct
+              then Some (n1, n2)
               else None)
             int_cols)
         int_cols
@@ -65,7 +62,9 @@ let of_relation name rel =
   {
     name;
     rows = Dqo_data.Relation.cardinality rel;
-    props = Dqo_plan.Props.of_stats ~co_ordered stats;
+    props =
+      Dqo_plan.Props.of_stats ~co_ordered
+        (List.map (fun (n, _, s) -> (n, s)) int_cols);
   }
 
 let find t name =

@@ -130,20 +130,93 @@ let sorted_copy a =
   sort b;
   b
 
+(* The stable sort of [keys] as a permutation, by comparisons: what the
+   radix kernel below falls back to when [max - min] and a row id do not
+   fit in one non-negative int together. *)
+let comparison_permutation keys =
+  let perm = Array.init (Array.length keys) (fun i -> i) in
+  (* [Array.sort] is not stable; comparing (key, index) pairs makes the
+     order total, so ties keep their original order. *)
+  let cmp i j =
+    let c = Int.compare keys.(i) keys.(j) in
+    if c <> 0 then c else Int.compare i j
+  in
+  Array.sort cmp perm;
+  perm
+
+let digit_bits = 11
+let digit_mask = (1 lsl digit_bits) - 1
+
+(* LSD radix sort of [(key - min) lsl id_bits lor id], 11 bits of the
+   key per pass, between two ping-pong buffers.  The row ids start in
+   ascending order and every pass is a stable counting sort, so the
+   result is the unique stable order; a pass whose digit is the same
+   for every key moves nothing and is skipped.  Packing key and id into
+   one word moves one array per pass instead of two. *)
+let stable_permutation keys =
+  let n = Array.length keys in
+  if n <= 1 || is_sorted keys then Array.init n (fun i -> i)
+  else
+    let lo, hi = Option.get (min_max keys) in
+    let range = hi - lo in
+    let id_bits = ref 1 in
+    while (n - 1) lsr !id_bits > 0 do
+      incr id_bits
+    done;
+    let id_bits = !id_bits in
+    (* [range < 0] when [max - min] overflows. *)
+    if range < 0 || range lsr (62 - id_bits) > 0 then
+      comparison_permutation keys
+    else begin
+      let src = ref (Array.make n 0) and dst = ref (Array.make n 0) in
+      let a = !src in
+      for i = 0 to n - 1 do
+        Array.unsafe_set a i (((Array.unsafe_get keys i - lo) lsl id_bits) lor i)
+      done;
+      let counts = Array.make (digit_mask + 1) 0 in
+      let shift = ref 0 in
+      while range lsr !shift > 0 do
+        let sh = !shift + id_bits in
+        let s = !src and d = !dst in
+        Array.fill counts 0 (digit_mask + 1) 0;
+        for i = 0 to n - 1 do
+          let g = (Array.unsafe_get s i lsr sh) land digit_mask in
+          Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
+        done;
+        if counts.((s.(0) lsr sh) land digit_mask) < n then begin
+          let acc = ref 0 in
+          for g = 0 to digit_mask do
+            let c = counts.(g) in
+            counts.(g) <- !acc;
+            acc := !acc + c
+          done;
+          for i = 0 to n - 1 do
+            let v = Array.unsafe_get s i in
+            let g = (v lsr sh) land digit_mask in
+            let at = Array.unsafe_get counts g in
+            Array.unsafe_set counts g (at + 1);
+            Array.unsafe_set d at v
+          done;
+          src := d;
+          dst := s
+        end;
+        shift := !shift + digit_bits
+      done;
+      let perm = !src in
+      let id_mask = (1 lsl id_bits) - 1 in
+      for i = 0 to n - 1 do
+        Array.unsafe_set perm i (Array.unsafe_get perm i land id_mask)
+      done;
+      perm
+    end
+
 let sort_pairs keys payload =
   let n = Array.length keys in
   if Array.length payload <> n then
     invalid_arg "Int_array.sort_pairs: length mismatch";
-  (* Pack (key, index) pairs, sort, then apply the permutation.  Keys are
-     arbitrary ints so we sort an index permutation by key. *)
-  let idx = Array.init n (fun i -> i) in
-  let cmp i j = compare keys.(i) keys.(j) in
-  Array.sort cmp idx;
-  let k2 = Array.make n 0 and p2 = Array.make n 0 in
-  for i = 0 to n - 1 do
-    k2.(i) <- keys.(idx.(i));
-    p2.(i) <- payload.(idx.(i))
-  done;
+  let perm = stable_permutation keys in
+  let k2 = Array.map (fun i -> keys.(i)) perm
+  and p2 = Array.map (fun i -> payload.(i)) perm in
   Array.blit k2 0 keys 0 n;
   Array.blit p2 0 payload 0 n
 
@@ -162,7 +235,24 @@ let distinct_sorted a =
     Array.sub b 0 !m
   end
 
-let count_distinct a = Array.length (distinct_sorted a)
+(* A domain at most eight times the row count is counted with one byte
+   per value, in one pass and no sort. *)
+let count_distinct a =
+  let n = Array.length a in
+  match min_max a with
+  | None -> 0
+  | Some (lo, hi) when hi - lo >= 0 && hi - lo < 8 * n ->
+    let seen = Bytes.make (hi - lo + 1) '\000' in
+    let d = ref 0 in
+    for i = 0 to n - 1 do
+      let k = Array.unsafe_get a i - lo in
+      if Bytes.unsafe_get seen k = '\000' then begin
+        Bytes.unsafe_set seen k '\001';
+        incr d
+      end
+    done;
+    !d
+  | Some _ -> Array.length (distinct_sorted a)
 
 let lower_bound a key =
   let lo = ref 0 and hi = ref (Array.length a) in

@@ -18,9 +18,20 @@ val sort : int array -> unit
 val sorted_copy : int array -> int array
 (** [sorted_copy a] returns a fresh sorted copy, leaving [a] untouched. *)
 
+val stable_permutation : int array -> int array
+(** [stable_permutation keys] is the permutation [p] that sorts [keys]
+    stably: [keys.(p.(0)) <= keys.(p.(1)) <= ...], equal keys in index
+    order.  A stable order is unique, so [p] is exactly what [Array.sort]
+    gives under the [(key, index)] comparison.  Linear time: an LSD
+    radix sort over [key - min] in 11-bit digits, each key packed with
+    its index into one word (identity without passes for non-decreasing
+    input); that comparison sort when [max - min] and an index do not
+    fit in 62 bits together, as when [max - min] overflows. *)
+
 val sort_pairs : int array -> int array -> unit
 (** [sort_pairs keys payload] co-sorts [payload] alongside [keys] by
-    ascending key.  Both arrays must have equal length.
+    ascending key, stably (payloads of equal keys keep their order),
+    through {!stable_permutation}.  Both arrays must have equal length.
     @raise Invalid_argument on length mismatch. *)
 
 val radix_sort : int array -> unit
@@ -35,7 +46,9 @@ val distinct_sorted : int array -> int array
 (** [distinct_sorted a] returns the sorted array of distinct values of [a]. *)
 
 val count_distinct : int array -> int
-(** [count_distinct a] is the number of distinct values in [a]. *)
+(** [count_distinct a] is the number of distinct values in [a]: one
+    pass over a byte per domain value when [max - min < 8 * length a],
+    else a sort. *)
 
 val binary_search : int array -> int -> int option
 (** [binary_search a key] returns [Some i] with [a.(i) = key] for sorted

@@ -875,6 +875,265 @@ let test_live_columns () =
         (Astring.String.is_infix ~affix:op (Buffer.contents plans)))
     [ "Sort("; "Filter("; "Project("; "SPHJ("; "OJ("; "HJ(" ]
 
+(* --- catalog: each relation measured once -------------------------------- *)
+
+module Catalog = Dqo_opt.Catalog
+module Props = Dqo_plan.Props
+module View = Dqo_av.View
+module Int_col = Dqo_data.Int_col
+module Column = Dqo_data.Column
+
+(* Every recorded field of a catalog entry, one line. *)
+let dump_info (ti : Catalog.table_info) =
+  let p = ti.Catalog.props in
+  let opt = function Some n -> n | None -> "-" in
+  Printf.sprintf "%s rows=%d sorted=%s clustered=%s cols=[%s] co=[%s]"
+    ti.Catalog.name ti.Catalog.rows (opt p.Props.sorted_by)
+    (opt p.Props.clustered_by)
+    (String.concat "; "
+       (List.map
+          (fun (n, (c : Props.column)) ->
+            Printf.sprintf "%s:%b,%d,%d,%d" n c.Props.dense c.Props.lo
+              c.Props.hi c.Props.distinct)
+          p.Props.columns))
+    (String.concat "; "
+       (List.map (fun (a, b) -> a ^ ">" ^ b) p.Props.co_ordered))
+
+let dump_catalog c = List.map dump_info (Catalog.tables c)
+
+type storage = Flat | W32 | Const
+
+(* A small relation [T<i>] of 1-3 int columns over one key: the key
+   sorted or shuffled, dense or sparse; each further column a copy of
+   the key, a monotone (co-ordered) or clustered function of it, or
+   independent noise; each stored flat, chunked (W32) or constant. *)
+let relation_gen i =
+  QCheck.Gen.(
+    let* n = oneof [ int_range 0 2; int_range 3 40 ] in
+    let* sparse = bool in
+    let* key =
+      array_repeat n
+        (if sparse then int_range 0 (1 lsl 28) else int_range 0 (max 0 (n / 2)))
+    in
+    let* sorted = bool in
+    if sorted then Array.sort compare key;
+    let* shapes =
+      list_size (int_range 1 3)
+        (pair (int_range 0 4) (oneofl [ Flat; W32; Const ]))
+    in
+    let+ noise = array_repeat n (int_range (-4) 4) in
+    let cols =
+      List.mapi
+        (fun j (shape, storage) ->
+          let a =
+            match shape with
+            | 0 -> Array.copy key
+            | 1 -> Array.map (fun v -> (3 * v) + 1) key
+            | 2 -> Array.map (fun v -> v / 7) key
+            | 3 -> Array.mapi (fun r v -> v + noise.(r)) key
+            | _ -> Array.copy noise
+          in
+          let col =
+            match storage with
+            | Flat -> Int_col.of_array a
+            | W32 ->
+              Int_col.init ~backend:(Int_col.Chunked Int_col.W32) ~chunk_rows:16
+                n (fun r -> a.(r))
+            | Const -> Int_col.const n (if n = 0 then 0 else a.(0))
+          in
+          (Printf.sprintf "t%d_c%d" i j, Column.of_int_col col))
+        shapes
+    in
+    ( Printf.sprintf "T%d" i,
+      Relation.create
+        (Schema.of_names (List.map (fun (c, _) -> (c, Schema.T_int)) cols))
+        (List.map snd cols) ))
+
+(* One step, resolved against the engine's state when it runs: register
+   the next relation, install a view of a kind over a registered
+   relation and column, or evict an installed view. *)
+type step =
+  | Register
+  | Sorted of int * int
+  | Hash of int * int
+  | Group of int * int
+  | Evict of int
+
+let step_gen =
+  QCheck.Gen.(
+    let idx = int_bound 99 in
+    frequency
+      [
+        (2, return Register);
+        (2, map2 (fun a b -> Sorted (a, b)) idx idx);
+        (2, map2 (fun a b -> Hash (a, b)) idx idx);
+        (2, map2 (fun a b -> Group (a, b)) idx idx);
+        (2, map (fun a -> Evict a) idx);
+      ])
+
+let show_step = function
+  | Register -> "register"
+  | Sorted (a, b) -> Printf.sprintf "sorted %d %d" a b
+  | Hash (a, b) -> Printf.sprintf "hash %d %d" a b
+  | Group (a, b) -> Printf.sprintf "group %d %d" a b
+  | Evict a -> Printf.sprintf "evict %d" a
+
+(* The test's own model of the engine's stored relations, in catalog
+   order: base relations are re-sorted here on a sorted-projection
+   install; grouping views are taken as the engine materialised them. *)
+type model = {
+  db : Engine.t;
+  mutable pending : (string * Relation.t) list;
+  mutable bases : string list;
+  mutable stored : (string * Relation.t) list;
+}
+
+let pick k l = List.nth l (k mod List.length l)
+
+let catalog_level db =
+  List.filter
+    (fun (v : View.t) ->
+      match v.View.kind with
+      | View.Grouping_result _ -> false
+      | View.Sorted_projection _ | View.Perfect_hash _ -> true)
+    (Engine.installed_avs db)
+
+(* Install [v] unless a view with its id is installed. *)
+let install m v =
+  let installed =
+    List.exists
+      (fun (w : View.t) -> String.equal w.View.id v.View.id)
+      (Engine.installed_avs m.db)
+  in
+  if not installed then Engine.install_av m.db v;
+  not installed
+
+(* Run one step on the engine and the model; the relation the step
+   replaced in place, if any. *)
+let run_step m step =
+  let on_base_column a b f =
+    match m.bases with
+    | [] -> None
+    | bases ->
+      let relation = pick a bases in
+      let fields =
+        Schema.fields (Relation.schema (List.assoc relation m.stored))
+      in
+      f relation (pick b fields).Schema.name
+  in
+  let catalog = Engine.catalog m.db in
+  match step with
+  | Register -> (
+    match m.pending with
+    | [] -> None
+    | (name, rel) :: rest ->
+      m.pending <- rest;
+      Engine.register m.db ~name rel;
+      m.bases <- m.bases @ [ name ];
+      m.stored <- m.stored @ [ (name, rel) ];
+      None)
+  | Sorted (a, b) ->
+    on_base_column a b (fun relation column ->
+        if install m (View.sorted_projection catalog ~relation ~column) then begin
+          m.stored <-
+            List.map
+              (fun (n, r) ->
+                if String.equal n relation then
+                  (n, Dqo_exec.Sort_op.by_column r column)
+                else (n, r))
+              m.stored;
+          Some relation
+        end
+        else None)
+  | Hash (a, b) ->
+    on_base_column a b (fun relation column ->
+        ignore (install m (View.perfect_hash catalog ~relation ~column));
+        None)
+  | Group (a, b) ->
+    on_base_column a b (fun relation key ->
+        if install m (View.grouping_result catalog ~relation ~key) then begin
+          let name = View.grouped_name relation key in
+          m.stored <- m.stored @ [ (name, Engine.relation m.db name) ]
+        end;
+        None)
+  | Evict a -> (
+    match Engine.installed_avs m.db with
+    | [] -> None
+    | views ->
+      let v = pick a views in
+      Engine.uninstall_av m.db v.View.id;
+      (match v.View.kind with
+      | View.Grouping_result { relation; key } ->
+        let name = View.grouped_name relation key in
+        m.stored <-
+          List.filter (fun (n, _) -> not (String.equal n name)) m.stored
+      | View.Sorted_projection _ | View.Perfect_hash _ -> ());
+      None)
+
+let prop_catalog_matches_full_rebuild =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (flatten_l (List.init 4 relation_gen))
+        (list_size (int_range 1 12) step_gen))
+  in
+  let print (_, steps) = String.concat "; " (List.map show_step steps) in
+  QCheck.Test.make ~name:"catalog = full re-measure after every step"
+    ~count:300 (QCheck.make ~print gen) (fun (pool, steps) ->
+      let m = { db = Engine.create (); pending = pool; bases = []; stored = [] } in
+      List.for_all
+        (fun step ->
+          let fail fmt = QCheck.Test.fail_reportf ("after %s: " ^^ fmt) (show_step step) in
+          let before =
+            List.map (fun (n, _) -> (n, Engine.measurement m.db n)) m.stored
+          in
+          let replaced = run_step m step in
+          let views = catalog_level m.db in
+          let expected =
+            View.apply_all
+              (Catalog.create
+                 (List.map (fun (n, r) -> Catalog.of_relation n r) m.stored))
+              views
+          in
+          let got = dump_catalog (Engine.catalog m.db)
+          and want = dump_catalog expected in
+          if got <> want then
+            fail "got\n%s\nwant\n%s" (String.concat "\n" got)
+              (String.concat "\n" want);
+          (* The catalog is built from the stored measurements: where no
+             catalog-level view applies, its entry is the measurement
+             itself. *)
+          List.iter
+            (fun (n, _) ->
+              let viewed =
+                List.exists
+                  (fun (v : View.t) ->
+                    match v.View.kind with
+                    | View.Sorted_projection { relation; _ }
+                    | View.Perfect_hash { relation; _ } ->
+                      String.equal relation n
+                    | View.Grouping_result _ -> false)
+                  views
+              in
+              if
+                (not viewed)
+                && Catalog.find (Engine.catalog m.db) n
+                   != Engine.measurement m.db n
+              then fail "catalog entry %s re-measured" n)
+            m.stored;
+          (* A relation the step did not add or replace keeps the very
+             measurement it had: nothing was measured again. *)
+          List.iter
+            (fun (n, info) ->
+              if
+                List.mem_assoc n m.stored
+                && replaced <> Some n
+                && Engine.measurement m.db n != info
+              then fail "%s was measured again" n)
+            before;
+          true)
+        steps)
+
 let () =
   Alcotest.run "dqo_engine"
     [
@@ -900,6 +1159,8 @@ let () =
           Alcotest.test_case "grouping result AV" `Quick
             test_grouping_result_av;
         ] );
+      ( "catalog",
+        [ QCheck_alcotest.to_alcotest prop_catalog_matches_full_rebuild ] );
       ( "adaptive",
         [
           Alcotest.test_case "discovers density at runtime" `Quick

@@ -370,6 +370,240 @@ let test_sort_op_stable () =
   let perm = Sort_op.permutation (ic keys) in
   Alcotest.(check bool) "stable" true (perm = [| 1; 3; 0; 2 |])
 
+(* The comparison sort the radix permutation replaced, kept as the
+   reference. *)
+let reference_permutation keys =
+  let perm = Array.init (Array.length keys) (fun i -> i) in
+  let cmp i j =
+    let c = Int.compare keys.(i) keys.(j) in
+    if c <> 0 then c else Int.compare i j
+  in
+  Array.sort cmp perm;
+  perm
+
+type key_backend = Flat_keys | W32_keys | W64_keys | Const_keys
+
+(* 16-row chunks so even small columns span several chunks. *)
+let chunked w a =
+  Int_col.init ~backend:(Int_col.Chunked w) ~chunk_rows:16 (Array.length a)
+    (fun i -> a.(i))
+
+let column_of backend a =
+  match backend with
+  | Flat_keys -> Int_col.of_array a
+  | W32_keys -> chunked Int_col.W32 a
+  | W64_keys -> chunked Int_col.W64 a
+  | Const_keys ->
+    Int_col.const (Array.length a) (if Array.length a = 0 then 0 else a.(0))
+
+let prop_permutation_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* backend = oneofl [ Flat_keys; W32_keys; W64_keys; Const_keys ] in
+      let* n = oneof [ int_range 0 2; int_range 3 300 ] in
+      let* spread = oneofl [ 0; 3; 1000; 1 lsl 30 ] in
+      let+ a = array_repeat n (int_range (-spread) spread) in
+      (backend, a))
+  in
+  QCheck.Test.make ~name:"Sort_op.permutation = (key, index) Array.sort"
+    ~count:500 (QCheck.make gen) (fun (backend, a) ->
+      let col = column_of backend a in
+      Sort_op.permutation col = reference_permutation (Int_col.to_array col))
+
+(* --- measurement: Catalog.of_relation ------------------------------------ *)
+
+module Catalog = Dqo_opt.Catalog
+module Props = Dqo_plan.Props
+module Relation = Dqo_data.Relation
+module Schema = Dqo_data.Schema
+module Column = Dqo_data.Column
+module Col_stats = Dqo_data.Col_stats
+
+(* Every recorded field of a measurement, one line. *)
+let dump_info (ti : Catalog.table_info) =
+  let p = ti.Catalog.props in
+  let opt = function Some n -> n | None -> "-" in
+  Printf.sprintf "%s rows=%d sorted=%s clustered=%s cols=[%s] co=[%s]"
+    ti.Catalog.name ti.Catalog.rows (opt p.Props.sorted_by)
+    (opt p.Props.clustered_by)
+    (String.concat "; "
+       (List.map
+          (fun (n, (c : Props.column)) ->
+            Printf.sprintf "%s:%b,%d,%d,%d" n c.Props.dense c.Props.lo
+              c.Props.hi c.Props.distinct)
+          p.Props.columns))
+    (String.concat "; "
+       (List.map (fun (a, b) -> a ^ ">" ^ b) p.Props.co_ordered))
+
+let int_relation names cols =
+  Relation.create
+    (Schema.of_names (List.map (fun n -> (n, Schema.T_int)) names))
+    cols
+
+(* The §4.3 pair (as generated for the served-query benchmark), S with a
+   Zipf [b], a sorted pair whose [a] is co-ordered with [id], a sparse
+   key domain, and the 7-column star hub. *)
+let golden_relations () =
+  let rng = Dqo_util.Rng.create ~seed:7 in
+  let fk ~sorted ~dense =
+    Datagen.fk_pair ~rng ~r_rows:25_000 ~s_rows:90_000 ~r_groups:20_000
+      ~r_sorted:sorted ~s_sorted:sorted ~dense
+  in
+  let p = fk ~sorted:false ~dense:true in
+  let zipf_b = Datagen.zipf_keys ~rng ~n:90_000 ~groups:1_000 ~theta:1.0 () in
+  let s_zipf =
+    Relation.create (Relation.schema p.Datagen.s)
+      [ Relation.column p.Datagen.s "r_id"; Column.of_int_col zipf_b ]
+  in
+  let sp = fk ~sorted:true ~dense:true in
+  let sparse = fk ~sorted:false ~dense:false in
+  let hub =
+    int_relation
+      ("hub_k" :: List.init 6 (fun i -> Printf.sprintf "hub_f%d" (i + 1)))
+      (Column.of_ints (Array.init 4000 (fun i -> i))
+      :: List.init 6 (fun _ ->
+             Column.of_ints
+               (Array.init 4000 (fun _ -> Dqo_util.Rng.int rng 5000))))
+  in
+  [
+    ("R", p.Datagen.r); ("S", p.Datagen.s); ("S_zipf", s_zipf);
+    ("R_sorted", sp.Datagen.r); ("S_sorted", sp.Datagen.s);
+    ("R_sparse", sparse.Datagen.r); ("S_sparse", sparse.Datagen.s);
+    ("Hub", hub);
+  ]
+
+(* Printed by the comparison-sort measurement this kernel replaced. *)
+let golden_dumps =
+  [
+    "R rows=25000 sorted=- clustered=id cols=[id:true,0,24999,25000; \
+     a:true,0,19999,20000] co=[id>a; a>id]";
+    "S rows=90000 sorted=- clustered=- cols=[r_id:true,0,24999,24277; \
+     b:false,1,999978,86087] co=[]";
+    "S_zipf rows=90000 sorted=- clustered=- cols=[r_id:true,0,24999,24277; \
+     b:true,0,999,1000] co=[]";
+    "R_sorted rows=25000 sorted=id clustered=id cols=[id:true,0,24999,25000; \
+     a:true,0,19999,20000] co=[id>a; a>id]";
+    "S_sorted rows=90000 sorted=r_id clustered=r_id \
+     cols=[r_id:true,0,24999,24299; b:false,5,999980,85977] co=[]";
+    "R_sparse rows=25000 sorted=- clustered=id \
+     cols=[id:false,23899,1073702780,25000; a:false,84212,1073731811,20000] \
+     co=[id>a; a>id]";
+    "S_sparse rows=90000 sorted=- clustered=- \
+     cols=[r_id:false,23899,1073702780,24306; b:false,17,999993,85972] co=[]";
+    "Hub rows=4000 sorted=hub_k clustered=hub_k cols=[hub_k:true,0,3999,4000; \
+     hub_f1:true,2,4999,2749; hub_f2:true,0,4999,2762; \
+     hub_f3:true,3,4997,2735; hub_f4:true,4,4999,2768; \
+     hub_f5:true,0,4999,2760; hub_f6:true,2,4999,2708] co=[hub_f1>hub_k; \
+     hub_f2>hub_k; hub_f3>hub_k; hub_f4>hub_k; hub_f5>hub_k; hub_f6>hub_k]";
+  ]
+
+let test_of_relation_golden () =
+  List.iter2
+    (fun (name, rel) expected ->
+      Alcotest.(check string) name expected
+        (dump_info (Catalog.of_relation name rel)))
+    (golden_relations ()) golden_dumps
+
+(* The measurement the kernel replaced: clustering by a hash set of
+   run starts, co-ordering by one comparison sort per ordered pair. *)
+let reference_clustered_along perm col =
+  let seen = Hashtbl.create 64 in
+  let ok = ref true in
+  Array.iteri
+    (fun i r ->
+      let v = col.(r) in
+      if i = 0 || col.(perm.(i - 1)) <> v then begin
+        if Hashtbl.mem seen v then ok := false else Hashtbl.add seen v ()
+      end)
+    perm;
+  !ok
+
+let reference_info name cols =
+  let n = match cols with [] -> 0 | (_, a) :: _ -> Array.length a in
+  let identity = Array.init n (fun i -> i) in
+  let stats =
+    List.map
+      (fun (c, a) ->
+        let distinct =
+          List.length (List.sort_uniq Int.compare (Array.to_list a))
+        in
+        let lo, hi =
+          if n = 0 then (0, -1)
+          else (Array.fold_left min max_int a, Array.fold_left max min_int a)
+        in
+        ( c,
+          {
+            Col_stats.sorted = Int_array.is_sorted a;
+            distinct;
+            lo;
+            hi;
+            dense = n > 0 && hi - lo + 1 <= 2 * distinct;
+            clustered = reference_clustered_along identity a;
+          } ))
+      cols
+  in
+  let co_ordered =
+    List.concat_map
+      (fun (c1, a1) ->
+        List.filter_map
+          (fun (c2, a2) ->
+            if String.equal c1 c2 then None
+            else if reference_clustered_along (reference_permutation a1) a2
+            then Some (c1, c2)
+            else None)
+          cols)
+      cols
+  in
+  Catalog.table ~name ~rows:n ~props:(Props.of_stats ~co_ordered stats)
+
+(* Small relations of 1-4 columns: keys sorted or shuffled, dense or
+   sparse, columns that are monotone (co-ordered) or clustered functions
+   of the key, and flat, chunked and constant storage. *)
+let prop_of_relation_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneof [ int_range 0 2; int_range 3 200 ] in
+      let* k = int_range 1 4 in
+      let* key = array_repeat n (int_range (-50) 50) in
+      let* sort_key = bool in
+      if sort_key then Array.sort compare key;
+      let+ cols =
+        list_repeat k
+          (let* shape = int_range 0 4 in
+           let* backend = oneofl [ Flat_keys; W32_keys; W64_keys; Const_keys ] in
+           let+ a =
+             match shape with
+             | 0 -> return (Array.copy key)
+             | 1 -> return (Array.map (fun v -> (v * 7) - 3) key)
+             | 2 -> return (Array.map (fun v -> v / 10) key)
+             | 3 -> array_repeat n (int_range 0 (1 lsl 30))
+             | _ -> array_repeat n (int_range (-3) 3)
+           in
+           (backend, a))
+      in
+      cols)
+  in
+  let print cols =
+    String.concat "\n"
+      (List.map
+         (fun (_, a) ->
+           String.concat " " (Array.to_list (Array.map string_of_int a)))
+         cols)
+  in
+  QCheck.Test.make ~name:"of_relation = comparison-sort measurement"
+    ~count:400 (QCheck.make ~print gen) (fun cols ->
+      let names = List.mapi (fun i _ -> Printf.sprintf "c%d" i) cols in
+      let columns = List.map (fun (b, a) -> column_of b a) cols in
+      let rel = int_relation names (List.map Column.of_int_col columns) in
+      let actual = dump_info (Catalog.of_relation "T" rel) in
+      let expected =
+        dump_info
+          (reference_info "T"
+             (List.map2 (fun n c -> (n, Int_col.to_array c)) names columns))
+      in
+      if String.equal actual expected then true
+      else QCheck.Test.fail_reportf "got %s\nwant %s" actual expected)
+
 let prop_filter_matches_spec =
   QCheck.Test.make ~name:"Filter.select = predicate scan" ~count:200
     QCheck.(
@@ -636,6 +870,13 @@ let () =
           Alcotest.test_case "stable sort" `Quick test_sort_op_stable;
           qtest prop_filter_matches_spec;
           Alcotest.test_case "selectivity" `Quick test_selectivity_bounds;
+          qtest prop_permutation_matches_reference;
+        ] );
+      ( "measure",
+        [
+          Alcotest.test_case "of_relation golden" `Quick
+            test_of_relation_golden;
+          qtest prop_of_relation_matches_reference;
         ] );
       ( "pipeline",
         [

@@ -145,6 +145,78 @@ let test_sort_pairs_co_sorts () =
   Alcotest.(check bool) "pairs preserved" true
     (List.sort compare pairs = [ (1, 10); (1, 11); (3, 30); (5, 50) ])
 
+(* The comparison sort the radix permutation replaced, kept as the
+   reference: [Array.sort] over row ids under the (key, index) order. *)
+let reference_permutation keys =
+  let perm = Array.init (Array.length keys) (fun i -> i) in
+  let cmp i j =
+    let c = Int.compare keys.(i) keys.(j) in
+    if c <> 0 then c else Int.compare i j
+  in
+  Array.sort cmp perm;
+  perm
+
+(* Keys for the permutation kernel: empty, one and two rows, all-equal,
+   already sorted, heavy duplicates, negatives, wide ranges that still
+   pack with a row id (several radix passes), and values up to
+   [min_int]/[max_int] (where [max - min] overflows or no longer packs
+   with a row id, so the comparison fallback runs). *)
+let permutation_keys_gen =
+  QCheck.Gen.(
+    let* n = oneof [ int_range 0 2; int_range 3 40; int_range 41 3000 ] in
+    let* shape = int_range 0 6 in
+    let edge =
+      oneofl
+        [ min_int; min_int + 1; max_int; max_int - 1; 0; -1; 1 lsl 50;
+          (1 lsl 52) + 1; -(1 lsl 55) ]
+    in
+    let+ keys =
+      match shape with
+      | 0 -> map (fun v -> Array.make n v) (int_range (-5) 5)
+      | 1 -> array_repeat n (int_range (-20) 20)
+      | 2 -> array_repeat n (int_range (-1_000_000) 1_000_000)
+      | 3 -> array_repeat n (oneof [ edge; int_range (-3) 3 ])
+      | 4 -> array_repeat n (oneof [ int; int_range 0 100 ])
+      | 5 -> array_repeat n (oneof [ int_range 0 (1 lsl 45); int_range (-3) 3 ])
+      | _ ->
+        map
+          (fun a ->
+            Array.sort compare a;
+            a)
+          (array_repeat n (int_range 0 50))
+    in
+    keys)
+
+let show_keys a =
+  "[|" ^ String.concat "; " (Array.to_list (Array.map string_of_int a)) ^ "|]"
+
+let prop_stable_permutation_matches_reference =
+  QCheck.Test.make ~name:"stable_permutation = (key, index) Array.sort"
+    ~count:1000
+    (QCheck.make ~print:show_keys permutation_keys_gen)
+    (fun keys ->
+      let before = Array.copy keys in
+      Int_array.stable_permutation keys = reference_permutation keys
+      && keys = before)
+
+let prop_sort_pairs_is_stable =
+  QCheck.Test.make ~name:"sort_pairs = stable co-sort" ~count:500
+    (QCheck.make ~print:show_keys permutation_keys_gen)
+    (fun keys ->
+      let perm = reference_permutation keys in
+      let payload = Array.init (Array.length keys) (fun i -> (7 * i) + 1) in
+      let ks = Array.copy keys and ps = Array.copy payload in
+      Int_array.sort_pairs ks ps;
+      ks = Array.map (fun i -> keys.(i)) perm
+      && ps = Array.map (fun i -> payload.(i)) perm)
+
+let prop_count_distinct_matches_reference =
+  QCheck.Test.make ~name:"count_distinct = sort_uniq length" ~count:500
+    (QCheck.make ~print:show_keys permutation_keys_gen)
+    (fun keys ->
+      Int_array.count_distinct keys
+      = List.length (List.sort_uniq Int.compare (Array.to_list keys)))
+
 let test_distinct_sorted () =
   Alcotest.(check bool) "dedup" true
     (Int_array.distinct_sorted [| 3; 1; 3; 2; 1 |] = [| 1; 2; 3 |]);
@@ -448,6 +520,9 @@ let () =
           Alcotest.test_case "distinct_sorted" `Quick test_distinct_sorted;
           Alcotest.test_case "prefix_sums" `Quick test_prefix_sums;
           Alcotest.test_case "min_max & misc" `Quick test_min_max_and_misc;
+          qtest prop_stable_permutation_matches_reference;
+          qtest prop_sort_pairs_is_stable;
+          qtest prop_count_distinct_matches_reference;
         ] );
       ( "bitset",
         [
