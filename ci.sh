@@ -386,6 +386,22 @@ test "$(grep '^result ticket=' "$serve_out" | sed 's/.*sum=//' | sort -u)" = 0b8
 grep -q '^ok stats requests=4' "$serve_out" || { echo "ci: serve stats missing" >&2; exit 1; }
 grep -q '^ok bye$' "$serve_out" || { echo "ci: serve did not quit cleanly" >&2; exit 1; }
 
+echo "== dqo serve 1-domain groupjoin pin =="
+# SPHG over SPHJ with COUNT/SUM runs as one groupjoin pass.  On a
+# 1-domain pool, the §4.3 join-group, two filtered variants and a SUM
+# over the other join side must digest to the values the unfused
+# operators printed.
+gj_out="$(printf 'open\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 10000 GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c, SUM(b) AS s FROM R JOIN S ON id = r_id GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 700 GROUP BY a\nexec 1 1\nexec 1 2\nexec 1 3\nexec 1 4\nclose 1\nquit\n' \
+  | dune exec bin/dqo.exe -- serve --threads 1 --r-rows 2000 --s-rows 6000 \
+      --groups 1500 | grep '^result ')"
+test "$gj_out" = "$(cat <<'EOF'
+result rows=1441 cols=2 sum=0b8b6e1f38ed0d6e
+result rows=1441 cols=2 sum=0b8b6e1f38ed0d6e
+result rows=1441 cols=3 sum=324dd6f8ed4e28bc
+result rows=665 cols=2 sum=2e95b88b02ec585d
+EOF
+)" || { echo "ci: 1-domain groupjoin digests differ from the pinned values" >&2; exit 1; }
+
 echo "== dqo serve --feedback smoke =="
 # A zipf-skewed S.b makes [b <= 9] badly misestimated: the first
 # execution learns corrections, the second finds the cached statement

@@ -171,17 +171,17 @@ type materialized =
   | M_dense_bounds of { lo : int; hi : int }
   | M_grouping of Dqo_exec.Group_result.t
 
-let materialize rel t =
+let materialize ~info rel t =
   match t.kind with
   | Sorted_projection { column; _ } ->
     M_sorted (Dqo_exec.Sort_op.by_column rel column)
-  | Perfect_hash { column; _ } ->
-    let keys = Dqo_data.Relation.int_col rel column in
-    let stats = Dqo_data.Col_stats.analyze keys in
-    if stats.Dqo_data.Col_stats.dense then
-      M_dense_bounds
-        { lo = stats.Dqo_data.Col_stats.lo; hi = stats.Dqo_data.Col_stats.hi }
-    else M_fks (Dqo_hash.Perfect.Fks.build (Dqo_data.Int_col.to_array keys))
+  | Perfect_hash { column; _ } -> (
+    match Props.column info.Catalog.props column with
+    | Some c when c.Props.dense -> M_dense_bounds { lo = c.Props.lo; hi = c.Props.hi }
+    | Some _ | None ->
+      M_fks
+        (Dqo_hash.Perfect.Fks.build
+           (Dqo_data.Int_col.to_array (Dqo_data.Relation.int_col rel column))))
   | Grouping_result { key; _ } ->
     let keys = Dqo_data.Relation.int_col rel key in
     M_grouping (Dqo_exec.Grouping.hash_based ~keys ~values:keys ())

@@ -72,9 +72,12 @@ type materialized =
   | M_dense_bounds of { lo : int; hi : int }
   | M_grouping of Dqo_exec.Group_result.t
 
-val materialize : Dqo_data.Relation.t -> t -> materialized
+val materialize :
+  info:Dqo_opt.Catalog.table_info -> Dqo_data.Relation.t -> t -> materialized
 (** Actually build the AV's backing structure from the base relation
-    (used by the engine and the AVSP benches).
+    (used by the engine and the AVSP benches).  [info] is the
+    relation's stored measurement: a perfect hash over a column it
+    measured dense needs only that column's bounds, read from it.
     @raise Not_found / Invalid_argument on schema mismatches. *)
 
 val describe : t -> string

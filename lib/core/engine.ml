@@ -294,25 +294,31 @@ let fks_join fks ~left ~right =
    FKS perfect hash built offline by an AV. *)
 type sph = Slots of { lo : int; hi : int } | Fks_av of Fks.t
 
-let sph_strategy t ~op col keys =
-  (* One slot serves an empty input. *)
-  let lo, hi =
-    if Int_col.length keys = 0 then (0, 0) else Int_col.min_max keys
-  in
+let slots_affordable t col ~lo ~hi ~rows =
   let base_rows =
     match Catalog.relation_of_column t.catalog col with
     | Some rel -> (Catalog.find t.catalog rel).Catalog.rows
     | None -> 0
   in
-  if hi - lo + 1 <= 4 * (max (Int_col.length keys) base_rows + 1024) then
+  hi - lo + 1 <= 4 * (max rows base_rows + 1024)
+
+let sparse_error ~op col =
+  invalid_arg
+    ("Engine: " ^ op ^ " chosen for sparse column " ^ col
+   ^ " without a perfect-hash AV")
+
+(* One slot serves an empty input. *)
+let key_bounds keys =
+  if Int_col.length keys = 0 then (0, 0) else Int_col.min_max keys
+
+let sph_strategy t ~op col keys =
+  let lo, hi = key_bounds keys in
+  if slots_affordable t col ~lo ~hi ~rows:(Int_col.length keys) then
     Slots { lo; hi }
   else
     match Hashtbl.find_opt t.fks_index col with
     | Some fks -> Fks_av fks
-    | None ->
-      invalid_arg
-        ("Engine: " ^ op ^ " chosen for sparse column " ^ col
-       ^ " without a perfect-hash AV")
+    | None -> sparse_error ~op col
 
 (* [pool]/[metrics] thread the parallel runtime through the executor:
    when a pool with more than one domain is present, the hot operators
@@ -374,6 +380,26 @@ let fast_path_payload aggs =
     | _ :: _ :: _ -> None
   end
 
+(* The fast path's output relation: the key column, then one COUNT or
+   SUM column per aggregate. *)
+let grouped_relation key aggs (result : Dqo_exec.Group_result.t) =
+  let agg_column (a : Logical.aggregate) =
+    match a.Logical.spec with
+    | Aggregate.Count ->
+      Column.of_ints (Array.copy result.Dqo_exec.Group_result.counts)
+    | Aggregate.Sum ->
+      Column.of_ints (Array.copy result.Dqo_exec.Group_result.sums)
+    | Aggregate.Min | Aggregate.Max | Aggregate.Avg -> assert false
+  in
+  let schema =
+    Schema.of_names
+      ((key, Schema.T_int)
+      :: List.map (fun (a : Logical.aggregate) -> (a.Logical.alias, Schema.T_int)) aggs)
+  in
+  Relation.create schema
+    (Column.of_ints result.Dqo_exec.Group_result.keys
+    :: List.map agg_column aggs)
+
 let group_fast t ?pool ?metrics rel key aggs payload_col
     (impl : Physical.grouping_impl) =
   let keys = Relation.int_col rel key in
@@ -416,22 +442,7 @@ let group_fast t ?pool ?metrics rel key aggs payload_col
       | Slots { lo; hi }, None -> Grouping.sph_based ~lo ~hi ~keys ~values
       | Fks_av fks, _ -> fks_grouping fks ~keys ~values)
   in
-  let agg_column (a : Logical.aggregate) =
-    match a.Logical.spec with
-    | Aggregate.Count ->
-      Column.of_ints (Array.copy result.Dqo_exec.Group_result.counts)
-    | Aggregate.Sum ->
-      Column.of_ints (Array.copy result.Dqo_exec.Group_result.sums)
-    | Aggregate.Min | Aggregate.Max | Aggregate.Avg -> assert false
-  in
-  let schema =
-    Schema.of_names
-      ((key, Schema.T_int)
-      :: List.map (fun (a : Logical.aggregate) -> (a.Logical.alias, Schema.T_int)) aggs)
-  in
-  Relation.create schema
-    (Column.of_ints result.Dqo_exec.Group_result.keys
-    :: List.map agg_column aggs)
+  grouped_relation key aggs result
 
 (* Generic grouped aggregation: insertion-ordered slots from a linear-
    probing table, one Aggregate.state per (group, aggregate). *)
@@ -562,12 +573,54 @@ let restrict need rel =
            else None)
          (Schema.fields (Relation.schema rel)))
 
+(* A join's input schemas, and whether they share a column name. *)
+let join_schemas t l r =
+  let ls = output_schema t l and rs = output_schema t r in
+  let clash =
+    List.exists
+      (fun (f : Schema.field) -> Schema.mem ls f.Schema.name)
+      (Schema.fields rs)
+  in
+  (ls, rs, clash)
+
+(* What one join input must deliver: its key plus the asked-for columns
+   it holds. *)
+let input_need need schema key =
+  Option.map (fun names -> key :: List.filter (Schema.mem schema) names) need
+
+(* SPHG over SPHJ with COUNT/SUM over one payload column and inputs that
+   share no column name runs as one groupjoin pass — unless an FKS AV
+   serves the join or the group key, which keeps the separate operators. *)
+type groupjoin = {
+  l : Physical.t;
+  r : Physical.t;
+  lc : string;
+  rc : string;
+  ls : Schema.t;
+  rs : Schema.t;
+  payload : string option;
+}
+
+let groupjoin t (sub : Physical.t) key aggs (impl : Physical.grouping_impl) =
+  match (sub, impl.Physical.g_alg, fast_path_payload aggs) with
+  | Physical.Join_op (l, r, lc, rc, j), Grouping.SPHG, Some payload
+    when j.Physical.j_alg = Join.SPHJ
+         && (not (Hashtbl.mem t.fks_index lc))
+         && not (Hashtbl.mem t.fks_index key) ->
+    let ls, rs, clash = join_schemas t l r in
+    if clash then None else Some { l; r; lc; rc; ls; rs; payload }
+  | _ -> None
+
 (* The one operator match.  [child need sub] evaluates a sub-plan, left
    before right: the plain walk recurses directly, the analysed walk
-   also times and annotates each node.  A join whose inputs share a
-   column name renames the right-hand copy from the full input schemas,
-   so it and its subtree gather every column. *)
-let exec_node t ?pool ?metrics ~child ~need (p : Physical.t) =
+   also times and annotates each node.  [span p f] runs [f], which
+   computes node [p]'s output and its row count, as that node: the
+   fused groupjoin runs its join node through it, so the analysed tree
+   keeps the join (with the pair count as its rows) even though no pair
+   is materialised.  A join whose inputs share a column name renames the
+   right-hand copy from the full input schemas, so it and its subtree
+   gather every column. *)
+let exec_node t ?pool ?metrics ~child ~span ~need (p : Physical.t) =
   match p with
   | Physical.Table_scan name -> relation t name
   | Physical.Filter_op (sub, col, pred) ->
@@ -581,33 +634,50 @@ let exec_node t ?pool ?metrics ~child ~need (p : Physical.t) =
     Relation.take (restrict need rel)
       (Dqo_exec.Sort_op.permutation (Relation.int_col rel col))
   | Physical.Join_op (l, r, lc, rc, impl) ->
-    let ls = output_schema t l and rs = output_schema t r in
-    let clash =
-      List.exists
-        (fun (f : Schema.field) -> Schema.mem ls f.Schema.name)
-        (Schema.fields rs)
-    in
+    let ls, rs, clash = join_schemas t l r in
     let need = if clash then None else need in
-    let side schema key =
-      Option.map
-        (fun names -> key :: List.filter (Schema.mem schema) names)
-        need
-    in
-    let lr = child (side ls lc) l in
-    let rr = child (side rs rc) r in
+    let lr = child (input_need need ls lc) l in
+    let rr = child (input_need need rs rc) r in
     exec_join t ?pool ?metrics ?keep:need lr rr lc rc impl
   | Physical.Group_op (sub, key, aggs, impl) -> (
     let reads =
       key
       :: List.filter_map (fun (a : Logical.aggregate) -> a.Logical.column) aggs
     in
-    let rel = child (Some reads) sub in
-    match fast_path_payload aggs with
-    | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
-    | None -> group_generic rel key aggs)
+    match groupjoin t sub key aggs impl with
+    | Some g ->
+      span sub (fun () ->
+          let need = Some reads in
+          let lr = child (input_need need g.ls g.lc) g.l in
+          let rr = child (input_need need g.rs g.rc) g.r in
+          let side c = if Schema.mem g.ls c then Join.Left else Join.Right in
+          let col c =
+            Relation.int_col
+              (match side c with Join.Left -> lr | Join.Right -> rr)
+              c
+          in
+          let left = col g.lc in
+          let lo, hi = key_bounds left in
+          if not (slots_affordable t g.lc ~lo ~hi ~rows:(Int_col.length left))
+          then sparse_error ~op:"SPHJ" g.lc;
+          let result, pairs =
+            Join.sph_group_join ~lo ~hi ~left ~right:(col g.rc)
+              ~group:(side key) ~gkeys:(col key)
+              ~sum:(Option.map (fun c -> (side c, col c)) g.payload)
+              ~check:(fun ~lo ~hi ~rows ->
+                if not (slots_affordable t key ~lo ~hi ~rows) then
+                  sparse_error ~op:"SPHG" key)
+          in
+          (grouped_relation key aggs result, pairs))
+    | None -> (
+      let rel = child (Some reads) sub in
+      match fast_path_payload aggs with
+      | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
+      | None -> group_generic rel key aggs))
 
 let rec execute_in t ?pool need p =
-  exec_node t ?pool ~child:(execute_in t ?pool) ~need p
+  exec_node t ?pool ~child:(execute_in t ?pool) ~span:(fun _ f -> fst (f ()))
+    ~need p
 
 let execute t ?pool p = on_pool t ?pool (fun pool -> execute_in t ?pool None p)
 
@@ -692,18 +762,15 @@ let execute_analyzed t ?pool ?metrics ~gated (p : Physical.t) =
       Physical.with_dop (Dqo_par.Pool.size pool) p
     | Some _ | None -> p
   in
-  let rec go need p =
-    let children = ref [] in
-    let child need sub =
-      let rel, c = go need sub in
-      children := c :: !children;
-      rel
-    in
+  (* [kids] collects the analysed children of the node being run. *)
+  let kids = ref [] in
+  let span p f =
+    let outer = !kids in
+    kids := [];
     let t0 = Dqo_obs.Metrics.now_ns () in
-    let rel = exec_node t ?pool ~metrics:m ~child ~need p in
+    let rel, actual_rows = f () in
     let wall_ns = Dqo_obs.Metrics.now_ns () - t0 in
-    let children = List.rev !children in
-    let actual_rows = Relation.cardinality rel in
+    let children = List.rev !kids in
     let rows_in =
       List.fold_left
         (fun acc (c : Dqo_opt.Explain.analyzed) ->
@@ -712,7 +779,7 @@ let execute_analyzed t ?pool ?metrics ~gated (p : Physical.t) =
     in
     Dqo_obs.Metrics.record m ~op:(Physical.op_label p) ~rows_in
       ~rows_out:actual_rows ~wall_ns;
-    ( rel,
+    kids :=
       {
         Dqo_opt.Explain.op = Physical.op_label p;
         est_rows =
@@ -721,9 +788,17 @@ let execute_analyzed t ?pool ?metrics ~gated (p : Physical.t) =
         actual_rows;
         wall_ns;
         children;
-      } )
+      }
+      :: outer;
+    rel
   in
-  let rel, root = go None p in
+  let rec go need p =
+    span p (fun () ->
+        let rel = exec_node t ?pool ~metrics:m ~child:go ~span ~need p in
+        (rel, Relation.cardinality rel))
+  in
+  let rel = go None p in
+  let root = List.hd !kids in
   (* Learning happens after the whole tree is built: per-node estimation
      above must read a store that does not change mid-analysis.  The
      value model trains first, on estimates consistent with the store
@@ -971,8 +1046,8 @@ let install_av t (v : Dqo_av.View.t) =
   let bytes =
     match v.Dqo_av.View.kind with
     | Dqo_av.View.Sorted_projection { relation = rel_name; _ } -> (
-      let rel = relation t rel_name in
-      let m = Dqo_av.View.materialize rel v in
+      let { rel; info } = stored t rel_name in
+      let m = Dqo_av.View.materialize ~info rel v in
       match m with
       | Dqo_av.View.M_sorted sorted ->
         t.relations <-
@@ -985,8 +1060,8 @@ let install_av t (v : Dqo_av.View.t) =
       | Dqo_av.View.M_grouping _ ->
         assert false)
     | Dqo_av.View.Perfect_hash { relation = rel_name; column } -> (
-      let rel = relation t rel_name in
-      let m = Dqo_av.View.materialize rel v in
+      let { rel; info } = stored t rel_name in
+      let m = Dqo_av.View.materialize ~info rel v in
       match m with
       | Dqo_av.View.M_fks fks ->
         Hashtbl.replace t.fks_index column fks;
@@ -994,8 +1069,8 @@ let install_av t (v : Dqo_av.View.t) =
       | Dqo_av.View.M_dense_bounds _ -> measure_bytes rel m
       | Dqo_av.View.M_sorted _ | Dqo_av.View.M_grouping _ -> assert false)
     | Dqo_av.View.Grouping_result { relation = rel_name; key } -> (
-      let rel = relation t rel_name in
-      let m = Dqo_av.View.materialize rel v in
+      let { rel; info } = stored t rel_name in
+      let m = Dqo_av.View.materialize ~info rel v in
       match m with
       | Dqo_av.View.M_grouping g ->
         let name = Dqo_av.View.grouped_name rel_name key in

@@ -171,6 +171,13 @@ val execute :
     most 4 × (the larger of the input's rows and the rows of the base
     relation owning the key column, plus 1024), and the column's FKS
     perfect-hash AV otherwise.
+
+    SPHG over SPHJ whose aggregates are COUNT or SUM over one column,
+    whose inputs share no column name and whose join and group keys
+    have no FKS AV runs as one groupjoin pass
+    ({!Dqo_exec.Join.sph_group_join}): no pair is materialised, and the
+    result is byte-identical to the two operators run apart, on any
+    pool size.
     @raise Not_found / Invalid_argument on plans referencing unknown
     relations or columns, or prescribing SPH on a wider span without
     an AV. *)
@@ -223,7 +230,11 @@ val explain_analyze : t -> Dqo_plan.Logical.t -> analysis
     [metrics] ([feedback.qerror], [feedback.observations]).  With
     [opts.learner] the value model trains on every node.  {!run} and
     {!execute_prepared} execute the same annotated way whenever either
-    option is on. *)
+    option is on.
+
+    A fused groupjoin still reports its SPHJ node, with the pair count
+    as its actual rows; that node's time is the whole fused pass, so
+    the SPHG node's self time is only building its output. *)
 
 val explain_analyze_sql : t -> string -> string
 (** {!explain_analyze} on parsed SQL, rendered with

@@ -17,17 +17,79 @@ let eval p v =
   | Ge x -> v >= x
   | Between (lo, hi) -> lo <= v && v <= hi
 
+(* The predicate is matched once, outside the row loops; each loop
+   appends branch-free: the row id is always written and the cursor
+   advances only when the row qualifies ([out] has room for every
+   row). *)
 let select column p =
   let n = Dqo_data.Int_col.length column in
   let out = Array.make n 0 in
   let m = ref 0 in
-  Dqo_data.Int_col.iter_seg column ~f:(fun pos buf off len ->
-      for k = 0 to len - 1 do
-        if eval p (Array.unsafe_get buf (off + k)) then begin
-          out.(!m) <- pos + k;
-          incr m
-        end
-      done);
+  let scan f = Dqo_data.Int_col.iter_seg column ~f in
+  (match p with
+  | Eq x ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (v = x)
+        done;
+        m := !j)
+  | Ne x ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (v <> x)
+        done;
+        m := !j)
+  | Lt x ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (v < x)
+        done;
+        m := !j)
+  | Le x ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (v <= x)
+        done;
+        m := !j)
+  | Gt x ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (v > x)
+        done;
+        m := !j)
+  | Ge x ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (v >= x)
+        done;
+        m := !j)
+  | Between (lo, hi) ->
+    scan (fun pos buf off len ->
+        let j = ref !m in
+        for k = 0 to len - 1 do
+          let v = Array.unsafe_get buf (off + k) in
+          Array.unsafe_set out !j (pos + k);
+          j := !j + Bool.to_int (lo <= v) land Bool.to_int (v <= hi)
+        done;
+        m := !j));
   Array.sub out 0 !m
 
 let selectivity p ~lo ~hi =

@@ -15,6 +15,12 @@ type t = {
 
 val groups : t -> int
 
+val of_slots : lo:int -> counts:int array -> sums:int array option -> t
+(** The groups of a direct slot array: slot [s] of [counts] (and of
+    [sums]) holds key [lo + s].  Slots that counted nothing are dropped,
+    so keys come out ascending; without [sums] every sum is zero.  The
+    arrays may be reused in the result. *)
+
 val to_sorted_alist : t -> (int * (int * int)) list
 (** [(key, (count, sum))] sorted by key — canonical form for tests. *)
 

@@ -156,7 +156,7 @@ let sph_based ~lo ~hi ~keys ~values =
         counts.(slot) <- counts.(slot) + 1;
         sums.(slot) <- sums.(slot) + Array.unsafe_get vb (vo + i)
       done);
-  compact { keys = Array.init domain (fun s -> lo + s); counts; sums }
+  Group_result.of_slots ~lo ~counts ~sums:(Some sums)
 
 let order_based ?(expected = 16) ~keys ~values () =
   check_lengths keys values;

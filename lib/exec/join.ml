@@ -144,6 +144,123 @@ let sph_join ~lo ~hi ~left ~right =
   emit ~outside:"Join.sph_join: build key outside dense domain" ~slots ~lo
     ~lkeys:left ~rslot
 
+type side = Left | Right
+
+(* The groupjoin: SPHJ's slots counted instead of enumerated.  The side
+   without the group key ([other]) is counted into [cnt.(slot)] (and
+   summed into [osum.(slot)] when the SUM column lives there); each row
+   of the group side then stands for [cnt.(slot)] pairs.  A first pass
+   over the group side records every row's slot ([-1]: no partner) and
+   the group keys' bounds over the matched rows, which [check] vets
+   before the counting pass allocates its slot arrays.  Multiplying by
+   [cnt.(slot)] is exact mod 2^63, like the repeated addition it
+   replaces. *)
+let sph_group_join ~lo ~hi ~left ~right ~group ~gkeys ~sum ~check =
+  if hi < lo then invalid_arg "Join.sph_group_join: hi < lo";
+  let slots = hi - lo + 1 in
+  let outside = "Join.sph_group_join: build key outside dense domain" in
+  let gside, oside =
+    match group with Left -> (left, right) | Right -> (right, left)
+  in
+  if Int_col.length gkeys <> Int_col.length gside then
+    invalid_arg "Join.sph_group_join: group key length mismatch";
+  (* Left keys must lie in [lo, hi]; right keys outside simply miss. *)
+  let gstrict = group = Left and ostrict = group = Right in
+  let cnt = Array.make slots 0 in
+  let osum =
+    match sum with
+    | Some (s, values) when s <> group ->
+      let osum = Array.make slots 0 in
+      Int_col.iter_seg2 oside values ~f:(fun _ kb ko vb vo len ->
+          for k = 0 to len - 1 do
+            let s = Array.unsafe_get kb (ko + k) - lo in
+            if s >= 0 && s < slots then begin
+              Array.unsafe_set cnt s (Array.unsafe_get cnt s + 1);
+              Array.unsafe_set osum s
+                (Array.unsafe_get osum s + Array.unsafe_get vb (vo + k))
+            end
+            else if ostrict then invalid_arg outside
+          done);
+      Some osum
+    | Some _ | None ->
+      Int_col.iter_seg oside ~f:(fun _ kb ko len ->
+          for k = 0 to len - 1 do
+            let s = Array.unsafe_get kb (ko + k) - lo in
+            if s >= 0 && s < slots then
+              Array.unsafe_set cnt s (Array.unsafe_get cnt s + 1)
+            else if ostrict then invalid_arg outside
+          done);
+      None
+  in
+  let n = Int_col.length gside in
+  let gslot = Array.make n (-1) in
+  let pairs = ref 0 and glo = ref max_int and ghi = ref min_int in
+  Int_col.iter_seg2 gside gkeys ~f:(fun pos kb ko gb go len ->
+      for k = 0 to len - 1 do
+        let s = Array.unsafe_get kb (ko + k) - lo in
+        if s >= 0 && s < slots then begin
+          let c = Array.unsafe_get cnt s in
+          if c > 0 then begin
+            Array.unsafe_set gslot (pos + k) s;
+            pairs := !pairs + c;
+            let g = Array.unsafe_get gb (go + k) in
+            if g < !glo then glo := g;
+            if g > !ghi then ghi := g
+          end
+        end
+        else if gstrict then invalid_arg outside
+      done);
+  let pairs = !pairs in
+  (* One slot serves an empty result, as for an empty SPHG input. *)
+  let glo, ghi = if pairs = 0 then (0, 0) else (!glo, !ghi) in
+  check ~lo:glo ~hi:ghi ~rows:pairs;
+  let domain = ghi - glo + 1 in
+  let counts = Array.make domain 0 in
+  (* COUNT only: no per-slot sums; the result's are zeros. *)
+  let sums =
+    match (sum, osum) with
+    | _, Some osum ->
+      let sums = Array.make domain 0 in
+      Int_col.iter_seg gkeys ~f:(fun pos gb go len ->
+          for k = 0 to len - 1 do
+            let s = Array.unsafe_get gslot (pos + k) in
+            if s >= 0 then begin
+              let g = Array.unsafe_get gb (go + k) - glo in
+              Array.unsafe_set counts g
+                (Array.unsafe_get counts g + Array.unsafe_get cnt s);
+              Array.unsafe_set sums g
+                (Array.unsafe_get sums g + Array.unsafe_get osum s)
+            end
+          done);
+      Some sums
+    | Some (_, values), None ->
+      let sums = Array.make domain 0 in
+      Int_col.iter_seg2 gkeys values ~f:(fun pos gb go vb vo len ->
+          for k = 0 to len - 1 do
+            let s = Array.unsafe_get gslot (pos + k) in
+            if s >= 0 then begin
+              let g = Array.unsafe_get gb (go + k) - glo in
+              let c = Array.unsafe_get cnt s in
+              Array.unsafe_set counts g (Array.unsafe_get counts g + c);
+              Array.unsafe_set sums g
+                (Array.unsafe_get sums g + (c * Array.unsafe_get vb (vo + k)))
+            end
+          done);
+      Some sums
+    | None, None ->
+      Int_col.iter_seg gkeys ~f:(fun pos gb go len ->
+          for k = 0 to len - 1 do
+            let s = Array.unsafe_get gslot (pos + k) in
+            if s >= 0 then begin
+              let g = Array.unsafe_get gb (go + k) - glo in
+              Array.unsafe_set counts g
+                (Array.unsafe_get counts g + Array.unsafe_get cnt s)
+            end
+          done);
+      None
+  in
+  (Group_result.of_slots ~lo:glo ~counts ~sums, pairs)
+
 (* Merge join over key/id accessors: [lkey]/[rkey] enumerate the inputs
    in key order, [lid]/[rid] map merge ranks back to row ids; equal-key
    runs produce their cross product. *)

@@ -45,6 +45,33 @@ val sph_join :
     match.  Pairs come out in {!slot_join}'s order.
     @raise Invalid_argument if a {e left} key falls outside [\[lo, hi\]]. *)
 
+type side = Left | Right
+
+val sph_group_join :
+  lo:int ->
+  hi:int ->
+  left:Dqo_data.Int_col.t ->
+  right:Dqo_data.Int_col.t ->
+  group:side ->
+  gkeys:Dqo_data.Int_col.t ->
+  sum:(side * Dqo_data.Int_col.t) option ->
+  check:(lo:int -> hi:int -> rows:int -> unit) ->
+  Group_result.t * int
+(** The groupjoin: COUNT and SUM grouped by [gkeys] over the SPHJ of
+    [left] and [right] (domain [\[lo, hi\]] as in {!sph_join}), without
+    enumerating pairs, in O(|left| + |right|) plus the group key span.
+    [gkeys] is a column of the [group] side; [sum], when present, is the
+    SUM column and its side (COUNT only otherwise: sums are all zero).
+    The side without the group key is counted per slot, and one pass
+    over the group side adds each row's match count to its group.
+    Before the group slots are allocated, [check ~lo ~hi ~rows] sees the
+    group key's bounds over the matched rows ([(0, 0)] when none match)
+    and the pair count; it raises to refuse.  Returns the groups in
+    ascending key order, never-hit keys dropped — exactly
+    {!Grouping.sph_based} over {!sph_join}'s materialised pairs — and
+    the pair count.
+    @raise Invalid_argument if a {e left} key falls outside [\[lo, hi\]]. *)
+
 val merge_join : left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
 (** OJ: both inputs must be sorted; emits pairs in key order.
     @raise Invalid_argument if either input is not sorted. *)

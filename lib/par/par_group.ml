@@ -238,18 +238,4 @@ let sph pool ?metrics ~lo ~hi ~keys ~values () =
         done
       done;
       (* Same compaction as [Grouping.sph_based]: drop never-hit slots. *)
-      let hit = ref 0 in
-      Array.iter (fun c -> if c > 0 then incr hit) counts;
-      let out_k = Array.make !hit 0
-      and out_c = Array.make !hit 0
-      and out_s = Array.make !hit 0 in
-      let j = ref 0 in
-      for s = 0 to domain - 1 do
-        if counts.(s) > 0 then begin
-          out_k.(!j) <- lo + s;
-          out_c.(!j) <- counts.(s);
-          out_s.(!j) <- sums.(s);
-          incr j
-        end
-      done;
-      { Group_result.keys = out_k; counts = out_c; sums = out_s })
+      Group_result.of_slots ~lo ~counts ~sums:(Some sums))

@@ -41,14 +41,22 @@ let compare_cells = function
   | Floats a -> fun i j -> Float.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
   | Strings a -> fun i j -> String.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
 
-let mix_byte h b = ((h * 33) lxor b) land max_int
+(* One djb2-xor step, [h * 33] as a shift and an add.  Bits below 62
+   of [h * 33] and of [lxor] depend only on the operands' bits below
+   62, so masking the final value with [max_int] gives the digest that
+   masking after every byte gives. *)
+let mix_byte h b = ((h lsl 5) + h) lxor b
 
+(* The eight little-endian bytes of [i], unrolled. *)
 let mix_int h i =
-  let h = ref h in
-  for shift = 0 to 7 do
-    h := mix_byte !h ((i lsr (8 * shift)) land 0xff)
-  done;
-  !h
+  let h = mix_byte h (i land 0xff) in
+  let h = mix_byte h ((i lsr 8) land 0xff) in
+  let h = mix_byte h ((i lsr 16) land 0xff) in
+  let h = mix_byte h ((i lsr 24) land 0xff) in
+  let h = mix_byte h ((i lsr 32) land 0xff) in
+  let h = mix_byte h ((i lsr 40) land 0xff) in
+  let h = mix_byte h ((i lsr 48) land 0xff) in
+  mix_byte h ((i lsr 56) land 0xff)
 
 let mix_cell h cells r =
   match cells with
@@ -88,7 +96,26 @@ let digest rel =
   let perm = Array.init n Fun.id in
   if not in_order then Array.stable_sort compare_rows perm;
   let h = ref (mix_int 5381 n) in
-  Array.iter (fun r -> Array.iter (fun c -> h := mix_cell !h c r) cols) perm;
+  let ints =
+    Array.map (function Ints a -> Some a | Floats _ | Strings _ -> None) cols
+  in
+  (* All-int results (every grouping) hash without a per-cell match. *)
+  if Array.for_all Option.is_some ints then begin
+    let ints = Array.map Option.get ints in
+    for i = 0 to n - 1 do
+      let r = Array.unsafe_get perm i in
+      for k = 0 to Array.length ints - 1 do
+        h := mix_int (mix_byte !h 1) (Array.unsafe_get (Array.unsafe_get ints k) r)
+      done
+    done
+  end
+  else
+    for i = 0 to n - 1 do
+      let r = Array.unsafe_get perm i in
+      for k = 0 to Array.length cols - 1 do
+        h := mix_cell !h (Array.unsafe_get cols k) r
+      done
+    done;
   Printf.sprintf "%016x" (!h land max_int)
 
 let result_header ?ticket rel =

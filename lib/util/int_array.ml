@@ -147,12 +147,50 @@ let comparison_permutation keys =
 let digit_bits = 11
 let digit_mask = (1 lsl digit_bits) - 1
 
-(* LSD radix sort of [(key - min) lsl id_bits lor id], 11 bits of the
-   key per pass, between two ping-pong buffers.  The row ids start in
-   ascending order and every pass is a stable counting sort, so the
-   result is the unique stable order; a pass whose digit is the same
-   for every key moves nothing and is skipped.  Packing key and id into
-   one word moves one array per pass instead of two. *)
+(* LSD radix sort of the non-negative words of [src] on their bits
+   [id_bits] and up, [range] being the largest value of those bits,
+   11 bits per pass, between [src] and a second buffer.  Every pass is
+   a stable counting sort, and a pass whose digit is the same for every
+   word moves nothing and is skipped.  Returns the buffer holding the
+   sorted words (either [src] or the second buffer). *)
+let radix_passes src ~range ~id_bits =
+  let n = Array.length src in
+  let src = ref src and dst = ref (Array.make n 0) in
+  let counts = Array.make (digit_mask + 1) 0 in
+  let shift = ref 0 in
+  while range lsr !shift > 0 do
+    let sh = !shift + id_bits in
+    let s = !src and d = !dst in
+    Array.fill counts 0 (digit_mask + 1) 0;
+    for i = 0 to n - 1 do
+      let g = (Array.unsafe_get s i lsr sh) land digit_mask in
+      Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
+    done;
+    if counts.((s.(0) lsr sh) land digit_mask) < n then begin
+      let acc = ref 0 in
+      for g = 0 to digit_mask do
+        let c = counts.(g) in
+        counts.(g) <- !acc;
+        acc := !acc + c
+      done;
+      for i = 0 to n - 1 do
+        let v = Array.unsafe_get s i in
+        let g = (v lsr sh) land digit_mask in
+        let at = Array.unsafe_get counts g in
+        Array.unsafe_set counts g (at + 1);
+        Array.unsafe_set d at v
+      done;
+      src := d;
+      dst := s
+    end;
+    shift := !shift + digit_bits
+  done;
+  !src
+
+(* The stable sort as a radix sort of [(key - min) lsl id_bits lor id]:
+   the row ids start in ascending order, so the result is the unique
+   stable order.  Packing key and id into one word moves one array per
+   pass instead of two. *)
 let stable_permutation keys =
   let n = Array.length keys in
   if n <= 1 || is_sorted keys then Array.init n (fun i -> i)
@@ -168,41 +206,10 @@ let stable_permutation keys =
     if range < 0 || range lsr (62 - id_bits) > 0 then
       comparison_permutation keys
     else begin
-      let src = ref (Array.make n 0) and dst = ref (Array.make n 0) in
-      let a = !src in
-      for i = 0 to n - 1 do
-        Array.unsafe_set a i (((Array.unsafe_get keys i - lo) lsl id_bits) lor i)
-      done;
-      let counts = Array.make (digit_mask + 1) 0 in
-      let shift = ref 0 in
-      while range lsr !shift > 0 do
-        let sh = !shift + id_bits in
-        let s = !src and d = !dst in
-        Array.fill counts 0 (digit_mask + 1) 0;
-        for i = 0 to n - 1 do
-          let g = (Array.unsafe_get s i lsr sh) land digit_mask in
-          Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
-        done;
-        if counts.((s.(0) lsr sh) land digit_mask) < n then begin
-          let acc = ref 0 in
-          for g = 0 to digit_mask do
-            let c = counts.(g) in
-            counts.(g) <- !acc;
-            acc := !acc + c
-          done;
-          for i = 0 to n - 1 do
-            let v = Array.unsafe_get s i in
-            let g = (v lsr sh) land digit_mask in
-            let at = Array.unsafe_get counts g in
-            Array.unsafe_set counts g (at + 1);
-            Array.unsafe_set d at v
-          done;
-          src := d;
-          dst := s
-        end;
-        shift := !shift + digit_bits
-      done;
-      let perm = !src in
+      let packed =
+        Array.init n (fun i -> ((Array.unsafe_get keys i - lo) lsl id_bits) lor i)
+      in
+      let perm = radix_passes packed ~range ~id_bits in
       let id_mask = (1 lsl id_bits) - 1 in
       for i = 0 to n - 1 do
         Array.unsafe_set perm i (Array.unsafe_get perm i land id_mask)
@@ -236,7 +243,9 @@ let distinct_sorted a =
   end
 
 (* A domain at most eight times the row count is counted with one byte
-   per value, in one pass and no sort. *)
+   per value, in one pass and no sort.  A wider one is radix-sorted as
+   offsets from the minimum (as many 11-bit passes as the span needs)
+   and counted in runs. *)
 let count_distinct a =
   let n = Array.length a in
   match min_max a with
@@ -250,6 +259,13 @@ let count_distinct a =
         Bytes.unsafe_set seen k '\001';
         incr d
       end
+    done;
+    !d
+  | Some (lo, hi) when hi - lo >= 0 ->
+    let b = radix_passes (Array.map (fun v -> v - lo) a) ~range:(hi - lo) ~id_bits:0 in
+    let d = ref 1 in
+    for i = 1 to n - 1 do
+      if Array.unsafe_get b i <> Array.unsafe_get b (i - 1) then incr d
     done;
     !d
   | Some _ -> Array.length (distinct_sorted a)

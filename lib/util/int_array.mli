@@ -47,8 +47,10 @@ val distinct_sorted : int array -> int array
 
 val count_distinct : int array -> int
 (** [count_distinct a] is the number of distinct values in [a]: one
-    pass over a byte per domain value when [max - min < 8 * length a],
-    else a sort. *)
+    pass over a byte per domain value when [max - min < 8 * length a];
+    otherwise an LSD radix sort of the offsets [v - min] in 11-bit
+    digits (as many passes as the span needs), counted in runs, or a
+    comparison sort when [max - min] overflows. *)
 
 val binary_search : int array -> int -> int option
 (** [binary_search a key] returns [Some i] with [a.(i) = key] for sorted

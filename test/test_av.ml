@@ -249,9 +249,10 @@ let test_materialize_kinds () =
       [ [ 900_000; 3 ]; [ 5; 1 ]; [ 70_000; 3 ]; [ 5_000; 2 ] ]
   in
   let catalog = Catalog.create [ Catalog.of_relation "R" rel ] in
+  let info = Catalog.find catalog "R" in
   (* Sorted projection physically sorts. *)
   (match
-     View.materialize rel (View.sorted_projection catalog ~relation:"R" ~column:"id")
+     View.materialize ~info rel (View.sorted_projection catalog ~relation:"R" ~column:"id")
    with
   | View.M_sorted sorted ->
     Alcotest.(check bool) "sorted" true
@@ -259,21 +260,21 @@ let test_materialize_kinds () =
   | _ -> Alcotest.fail "expected M_sorted");
   (* Perfect hash over a sparse column builds an FKS structure. *)
   (match
-     View.materialize rel (View.perfect_hash catalog ~relation:"R" ~column:"id")
+     View.materialize ~info rel (View.perfect_hash catalog ~relation:"R" ~column:"id")
    with
   | View.M_fks fks ->
     Alcotest.(check int) "fks keys" 4 (Dqo_hash.Perfect.Fks.length fks)
   | _ -> Alcotest.fail "expected M_fks");
   (* Perfect hash over a dense column needs only the bounds. *)
   (match
-     View.materialize rel (View.perfect_hash catalog ~relation:"R" ~column:"a")
+     View.materialize ~info rel (View.perfect_hash catalog ~relation:"R" ~column:"a")
    with
   | View.M_dense_bounds { lo; hi } ->
     Alcotest.(check (pair int int)) "bounds" (1, 3) (lo, hi)
   | _ -> Alcotest.fail "expected M_dense_bounds");
   (* Grouping result counts per key. *)
   match
-    View.materialize rel (View.grouping_result catalog ~relation:"R" ~key:"a")
+    View.materialize ~info rel (View.grouping_result catalog ~relation:"R" ~key:"a")
   with
   | View.M_grouping g ->
     Alcotest.(check int) "groups" 3 (Dqo_exec.Group_result.groups g)

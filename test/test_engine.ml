@@ -1134,6 +1134,206 @@ let prop_catalog_matches_full_rebuild =
           true)
         steps)
 
+(* --- groupjoin --------------------------------------------------------- *)
+
+module Join = Dqo_exec.Join
+module Grouping = Dqo_exec.Grouping
+module Filter = Dqo_exec.Filter
+module Aggregate = Dqo_exec.Aggregate
+module Logical = Dqo_plan.Logical
+
+type gj_case = {
+  lrows : (int * int * int) list;  (* lk, lg, lv *)
+  rrows : (int * int * int) list;  (* rk, rg, rv *)
+  key : string;
+  sum : string option;
+  lfilter : Filter.predicate option;
+  rfilter : Filter.predicate option;
+  domains : int;
+}
+
+let gj_relation (k, g, v) rows =
+  Relation.create
+    (Schema.of_names [ (k, Schema.T_int); (g, Schema.T_int); (v, Schema.T_int) ])
+    (List.map
+       (fun pick -> Column.of_ints (Array.of_list (List.map pick rows)))
+       [ (fun (x, _, _) -> x); (fun (_, y, _) -> y); (fun (_, _, z) -> z) ])
+
+let gj_aggs c =
+  { Logical.spec = Aggregate.Count; column = None; alias = "cnt" }
+  :: (match c.sum with
+     | Some col -> [ { Logical.spec = Aggregate.Sum; column = Some col; alias = "total" } ]
+     | None -> [])
+
+(* The plan the fused path serves: SPHG over SPHJ(lk = rk) of the two
+   (optionally filtered) scans. *)
+let gj_plan c =
+  let scan name col = function
+    | Some p -> Physical.Filter_op (Physical.Table_scan name, col, p)
+    | None -> Physical.Table_scan name
+  in
+  Physical.Group_op
+    ( Physical.Join_op
+        ( scan "L" "lk" c.lfilter,
+          scan "R" "rk" c.rfilter,
+          "lk",
+          "rk",
+          Physical.default_join Join.SPHJ ),
+      c.key,
+      gj_aggs c,
+      Physical.default_grouping Grouping.SPHG )
+
+(* The unfused operators called directly: filter, SPHJ over the left
+   keys' min/max, gather every column, SPHG over the key's min/max. *)
+let gj_reference c l r =
+  let filtered rel col = function
+    | Some p -> Relation.take rel (Filter.select (Relation.int_col rel col) p)
+    | None -> rel
+  in
+  let l = filtered l "lk" c.lfilter and r = filtered r "rk" c.rfilter in
+  let bounds col =
+    if Int_col.length col = 0 then (0, 0) else Int_col.min_max col
+  in
+  let lkeys = Relation.int_col l "lk" in
+  let lo, hi = bounds lkeys in
+  let joined =
+    Join.materialize l r
+      (Join.sph_join ~lo ~hi ~left:lkeys ~right:(Relation.int_col r "rk"))
+  in
+  let keys = Relation.int_col joined c.key in
+  let lo, hi = bounds keys in
+  let values =
+    match c.sum with
+    | Some col -> Relation.int_col joined col
+    | None -> Int_col.const (Int_col.length keys) 0
+  in
+  let g = Grouping.sph_based ~lo ~hi ~keys ~values in
+  Relation.create
+    (Schema.of_names
+       ((c.key, Schema.T_int)
+       :: List.map (fun (a : Logical.aggregate) -> (a.Logical.alias, Schema.T_int)) (gj_aggs c)))
+    (Column.of_ints g.Dqo_exec.Group_result.keys
+    :: List.map
+         (fun (a : Logical.aggregate) ->
+           Column.of_ints
+             (match a.Logical.spec with
+             | Aggregate.Sum -> g.Dqo_exec.Group_result.sums
+             | _ -> g.Dqo_exec.Group_result.counts))
+         (gj_aggs c))
+
+let gen_gj_case =
+  let open QCheck.Gen in
+  (* Keys collide on both sides; right keys reach past the left span.
+     Values include the extremes, so SUM wraps. *)
+  let value = frequency [ (6, int_range (-50) 50); (1, oneofl [ min_int; max_int ]) ] in
+  let row kmax = triple (int_range 0 kmax) (int_range (-30) 30) value in
+  let pred = opt ~ratio:0.3 (map (fun x -> Filter.Lt x) (int_range 0 12)) in
+  let* lrows = list_size (int_bound 40) (row 10) in
+  let* rrows = list_size (int_bound 40) (row 16) in
+  let* key = oneofl [ "lg"; "rg"; "lk"; "rk" ] in
+  let* sum = oneofl [ None; Some "lv"; Some "rv" ] in
+  let* lfilter = pred and* rfilter = pred in
+  let* domains = oneofl [ 1; 2 ] in
+  return { lrows; rrows; key; sum; lfilter; rfilter; domains }
+
+let show_gj_case c =
+  let rows l =
+    String.concat " "
+      (List.map (fun (k, g, v) -> Printf.sprintf "(%d,%d,%d)" k g v) l)
+  in
+  let pred = function
+    | Some p -> Format.asprintf "%a" Filter.pp p
+    | None -> "-"
+  in
+  Printf.sprintf "L=[%s]\nR=[%s]\nkey=%s sum=%s lfilter=%s rfilter=%s domains=%d"
+    (rows c.lrows) (rows c.rrows) c.key
+    (Option.value ~default:"-" c.sum)
+    (pred c.lfilter) (pred c.rfilter) c.domains
+
+let prop_groupjoin_matches_unfused =
+  QCheck.Test.make ~count:300 ~name:"groupjoin = SPHJ + materialize + SPHG"
+    (QCheck.make ~print:show_gj_case gen_gj_case)
+    (fun c ->
+      let l = gj_relation ("lk", "lg", "lv") c.lrows
+      and r = gj_relation ("rk", "rg", "rv") c.rrows in
+      let db = Engine.create () in
+      Engine.register db ~name:"L" l;
+      Engine.register db ~name:"R" r;
+      let fused =
+        Dqo_par.Pool.with_pool ~domains:c.domains (fun pool ->
+            Engine.execute db ~pool (gj_plan c))
+      in
+      let expected = gj_reference c l r in
+      Schema.fields (Relation.schema fused) = Schema.fields (Relation.schema expected)
+      && Relation.rows fused = Relation.rows expected)
+
+(* The group key's slot domain keeps the SPHG affordability rule: a span
+   past 4 x (rows + 1024) refuses with SPHG's error. *)
+let test_groupjoin_sparse_group_key () =
+  let c =
+    {
+      lrows = [ (1, 0, 0); (2, 0, 0) ];
+      rrows = [ (1, 0, 0); (2, 1_000_000_000, 0) ];
+      key = "rg";
+      sum = None;
+      lfilter = None;
+      rfilter = None;
+      domains = 1;
+    }
+  in
+  let db = Engine.create () in
+  Engine.register db ~name:"L" (gj_relation ("lk", "lg", "lv") c.lrows);
+  Engine.register db ~name:"R" (gj_relation ("rk", "rg", "rv") c.rrows);
+  Alcotest.check_raises "sparse group key"
+    (Invalid_argument
+       "Engine: SPHG chosen for sparse column rg without a perfect-hash AV")
+    (fun () -> ignore (Engine.execute db (gj_plan c)))
+
+(* The analysed walk runs the groupjoin but still reports the SPHJ node:
+   every node's label and estimate are the plan's, and its actual rows
+   are what executing that node's subtree alone returns — for the join,
+   the materialised pair count. *)
+let test_groupjoin_analysed_tree () =
+  let db, _ = fk_db ~r_sorted:false ~s_sorted:false ~dense:true ~seed:7 in
+  List.iter
+    (fun sql ->
+      let a = Engine.explain_analyze db (Dqo_sql.Binder.plan_of_sql (Engine.catalog db) sql) in
+      let plan = a.Engine.entry.Pareto.plan in
+      Alcotest.(check (list string)) (sql ^ ": fused shape")
+        [ "SPHG"; "SPHJ" ]
+        (List.filteri (fun i _ -> i < 2) (Physical.operators plan));
+      let rec check (p : Physical.t) (n : Dqo_opt.Explain.analyzed) =
+        let label = sql ^ ": " ^ Physical.op_label p in
+        Alcotest.(check string) label (Physical.op_label p) n.Dqo_opt.Explain.op;
+        Alcotest.(check int) (label ^ " est")
+          (Dqo_opt.Explain.estimated_rows (Engine.catalog db) p)
+          n.Dqo_opt.Explain.est_rows;
+        Alcotest.(check int) (label ^ " actual")
+          (Relation.cardinality (Engine.execute db p))
+          n.Dqo_opt.Explain.actual_rows;
+        let subs =
+          match p with
+          | Physical.Table_scan _ -> []
+          | Physical.Filter_op (c, _, _) | Physical.Project_op (c, _)
+          | Physical.Sort_enforcer (c, _) | Physical.Group_op (c, _, _, _) ->
+            [ c ]
+          | Physical.Join_op (l, r, _, _, _) -> [ l; r ]
+        in
+        Alcotest.(check int) (label ^ " children") (List.length subs)
+          (List.length n.Dqo_opt.Explain.children);
+        List.iter2 check subs n.Dqo_opt.Explain.children
+      in
+      check plan a.Engine.root;
+      Alcotest.(check bool) (sql ^ ": result") true
+        (Relation.rows a.Engine.result = Relation.rows (Engine.execute db plan)))
+    [
+      "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id GROUP BY a";
+      "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id WHERE a < 10000 \
+       GROUP BY a";
+      "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id WHERE a < 200 \
+       GROUP BY a";
+    ]
+
 let () =
   Alcotest.run "dqo_engine"
     [
@@ -1195,6 +1395,13 @@ let () =
             test_sph_after_selective_filter;
           Alcotest.test_case "SPH on empty and one-row input" `Quick
             test_sph_on_empty_and_single_row_input;
+        ] );
+      ( "groupjoin",
+        [
+          QCheck_alcotest.to_alcotest prop_groupjoin_matches_unfused;
+          Alcotest.test_case "sparse group key" `Quick
+            test_groupjoin_sparse_group_key;
+          Alcotest.test_case "analysed tree" `Quick test_groupjoin_analysed_tree;
         ] );
       ( "fuzz",
         [

@@ -604,24 +604,55 @@ let prop_of_relation_matches_reference =
       if String.equal actual expected then true
       else QCheck.Test.fail_reportf "got %s\nwant %s" actual expected)
 
+(* Every predicate, on every column kind the executor filters: flat,
+   chunked (segments of 16 rows, so a scan crosses chunk boundaries)
+   and constant, checked against [Filter.eval] row by row. *)
 let prop_filter_matches_spec =
-  QCheck.Test.make ~name:"Filter.select = predicate scan" ~count:200
-    QCheck.(
-      pair
-        (array_of_size (QCheck.Gen.int_bound 100) (int_bound 50))
-        (int_bound 50))
-    (fun (column, x) ->
+  let open QCheck in
+  let values =
+    Gen.(
+      frequency
+        [ (8, int_range (-20) 20); (1, oneofl [ min_int; max_int; 0 ]) ])
+  in
+  let gen =
+    Gen.(
+      let* column = array_size (int_bound 70) values in
+      let* kind = int_bound 3 in
+      let* x = values and* y = values in
+      return (column, kind, x, y))
+  in
+  Test.make ~name:"Filter.select = predicate scan" ~count:300
+    (make
+       ~print:(fun (c, kind, x, y) ->
+         Printf.sprintf "kind=%d x=%d y=%d [%s]" kind x y
+           (String.concat ";" (Array.to_list (Array.map string_of_int c))))
+       gen)
+    (fun (column, kind, x, y) ->
+      let n = Array.length column in
+      let col, column =
+        match kind with
+        | 0 -> (ic column, column)
+        | 1 ->
+          ( Int_col.init ~backend:(Int_col.Chunked Int_col.W64) ~chunk_rows:16 n
+              (fun i -> column.(i)),
+            column )
+        | 2 ->
+          let small = Array.map (fun v -> max (-20) (min 20 v)) column in
+          ( Int_col.init ~backend:(Int_col.Chunked Int_col.W32) ~chunk_rows:16 n
+              (fun i -> small.(i)),
+            small )
+        | _ -> (Int_col.const n x, Array.make n x)
+      in
       List.for_all
         (fun p ->
-          let ids = Filter.select (ic column) p in
           let expected = ref [] in
           Array.iteri
             (fun i v -> if Filter.eval p v then expected := i :: !expected)
             column;
-          Array.to_list ids = List.rev !expected)
+          Array.to_list (Filter.select col p) = List.rev !expected)
         [
           Filter.Eq x; Filter.Ne x; Filter.Lt x; Filter.Le x; Filter.Gt x;
-          Filter.Ge x; Filter.Between (x / 2, x);
+          Filter.Ge x; Filter.Between (x, y); Filter.Between (min x y, max x y);
         ])
 
 let test_selectivity_bounds () =

@@ -415,6 +415,69 @@ let prop_digest_matches_reference =
     (QCheck.make ~print:print_relation gen_relation)
     (fun rel -> String.equal (Wire.digest rel) (reference_digest rel))
 
+(* The columnar digest as it was before the final-mask rewrite, kept as
+   its reference: mask after every byte, one closure-compare sort when
+   the first column is not strictly increasing. *)
+let per_byte_digest rel =
+  let n = Relation.cardinality rel in
+  let cols =
+    Array.init (Schema.arity (Relation.schema rel)) (fun k ->
+        match Relation.column_at rel k with
+        | Column.Ints c -> `Ints (Int_col.to_array c)
+        | Column.Floats a -> `Floats a
+        | Column.Strings a -> `Strings a)
+  in
+  let cmp c i j =
+    match c with
+    | `Ints a -> Int.compare a.(i) a.(j)
+    | `Floats a -> Float.compare a.(i) a.(j)
+    | `Strings a -> String.compare a.(i) a.(j)
+  in
+  let mix_byte h b = ((h * 33) lxor b) land max_int in
+  let mix_int h i =
+    let h = ref h in
+    for shift = 0 to 7 do
+      h := mix_byte !h ((i lsr (8 * shift)) land 0xff)
+    done;
+    !h
+  in
+  let mix_cell h c r =
+    match c with
+    | `Ints a -> mix_int (mix_byte h 1) a.(r)
+    | `Floats a -> mix_int (mix_byte h 2) (Int64.to_int (Int64.bits_of_float a.(r)))
+    | `Strings a ->
+      let h = ref (mix_byte h 3) in
+      String.iter (fun ch -> h := mix_byte !h (Char.code ch)) a.(r);
+      !h
+  in
+  let in_order =
+    Array.length cols = 0
+    ||
+    let rec go r = r >= n || (cmp cols.(0) (r - 1) r < 0 && go (r + 1)) in
+    go 1
+  in
+  let compare_rows i j =
+    let rec go k =
+      if k = Array.length cols then 0
+      else
+        let c = cmp cols.(k) i j in
+        if c <> 0 then c else go (k + 1)
+    in
+    go 0
+  in
+  let perm = Array.init n Fun.id in
+  if not in_order then Array.stable_sort compare_rows perm;
+  let h = ref (mix_int 5381 n) in
+  Array.iter (fun r -> Array.iter (fun c -> h := mix_cell !h c r) cols) perm;
+  Printf.sprintf "%016x" (!h land max_int)
+
+(* The generator covers min_int/max_int, NaN payloads, strings, rows
+   out of order and the empty relation (with and without columns). *)
+let prop_digest_matches_per_byte =
+  QCheck.Test.make ~count:1000 ~name:"final-mask digest = per-byte-mask digest"
+    (QCheck.make ~print:print_relation gen_relation)
+    (fun rel -> String.equal (Wire.digest rel) (per_byte_digest rel))
+
 (* Hex digests printed by the boxed implementation before the columnar
    one replaced it: the byte stream must not change across versions. *)
 let test_digest_golden () =
@@ -472,6 +535,7 @@ let () =
       ( "digest",
         [
           QCheck_alcotest.to_alcotest prop_digest_matches_reference;
+          QCheck_alcotest.to_alcotest prop_digest_matches_per_byte;
           Alcotest.test_case "golden hex" `Quick test_digest_golden;
         ] );
     ]
