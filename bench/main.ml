@@ -10,8 +10,12 @@
      --figure 5     DQO/SQO estimated-cost improvement factors
      --table 2      cost-model shape check (model vs measured, OG = 1)
      --ablation hash|table|avsp|opttime|cracking|skew|online|layout
+     --scaling      partition-based grouping speedup vs domains
+     --hier         hierarchical vs exhaustive join DP on snowflakes
      --advisor      online AV advisor: served p50/p95 before/after the
                     first self-tuning tick, advisor on vs off
+     --paper-scale  the grouping and join sweeps at 100M rows, both
+                    storage backends, digest parity enforced
      --bechamel     Bechamel micro-benchmarks (one Test.make per paper table)
 
    Absolute numbers are machine-dependent; the *shape* (who wins, by what
@@ -41,12 +45,8 @@ module Stats = Dqo_util.Stats
 let fig4_records : Json.t list ref = ref []
 let fig5_records : Json.t list ref = ref []
 let scaling_records : Json.t list ref = ref []
-let opt_scaling_records : Json.t list ref = ref []
-let serve_records : Json.t list ref = ref []
-let feedback_records : Json.t list ref = ref []
 let advisor_records : Json.t list ref = ref []
 let paper_scale_records : Json.t list ref = ref []
-let learned_records : Json.t list ref = ref []
 let hier_records : Json.t list ref = ref []
 
 (* ------------------------------------------------------------------ *)
@@ -617,330 +617,6 @@ let parallel_scaling ~rows ~threads =
     (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
-(* Optimiser scaling: parallel DP plan search, speedup vs domains.     *)
-
-(* A star join around a hub: the hub connects to every satellite, so
-   every relation subset containing the hub is connected — 2^(k-1)
-   live DP subproblems, the densest join graph a predicate-per-join
-   logical tree can express.  Column names are globally unique so the
-   search's column -> leaf resolution is unambiguous. *)
-let opt_scaling_catalog ~relations =
-  let hub_props =
-    {
-      Props.sorted_by = Some "hub_k";
-      clustered_by = Some "hub_k";
-      columns =
-        ("hub_k", col ~dense:true ~lo:0 ~hi:9_999 ~distinct:10_000)
-        :: List.init (relations - 1) (fun i ->
-               ( Printf.sprintf "hub_f%d" (i + 1),
-                 col ~dense:true ~lo:0 ~hi:9_999 ~distinct:10_000 ));
-      co_ordered = [];
-    }
-  in
-  let sat_props i =
-    let name = Printf.sprintf "sat%d_k" i in
-    {
-      (* Alternate sortedness so interesting orders differ per leaf and
-         the Pareto frontiers stay plural. *)
-      Props.sorted_by = (if i mod 2 = 0 then Some name else None);
-      clustered_by = (if i mod 2 = 0 then Some name else None);
-      columns =
-        [ (name, col ~dense:true ~lo:0 ~hi:9_999 ~distinct:10_000) ];
-      co_ordered = [];
-    }
-  in
-  Catalog.create
-    (Catalog.table ~name:"Hub" ~rows:10_000 ~props:hub_props
-    :: List.init (relations - 1) (fun i ->
-           Catalog.table
-             ~name:(Printf.sprintf "Sat%d" (i + 1))
-             ~rows:(20_000 + (10_000 * i))
-             ~props:(sat_props (i + 1))))
-
-let opt_scaling_query ~relations =
-  let rec build acc i =
-    if i >= relations then acc
-    else
-      build
-        (Logical.join acc
-           (Logical.scan (Printf.sprintf "Sat%d" i))
-           ~on:(Printf.sprintf "hub_f%d" i, Printf.sprintf "sat%d_k" i))
-        (i + 1)
-  in
-  Logical.group_by
-    (build (Logical.scan "Hub") 1)
-    ~key:"hub_k"
-    [ Logical.count_star () ]
-
-let optimizer_scaling ~threads =
-  let relations = 7 in
-  Printf.printf
-    "-- Optimiser scaling: parallel DP plan search, %d-relation star join \
-     --\n"
-    relations;
-  let catalog = opt_scaling_catalog ~relations in
-  let query = opt_scaling_query ~relations in
-  (* Molecule-level enumeration (deep model) is the expensive — and
-     paper-relevant — search; it is what parallel DP has to pay for. *)
-  let optimize ?pool () =
-    Search.optimize_entries ~model:Model.deep ?pool Search.Deep catalog query
-  in
-  let base_entries, base_stats = optimize () in
-  let base_plan =
-    Format.asprintf "%a" Physical.pp (Pareto.cheapest base_entries).Pareto.plan
-  in
-  Printf.printf
-    "   query: %d-way join + GROUP BY; %d plans considered, %d DP levels\n"
-    relations base_stats.Search.plans_considered
-    (List.length base_stats.Search.levels);
-  let table =
-    Table_printer.create ~header:[ "domains"; "median ms"; "speedup vs 1" ]
-  in
-  let base = ref Float.nan in
-  List.iter
-    (fun domains ->
-      Dqo_par.Pool.with_pool ~domains (fun pool ->
-          let (entries, stats), samples =
-            Timer.times ~repeats:5 (fun () -> optimize ~pool ())
-          in
-          let plan =
-            Format.asprintf "%a" Physical.pp
-              (Pareto.cheapest entries).Pareto.plan
-          in
-          let identical =
-            String.equal plan base_plan
-            && List.length entries = List.length base_entries
-            && List.for_all2
-                 (fun (a : Search.level_stat) (b : Search.level_stat) ->
-                   a.Search.level_kept = b.Search.level_kept)
-                 stats.Search.levels base_stats.Search.levels
-          in
-          if not identical then
-            Printf.printf "   WARNING: domains=%d diverged from domains=1!\n"
-              domains;
-          let median_ms = Stats.median samples in
-          if domains = 1 then base := median_ms;
-          let speedup = !base /. median_ms in
-          opt_scaling_records :=
-            Json.Obj
-              [
-                ("relations", Json.Int relations);
-                ("domains", Json.Int domains);
-                ("median_ms", Json.Float median_ms);
-                ("speedup_vs_1", Json.Float speedup);
-                ("plans_considered", Json.Int stats.Search.plans_considered);
-                ("candidates_built", Json.Int stats.Search.candidates_built);
-                ("pareto_kept", Json.Int stats.Search.pareto_kept);
-                ("plan_identical", Json.Bool identical);
-                ( "levels",
-                  Json.List
-                    (List.map Search.level_to_json stats.Search.levels) );
-              ]
-            :: !opt_scaling_records;
-          Table_printer.add_row table
-            [
-              string_of_int domains;
-              Printf.sprintf "%.1f" median_ms;
-              Printf.sprintf "%.2fx" speedup;
-            ]))
-    (List.filter (fun d -> d <= threads) [ 1; 2; 4; 8 ]);
-  Table_printer.print table;
-  Printf.printf
-    "Chosen plan, costs, and per-level Pareto counts are byte-identical\n\
-     across domain counts; speedup needs as many online CPUs as domains\n\
-     (this host reports %d).\n\n"
-    (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
-(* Learned pruning: beam-gated join DP vs exhaustive enumeration.      *)
-
-(* Real-data star around a hub: hub_k is a dense primary key, each
-   hub_f_i draws uniformly from satellite i's (dense, unique) key
-   domain — every join is fk -> pk, so intermediate cardinalities stay
-   at hub size and execution is cheap enough to digest-compare the two
-   chosen plans.  Odd satellites get shuffled keys so sortedness
-   differs per leaf and the Pareto frontiers stay plural. *)
-let learned_star_db ~relations ~hub_rows ~sat_rows =
-  let rng = Rng.create ~seed:42 in
-  let db = Dqo_engine.Engine.create ~model:Model.deep () in
-  let hub_schema =
-    Dqo_data.Schema.of_names
-      (("hub_k", Dqo_data.Schema.T_int)
-      :: List.init (relations - 1) (fun i ->
-             (Printf.sprintf "hub_f%d" (i + 1), Dqo_data.Schema.T_int)))
-  in
-  let hub_cols =
-    Dqo_data.Column.of_ints (Array.init hub_rows (fun i -> i))
-    :: List.init (relations - 1) (fun _ ->
-           Dqo_data.Column.of_ints
-             (Array.init hub_rows (fun _ -> Rng.int rng sat_rows)))
-  in
-  Dqo_engine.Engine.register db ~name:"Hub"
-    (Dqo_data.Relation.create hub_schema hub_cols);
-  for i = 1 to relations - 1 do
-    let keys = Array.init sat_rows (fun j -> j) in
-    if i mod 2 = 1 then Rng.shuffle rng keys;
-    Dqo_engine.Engine.register db
-      ~name:(Printf.sprintf "Sat%d" i)
-      (Dqo_data.Relation.create
-         (Dqo_data.Schema.of_names
-            [ (Printf.sprintf "sat%d_k" i, Dqo_data.Schema.T_int) ])
-         [ Dqo_data.Column.of_ints keys ])
-  done;
-  db
-
-(* Real-data chain T1 -> T2 -> ... -> Tk: each t{i}_f draws from
-   T{i+1}'s dense key domain. *)
-let learned_chain_db ~relations ~rows =
-  let rng = Rng.create ~seed:43 in
-  let db = Dqo_engine.Engine.create ~model:Model.deep () in
-  for i = 1 to relations do
-    let keys = Array.init rows (fun j -> j) in
-    if i mod 2 = 1 then Rng.shuffle rng keys;
-    let names, cols =
-      if i < relations then
-        ( [
-            (Printf.sprintf "t%d_k" i, Dqo_data.Schema.T_int);
-            (Printf.sprintf "t%d_f" i, Dqo_data.Schema.T_int);
-          ],
-          [
-            Dqo_data.Column.of_ints keys;
-            Dqo_data.Column.of_ints
-              (Array.init rows (fun _ -> Rng.int rng rows));
-          ] )
-      else
-        ([ (Printf.sprintf "t%d_k" i, Dqo_data.Schema.T_int) ],
-         [ Dqo_data.Column.of_ints keys ])
-    in
-    Dqo_engine.Engine.register db
-      ~name:(Printf.sprintf "T%d" i)
-      (Dqo_data.Relation.create (Dqo_data.Schema.of_names names) cols)
-  done;
-  db
-
-let learned_chain_query ~relations =
-  let rec build acc i =
-    if i > relations then acc
-    else
-      build
-        (Logical.join acc
-           (Logical.scan (Printf.sprintf "T%d" i))
-           ~on:(Printf.sprintf "t%d_f" (i - 1), Printf.sprintf "t%d_k" i))
-        (i + 1)
-  in
-  Logical.group_by (build (Logical.scan "T1") 2) ~key:"t1_k"
-    [ Logical.count_star () ]
-
-(* One shape: train the value model online from a few analysed
-   executions, then compare the exhaustive deep search against the
-   beam-gated one — candidates generated, chosen-plan cost, wall time,
-   result digests, and pooled-vs-sequential byte-identity. *)
-let bench_learned_shape ~label ~relations ~train_runs ~beam db query =
-  Dqo_engine.Engine.set_opts db
-    {
-      Dqo_engine.Engine.default_opts with
-      mode = Dqo_engine.Engine.DQO;
-      learner = true;
-      beam_width = beam;
-    };
-  for _ = 1 to train_runs do
-    ignore (Dqo_engine.Engine.explain_analyze db query)
-  done;
-  let catalog = Dqo_engine.Engine.catalog db in
-  let lrn = Dqo_engine.Engine.learner db in
-  let run_opt ?pool ?learner () =
-    Search.optimize_entries ~model:Model.deep ?pool ?learner ~beam Search.Deep
-      catalog query
-  in
-  let (ex_entries, ex_stats), ex_samples =
-    Timer.times ~repeats:3 (fun () -> run_opt ())
-  in
-  let (ln_entries, ln_stats), ln_samples =
-    Timer.times ~repeats:3 (fun () -> run_opt ~learner:lrn ())
-  in
-  let fingerprint entries (stats : Search.stats) =
-    ( Format.asprintf "%a" Physical.pp (Pareto.cheapest entries).Pareto.plan,
-      List.map (fun (lv : Search.level_stat) -> lv.Search.level_kept)
-        stats.Search.levels )
-  in
-  let ln_fp = fingerprint ln_entries ln_stats in
-  let pooled_identical =
-    List.for_all
-      (fun domains ->
-        Dqo_par.Pool.with_pool ~domains (fun pool ->
-            let entries, stats = run_opt ~pool ~learner:lrn () in
-            fingerprint entries stats = ln_fp))
-      [ 2; 4; 8 ]
-  in
-  let ex_best = Pareto.cheapest ex_entries in
-  let ln_best = Pareto.cheapest ln_entries in
-  let digests_identical =
-    String.equal
-      (Dqo_serve.Wire.digest
-         (Dqo_engine.Engine.execute db ex_best.Pareto.plan))
-      (Dqo_serve.Wire.digest
-         (Dqo_engine.Engine.execute db ln_best.Pareto.plan))
-  in
-  let reduction =
-    Float.of_int ex_stats.Search.plans_considered
-    /. Float.of_int (max 1 ln_stats.Search.plans_considered)
-  in
-  let cost_ratio =
-    ln_best.Pareto.cost /. Float.max 1.0 ex_best.Pareto.cost
-  in
-  let fewer =
-    ln_stats.Search.plans_considered < ex_stats.Search.plans_considered
-  in
-  let cost_ok = cost_ratio <= 1.1 in
-  learned_records :=
-    Json.Obj
-      [
-        ("shape", Json.String label);
-        ("relations", Json.Int relations);
-        ("beam", Json.Int beam);
-        ("train_runs", Json.Int train_runs);
-        ("exhaustive_candidates", Json.Int ex_stats.Search.plans_considered);
-        ("learned_candidates", Json.Int ln_stats.Search.plans_considered);
-        ("reduction_factor", Json.Float reduction);
-        ("learner_scored", Json.Int ln_stats.Search.learner_scored);
-        ("learner_pruned", Json.Int ln_stats.Search.learner_pruned);
-        ("exhaustive_cost", Json.Float ex_best.Pareto.cost);
-        ("learned_cost", Json.Float ln_best.Pareto.cost);
-        ("cost_ratio", Json.Float cost_ratio);
-        ("exhaustive_ms", Json.Float (Stats.median ex_samples));
-        ("learned_ms", Json.Float (Stats.median ln_samples));
-        ("digests_identical", Json.Bool digests_identical);
-        ("pooled_identical", Json.Bool pooled_identical);
-        ("fewer_candidates", Json.Bool fewer);
-        ("cost_ok", Json.Bool cost_ok);
-      ]
-    :: !learned_records;
-  Printf.printf
-    "   %-10s %2d rel: %6d -> %5d candidates (%.1fx), cost ratio %.3f, \
-     %.1f -> %.1f ms, digests %s, pooled %s\n"
-    label relations ex_stats.Search.plans_considered
-    ln_stats.Search.plans_considered reduction cost_ratio
-    (Stats.median ex_samples) (Stats.median ln_samples)
-    (if digests_identical then "identical" else "DIVERGED")
-    (if pooled_identical then "identical" else "DIVERGED")
-
-let bench_learned () =
-  Printf.printf
-    "-- Learned pruning: beam-gated join DP vs exhaustive (deep model) --\n";
-  bench_learned_shape ~label:"star" ~relations:7 ~train_runs:2 ~beam:2
-    (learned_star_db ~relations:7 ~hub_rows:4_000 ~sat_rows:5_000)
-    (opt_scaling_query ~relations:7);
-  List.iter
-    (fun relations ->
-      bench_learned_shape ~label:"chain" ~relations ~train_runs:2 ~beam:4
-        (learned_chain_db ~relations ~rows:2_000)
-        (learned_chain_query ~relations))
-    [ 8; 10 ];
-  Printf.printf
-    "Beam-gated and exhaustive plans execute to identical digests; the\n\
-     gated search is byte-identical across pool sizes.\n\n"
-
-(* ------------------------------------------------------------------ *)
 (* Hierarchical planning: graph-partitioned DP vs the exhaustive one.  *)
 
 (* Real-data snowflake: a hub with one fk column per chain, each chain
@@ -1195,185 +871,6 @@ let bench_hier ~exhaustive_cap ~max_relations =
      hierarchical route plans at all.\n\n"
 
 (* ------------------------------------------------------------------ *)
-(* Serving throughput: closed-loop clients against one shared server.  *)
-
-let serve_quantile sorted q =
-  let n = Array.length sorted in
-  sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. Float.of_int n)) - 1)))
-
-let bench_serve ~threads ~clients ~requests =
-  Printf.printf
-    "-- Serving: closed-loop throughput, one shared %d-domain pool --\n"
-    threads;
-  let sql =
-    "SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY a"
-  in
-  let rng = Rng.create ~seed:2020 in
-  let pair =
-    Datagen.fk_pair ~rng ~r_rows:25_000 ~s_rows:90_000 ~r_groups:20_000
-      ~r_sorted:false ~s_sorted:false ~dense:true
-  in
-  let db = Dqo_engine.Engine.create () in
-  Dqo_engine.Engine.register db ~name:"R" pair.Datagen.r;
-  Dqo_engine.Engine.register db ~name:"S" pair.Datagen.s;
-  Dqo_engine.Engine.set_opts db
-    { Dqo_engine.Engine.default_opts with mode = DQO; threads };
-  (* One server — and therefore one pool — for the whole sweep; that is
-     the point of the serving front end. *)
-  let srv = Dqo_serve.Server.create ~workers:8 ~max_inflight:256 db in
-  let table =
-    Table_printer.create
-      ~header:
-        [ "clients"; "requests"; "qps"; "p50 ms"; "p95 ms"; "p99 ms" ]
-  in
-  List.iter
-    (fun c ->
-      let latencies = Array.make (c * requests) 0.0 in
-      let client i =
-        let session = Dqo_serve.Server.open_session srv in
-        let stmt = Dqo_serve.Server.prepare session sql in
-        for r = 0 to requests - 1 do
-          let _, ms =
-            Timer.time_ms (fun () ->
-                ignore (Dqo_serve.Server.execute session stmt))
-          in
-          latencies.((i * requests) + r) <- ms
-        done;
-        Dqo_serve.Server.close_session session
-      in
-      let _, wall_ms =
-        Timer.time_ms (fun () ->
-            List.iter Thread.join
-              (List.init c (fun i -> Thread.create client i)))
-      in
-      Array.sort Float.compare latencies;
-      let q p = serve_quantile latencies p in
-      let qps = Float.of_int (c * requests) /. (wall_ms /. 1000.0) in
-      serve_records :=
-        Json.Obj
-          [
-            ("clients", Json.Int c);
-            ("requests_per_client", Json.Int requests);
-            ("threads", Json.Int threads);
-            ("qps", Json.Float qps);
-            ("p50_ms", Json.Float (q 0.50));
-            ("p95_ms", Json.Float (q 0.95));
-            ("p99_ms", Json.Float (q 0.99));
-          ]
-        :: !serve_records;
-      Table_printer.add_row table
-        [
-          string_of_int c;
-          string_of_int (c * requests);
-          Printf.sprintf "%.1f" qps;
-          Printf.sprintf "%.2f" (q 0.50);
-          Printf.sprintf "%.2f" (q 0.95);
-          Printf.sprintf "%.2f" (q 0.99);
-        ])
-    (List.filter (fun c -> c <= clients) [ 1; 2; 4; 8 ]);
-  Dqo_serve.Server.shutdown srv;
-  Table_printer.print table;
-  print_endline
-    "Closed loop: each client waits for its result before the next\n\
-     request; every result is byte-identical to the sequential engine.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Cardinality feedback: misestimation workload, q-error convergence.  *)
-
-(* S.b is drawn from Zipf(theta) over [0, 1000), so a range filter like
-   [b <= 9] — which the uniform assumption estimates at ~1% — actually
-   keeps a large slice of the table.  Each analysed round feeds the
-   observed cardinalities back into the store; the worst per-node
-   q-error should collapse towards 1 after a single round. *)
-let bench_feedback ~rounds =
-  Printf.printf
-    "-- Cardinality feedback: q-error convergence on skewed data --\n";
-  let queries =
-    [
-      ("filter+group", "SELECT b, COUNT(*) AS c FROM S WHERE b <= 9 GROUP BY b");
-      ( "join+filter",
-        "SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE b <= 9 \
-         GROUP BY a" );
-    ]
-  in
-  let table =
-    Table_printer.create
-      ~header:
-        [ "theta"; "query"; "q round 1"; "q round 2"; "q final"; "improvement" ]
-  in
-  List.iter
-    (fun theta ->
-      List.iter
-        (fun (name, sql) ->
-          let rng = Rng.create ~seed:2020 in
-          let pair =
-            Datagen.fk_pair ~rng ~r_rows:25_000 ~s_rows:90_000
-              ~r_groups:20_000 ~r_sorted:false ~s_sorted:false ~dense:true
-          in
-          let s =
-            let r_id = Dqo_data.Relation.int_col pair.Datagen.s "r_id" in
-            let b =
-              Datagen.zipf_keys ~rng ~n:(Int_col.length r_id) ~groups:1_000
-                ~theta ()
-            in
-            Dqo_data.Relation.create
-              (Dqo_data.Relation.schema pair.Datagen.s)
-              [
-                Dqo_data.Column.of_ints (Int_col.to_array r_id);
-                Dqo_data.Column.of_int_col b;
-              ]
-          in
-          let db = Dqo_engine.Engine.create () in
-          Dqo_engine.Engine.register db ~name:"R" pair.Datagen.r;
-          Dqo_engine.Engine.register db ~name:"S" s;
-          Dqo_engine.Engine.set_opts db
-            { Dqo_engine.Engine.default_opts with mode = DQO; feedback = true };
-          let plan =
-            Dqo_sql.Binder.plan_of_sql (Dqo_engine.Engine.catalog db) sql
-          in
-          let qs =
-            List.init rounds (fun _ ->
-                let a = Dqo_engine.Engine.explain_analyze db plan in
-                Dqo_opt.Explain.max_q_error a.Dqo_engine.Engine.root)
-          in
-          let q_at i = List.nth qs (min i (rounds - 1)) in
-          let q1 = q_at 0 and q2 = q_at 1 and qn = q_at (rounds - 1) in
-          let improvement = q1 /. Float.max 1.0 q2 in
-          feedback_records :=
-            Json.Obj
-              [
-                ("theta", Json.Float theta);
-                ("query", Json.String name);
-                ("rounds", Json.Int rounds);
-                ("q_per_round", Json.List (List.map (fun q -> Json.Float q) qs));
-                ("q_before", Json.Float q1);
-                ("q_after", Json.Float q2);
-                ("improvement", Json.Float improvement);
-                ("converged", Json.Bool (qn <= 2.0));
-                ( "corrections",
-                  Json.Int
-                    (Dqo_cost.Feedback.size (Dqo_engine.Engine.corrections db))
-                );
-              ]
-            :: !feedback_records;
-          Table_printer.add_row table
-            [
-              Printf.sprintf "%.1f" theta;
-              name;
-              Printf.sprintf "%.2f" q1;
-              Printf.sprintf "%.2f" q2;
-              Printf.sprintf "%.2f" qn;
-              Printf.sprintf "%.1fx" improvement;
-            ])
-        queries)
-    [ 0.5; 1.0; 1.5 ];
-  Table_printer.print table;
-  print_endline
-    "One analysed round is enough: the store keys corrections by\n\
-     (relation, column, predicate class), so the second optimisation\n\
-     already plans with observed cardinalities.\n"
-
-(* ------------------------------------------------------------------ *)
 (* Online AV advisor: the same skewed repeated workload served twice — *)
 (* advisor off and advisor on — with one forced materialisation tick   *)
 (* between the two measurement phases of each arm.                     *)
@@ -1455,7 +952,6 @@ let bench_advisor ~requests =
         | None -> Hashtbl.replace digests key d
         | Some d0 -> if not (String.equal d0 d) then digest_ok := false
       done;
-      Array.sort Float.compare lat;
       lat
     in
     let before = phase () in
@@ -1487,10 +983,10 @@ let bench_advisor ~requests =
         r.Dqo_advisor.Advisor.av_bytes )
     | None -> (0, 0, 0, 0)
   in
-  let q arr p = serve_quantile arr p in
+  let q = Stats.percentile in
   (* Headline number: the served workload's p95 after the advisor's
      first tick versus the same phase of the advisor-off arm. *)
-  let improvement = q a_off 0.95 /. Float.max 0.001 (q a_on 0.95) in
+  let improvement = q a_off 95.0 /. Float.max 0.001 (q a_on 95.0) in
   let table =
     Table_printer.create ~header:[ "arm"; "phase"; "p50 ms"; "p95 ms" ]
   in
@@ -1499,8 +995,8 @@ let bench_advisor ~requests =
       Table_printer.add_row table
         [
           arm; ph;
-          Printf.sprintf "%.2f" (q lat 0.50);
-          Printf.sprintf "%.2f" (q lat 0.95);
+          Printf.sprintf "%.2f" (q lat 50.0);
+          Printf.sprintf "%.2f" (q lat 95.0);
         ])
     [
       ("advisor off", "before", b_off);
@@ -1523,14 +1019,14 @@ let bench_advisor ~requests =
         ("hot_sql", Json.String hot_sql);
         ("cold_sql", Json.String cold_sql);
         ("cold_every", Json.Int cold_every);
-        ("p50_ms_off_before", Json.Float (q b_off 0.50));
-        ("p95_ms_off_before", Json.Float (q b_off 0.95));
-        ("p50_ms_off_after", Json.Float (q a_off 0.50));
-        ("p95_ms_off_after", Json.Float (q a_off 0.95));
-        ("p50_ms_on_before", Json.Float (q b_on 0.50));
-        ("p95_ms_on_before", Json.Float (q b_on 0.95));
-        ("p50_ms_on_after", Json.Float (q a_on 0.50));
-        ("p95_ms_on_after", Json.Float (q a_on 0.95));
+        ("p50_ms_off_before", Json.Float (q b_off 50.0));
+        ("p95_ms_off_before", Json.Float (q b_off 95.0));
+        ("p50_ms_off_after", Json.Float (q a_off 50.0));
+        ("p95_ms_off_after", Json.Float (q a_off 95.0));
+        ("p50_ms_on_before", Json.Float (q b_on 50.0));
+        ("p95_ms_on_before", Json.Float (q b_on 95.0));
+        ("p50_ms_on_after", Json.Float (q a_on 50.0));
+        ("p95_ms_on_after", Json.Float (q a_on 95.0));
         ("p95_improvement", Json.Float improvement);
         ("installed", Json.Int installed);
         ("evicted", Json.Int evicted);
@@ -1892,17 +1388,11 @@ let () =
   let abl = ref None in
   let run_bechamel = ref false in
   let run_scaling = ref false in
-  let run_opt_scaling = ref false in
-  let run_learned = ref false in
   let run_hier = ref false in
   let hier_exhaustive_cap = ref 24 in
   let hier_max_relations = ref 80 in
-  let run_serve = ref false in
-  let run_feedback = ref false in
   let run_advisor = ref false in
   let run_paper_scale = ref false in
-  let feedback_rounds = ref 3 in
-  let clients = ref 4 in
   let requests = ref 50 in
   let threads = ref 1 in
   let all = ref true in
@@ -1921,27 +1411,14 @@ let () =
          storage backends with digest parity checks (default 100M rows)" );
       ( "--threads",
         Arg.Set_int threads,
-        "N  max domains for the parallel-scaling sweep (default 1)" );
+        "N  max domains for --scaling and for the parallel arm of \
+         --paper-scale (default 1)" );
       ( "--scaling",
         Arg.Unit
           (fun () ->
             run_scaling := true;
             all := false),
         "  run the parallel-scaling sweep (domains 1,2,4,8 up to --threads)" );
-      ( "--opt-scaling",
-        Arg.Unit
-          (fun () ->
-            run_opt_scaling := true;
-            all := false),
-        "  run the optimiser-scaling sweep: parallel DP plan search \
-         (domains 1,2,4,8 up to --threads)" );
-      ( "--learned",
-        Arg.Unit
-          (fun () ->
-            run_learned := true;
-            all := false),
-        "  run the learned-pruning sweep: beam-gated join DP vs exhaustive \
-         on the 7-relation star and 8/10-relation chains" );
       ( "--hier",
         Arg.Unit
           (fun () ->
@@ -1976,37 +1453,17 @@ let () =
             abl := Some s;
             all := false),
         "NAME  run ablation (hash|table|avsp|opttime|cracking|skew|online|layout)" );
-      ( "--serve",
-        Arg.Unit
-          (fun () ->
-            run_serve := true;
-            all := false),
-        "  run the closed-loop serving benchmark (clients x requests sweep)" );
-      ( "--clients",
-        Arg.Set_int clients,
-        "N  max concurrent clients for --serve (sweep 1,2,4,8 up to N; \
-         default 4)" );
       ( "--requests",
         Arg.Set_int requests,
-        "N  closed-loop requests per client for --serve (default 50)" );
-      ( "--feedback",
-        Arg.Unit
-          (fun () ->
-            run_feedback := true;
-            all := false),
-        "  run the cardinality-feedback convergence sweep (q-error per \
-         round on zipf-skewed data)" );
-      ( "--feedback-rounds",
-        Arg.Set_int feedback_rounds,
-        "N  analysed rounds per query for --feedback (default 3)" );
+        "N  requests per measurement phase for --advisor (default 50, at \
+         least 25)" );
       ( "--advisor",
         Arg.Unit
           (fun () ->
             run_advisor := true;
             all := false),
         "  run the online AV-advisor sweep (p50/p95 before/after the \
-         first materialisation tick, advisor on vs off; --requests sets \
-         the phase length)" );
+         first materialisation tick, advisor on vs off)" );
       ( "--bechamel",
         Arg.Unit
           (fun () ->
@@ -2050,15 +1507,9 @@ let () =
   | Some other -> Printf.printf "unknown ablation %s\n" other
   | None -> ());
   if !run_scaling then parallel_scaling ~rows:(min rows 4_000_000) ~threads:!threads;
-  if !run_opt_scaling then optimizer_scaling ~threads:!threads;
-  if !run_learned then bench_learned ();
   if !run_hier then
     bench_hier ~exhaustive_cap:!hier_exhaustive_cap
       ~max_relations:!hier_max_relations;
-  if !run_serve then
-    bench_serve ~threads:(max 1 !threads) ~clients:!clients
-      ~requests:!requests;
-  if !run_feedback then bench_feedback ~rounds:(max 2 !feedback_rounds);
   if !run_advisor then bench_advisor ~requests:(max 25 !requests);
   if !run_bechamel then bechamel ~rows:(min rows 200_000);
   if !all then begin
@@ -2074,35 +1525,25 @@ let () =
     ablation_online ~rows:(min rows 4_000_000);
     ablation_layout ~rows:(min rows 4_000_000);
     parallel_scaling ~rows:(min rows 4_000_000) ~threads:!threads;
-    optimizer_scaling ~threads:!threads;
-    bench_learned ();
     bench_hier ~exhaustive_cap:!hier_exhaustive_cap
       ~max_relations:!hier_max_relations;
-    bench_feedback ~rounds:(max 2 !feedback_rounds);
     bechamel ~rows:(min rows 200_000)
   end;
   match !json_path with
   | None -> ()
   | Some path ->
-    (* schema_version 9: adds "hierarchical_planning" (v8 added
-       "learned" and per-level stats in "optimizer_scaling"; v7
-       "paper_scale"; v6 "advisor"; v5 "feedback"; v4
-       "optimizer_scaling"; v3 "serving"; v2 "threads" and
-       "parallel_scaling"). *)
+    (* schema_version 10: the serving, optimiser-scaling, learned and
+       feedback sections are gone (EXPERIMENTS.md has the history). *)
     Json.to_file path
       (Json.Obj
          [
-           ("schema_version", Json.Int 9);
+           ("schema_version", Json.Int 10);
            ("rows", Json.Int rows);
            ("threads", Json.Int !threads);
            ("figure4", Json.List (List.rev !fig4_records));
            ("figure5", Json.List (List.rev !fig5_records));
            ("parallel_scaling", Json.List (List.rev !scaling_records));
-           ("optimizer_scaling", Json.List (List.rev !opt_scaling_records));
-           ("learned", Json.List (List.rev !learned_records));
            ("hierarchical_planning", Json.List (List.rev !hier_records));
-           ("serving", Json.List (List.rev !serve_records));
-           ("feedback", Json.List (List.rev !feedback_records));
            ("advisor", Json.List (List.rev !advisor_records));
            ("paper_scale", Json.List (List.rev !paper_scale_records));
          ]);

@@ -5,7 +5,7 @@
     middle-ground": fix some of a granule's decisions offline, leave the
     rest to query time.  A partial AV is therefore a granule tree plus a
     partial binding; the residual choice space is what DQO still
-    explores per query.  An adaptive index (see {!Dqo_index.Cracking})
+    explores per query.  An adaptive index ([Dqo_index.Cracking])
     is the run-time-heavy extreme of this spectrum. *)
 
 type t = {

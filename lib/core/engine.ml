@@ -381,14 +381,14 @@ let fast_path_payload aggs =
   end
 
 (* The fast path's output relation: the key column, then one COUNT or
-   SUM column per aggregate. *)
+   SUM column per aggregate.  The columns wrap the result's arrays
+   without copying: every result is freshly built, and nothing writes
+   into a relation's int column in place. *)
 let grouped_relation key aggs (result : Dqo_exec.Group_result.t) =
   let agg_column (a : Logical.aggregate) =
     match a.Logical.spec with
-    | Aggregate.Count ->
-      Column.of_ints (Array.copy result.Dqo_exec.Group_result.counts)
-    | Aggregate.Sum ->
-      Column.of_ints (Array.copy result.Dqo_exec.Group_result.sums)
+    | Aggregate.Count -> Column.of_ints result.Dqo_exec.Group_result.counts
+    | Aggregate.Sum -> Column.of_ints result.Dqo_exec.Group_result.sums
     | Aggregate.Min | Aggregate.Max | Aggregate.Avg -> assert false
   in
   let schema =

@@ -105,8 +105,8 @@ val stats_to_json : stats -> Dqo_obs.Json.t
     document. *)
 
 val level_to_json : level_stat -> Dqo_obs.Json.t
-(** One join-DP level as a JSON object — what [bench --opt-scaling]
-    embeds per record. *)
+(** One join-DP level as a JSON object — what {!stats_to_json} lists
+    under ["levels"] and [Hier] under its stitch levels. *)
 
 val optimize_entries :
   ?model:Dqo_cost.Model.t ->

@@ -129,6 +129,66 @@ let test_feedback_off_learns_nothing () =
   Alcotest.(check int) "no corrections" 0 (Feedback.size (Engine.corrections db));
   Alcotest.(check (float 1e-9)) "no q tracked" 1.0 (Engine.prepared_worst_q p)
 
+(* --- convergence ----------------------------------------------------- *)
+
+(* The §4.3 fk pair at full size (25,000 x 90,000) with S.b drawn from
+   Zipf(theta) over [0, 1000): at every skew the worst per-node q-error
+   of both a filtered grouping and a filtered join falls to at most 2.0
+   by the third analysed round, because each round's corrections already
+   reach the next optimisation. *)
+let test_converges_across_skews () =
+  let queries =
+    [
+      ("filter+group", misestimated_sql);
+      ( "join+filter",
+        "SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE b <= 9 \
+         GROUP BY a" );
+    ]
+  in
+  List.iter
+    (fun theta ->
+      List.iter
+        (fun (name, sql) ->
+          let rng = Rng.create ~seed:2020 in
+          let pair =
+            Datagen.fk_pair ~rng ~r_rows:25_000 ~s_rows:90_000
+              ~r_groups:20_000 ~r_sorted:false ~s_sorted:false ~dense:true
+          in
+          let r_id = Relation.int_col pair.Datagen.s "r_id" in
+          let b =
+            Datagen.zipf_keys ~rng ~n:(Dqo_data.Int_col.length r_id)
+              ~groups:1_000 ~theta ()
+          in
+          let s =
+            Relation.create
+              (Relation.schema pair.Datagen.s)
+              [
+                Column.of_ints (Dqo_data.Int_col.to_array r_id);
+                Column.of_int_col b;
+              ]
+          in
+          let db = Engine.create () in
+          Engine.register db ~name:"R" pair.Datagen.r;
+          Engine.register db ~name:"S" s;
+          Engine.set_opts db
+            { Engine.default_opts with mode = Engine.DQO; feedback = true };
+          let plan = Dqo_sql.Binder.plan_of_sql (Engine.catalog db) sql in
+          let qs =
+            List.init 3 (fun _ ->
+                Dqo_opt.Explain.max_q_error
+                  (Engine.explain_analyze db plan).Engine.root)
+          in
+          let label =
+            Printf.sprintf "theta=%.1f %s: q per round %s" theta name
+              (String.concat " -> " (List.map (Printf.sprintf "%.2f") qs))
+          in
+          Alcotest.(check bool) (label ^ ", round 1 misestimated") true
+            (List.hd qs >= 2.0);
+          Alcotest.(check bool) (label ^ ", round 3 q <= 2.0") true
+            (List.nth qs 2 <= 2.0))
+        queries)
+    [ 0.5; 1.0; 1.5 ]
+
 (* --- serving --------------------------------------------------------- *)
 
 let test_server_auto_replans () =
@@ -174,6 +234,8 @@ let () =
             test_corrections_survive_reprepare;
           Alcotest.test_case "off by default" `Quick
             test_feedback_off_learns_nothing;
+          Alcotest.test_case "converges across skews" `Quick
+            test_converges_across_skews;
         ] );
       ( "serving",
         [

@@ -1,197 +1,9 @@
-(* Tests for the index substrate: sorted-array index, B+-tree (checked
-   against a Map model), and database cracking. *)
+(* Tests for database cracking, the adaptive index: range queries agree
+   with a full scan, the cracker index refines and converges. *)
 
-module Sorted_array = Dqo_index.Sorted_array
-module Btree = Dqo_index.Btree
 module Cracking = Dqo_index.Cracking
-module Int_array = Dqo_util.Int_array
 
 let qtest = QCheck_alcotest.to_alcotest
-
-(* --- sorted array ------------------------------------------------------ *)
-
-let test_sorted_array_ranks () =
-  let idx = Sorted_array.build [| 30; 10; 20; 10 |] in
-  Alcotest.(check int) "length" 3 (Sorted_array.length idx);
-  Alcotest.(check bool) "rank 10" true (Sorted_array.rank idx 10 = Some 0);
-  Alcotest.(check bool) "rank 30" true (Sorted_array.rank idx 30 = Some 2);
-  Alcotest.(check bool) "absent" true (Sorted_array.rank idx 15 = None);
-  Alcotest.(check int) "key_at inverse" 20
-    (Sorted_array.key_at idx (Sorted_array.rank_exn idx 20));
-  Alcotest.check_raises "rank_exn absent" Not_found (fun () ->
-      ignore (Sorted_array.rank_exn idx 99))
-
-let test_sorted_array_range () =
-  let idx = Sorted_array.of_sorted_distinct [| 10; 20; 30; 40 |] in
-  Alcotest.(check (pair int int)) "inner range" (1, 3)
-    (Sorted_array.range idx ~lo:15 ~hi:35);
-  Alcotest.(check (pair int int)) "whole" (0, 4)
-    (Sorted_array.range idx ~lo:0 ~hi:100);
-  Alcotest.(check (pair int int)) "empty" (2, 2)
-    (Sorted_array.range idx ~lo:21 ~hi:29);
-  Alcotest.check_raises "unsorted rejected"
-    (Invalid_argument "Sorted_array.of_sorted_distinct: not sorted") (fun () ->
-      ignore (Sorted_array.of_sorted_distinct [| 2; 1 |]))
-
-(* --- btree -------------------------------------------------------------- *)
-
-(* Model-based: a random op sequence applied to the tree and to a Map must
-   agree, and the invariants must hold throughout. *)
-let prop_btree_matches_map =
-  let ops_gen =
-    QCheck.Gen.(
-      list_size (int_bound 400)
-        (pair (int_bound 500) (int_bound 1_000)))
-  in
-  QCheck.Test.make ~name:"btree = Map under inserts" ~count:60
-    (QCheck.make ops_gen) (fun ops ->
-      let t = Btree.create ~fanout:8 () in
-      let model =
-        List.fold_left
-          (fun m (k, v) ->
-            Btree.insert t ~key:k ~value:v;
-            Btree.check_invariants t;
-            let m = (k, v) :: List.remove_assoc k m in
-            m)
-          [] ops
-      in
-      let sorted_model =
-        List.sort (fun (a, _) (b, _) -> compare a b) model
-      in
-      Btree.to_list t = sorted_model
-      && Btree.length t = List.length model
-      && List.for_all (fun (k, v) -> Btree.find t k = Some v) model)
-
-let test_btree_bulk_load () =
-  let pairs = Array.init 10_000 (fun i -> (i * 2, i)) in
-  let t = Btree.bulk_load ~fanout:32 pairs in
-  Btree.check_invariants t;
-  Alcotest.(check int) "length" 10_000 (Btree.length t);
-  Alcotest.(check bool) "find even" true (Btree.find t 5_000 = Some 2_500);
-  Alcotest.(check bool) "find odd" true (Btree.find t 5_001 = None);
-  Alcotest.(check bool) "height log" true (Btree.height t <= 5);
-  Alcotest.check_raises "unsorted bulk"
-    (Invalid_argument "Btree.bulk_load: keys must be strictly increasing")
-    (fun () -> ignore (Btree.bulk_load [| (2, 0); (1, 0) |]))
-
-let test_btree_range_iteration () =
-  let pairs = Array.init 1_000 (fun i -> (i, i * 10)) in
-  let t = Btree.bulk_load ~fanout:16 pairs in
-  let acc = ref [] in
-  Btree.iter_range t ~lo:100 ~hi:110 (fun k v -> acc := (k, v) :: !acc);
-  Alcotest.(check int) "11 keys" 11 (List.length !acc);
-  Alcotest.(check bool) "ascending" true
-    (List.rev !acc = List.init 11 (fun i -> (100 + i, (100 + i) * 10)));
-  (* Range outside the key space. *)
-  let acc = ref 0 in
-  Btree.iter_range t ~lo:5_000 ~hi:6_000 (fun _ _ -> incr acc);
-  Alcotest.(check int) "empty range" 0 !acc
-
-let test_btree_insert_after_bulk () =
-  let t = Btree.bulk_load ~fanout:8 (Array.init 100 (fun i -> (i * 3, i))) in
-  Btree.insert t ~key:1 ~value:999;
-  Btree.insert t ~key:0 ~value:111;
-  (* overwrite *)
-  Btree.check_invariants t;
-  Alcotest.(check bool) "new key" true (Btree.find t 1 = Some 999);
-  Alcotest.(check bool) "overwrite" true (Btree.find t 0 = Some 111);
-  Alcotest.(check int) "length" 101 (Btree.length t)
-
-let test_btree_leaf_search_molecules_agree () =
-  let pairs = Array.init 500 (fun i -> (i * 7, i)) in
-  let linear = Btree.bulk_load ~leaf_search:Btree.Linear_scan pairs in
-  let binary = Btree.bulk_load ~leaf_search:Btree.Binary_search pairs in
-  for k = 0 to 3_500 do
-    assert (Btree.find linear k = Btree.find binary k)
-  done;
-  Alcotest.(check bool) "molecule choice is semantics-preserving" true true
-
-let test_btree_empty () =
-  let t = Btree.create () in
-  Btree.check_invariants t;
-  Alcotest.(check bool) "find" true (Btree.find t 1 = None);
-  Alcotest.(check int) "height" 0 (Btree.height t);
-  Alcotest.(check bool) "to_list" true (Btree.to_list t = [])
-
-(* --- art ------------------------------------------------------------------ *)
-
-module Art = Dqo_index.Art
-
-let prop_art_matches_map =
-  let ops_gen =
-    QCheck.Gen.(
-      list_size (int_bound 300)
-        (pair (oneof [ int_bound 200; int_bound 1_000_000_000 ]) (int_bound 1_000)))
-  in
-  QCheck.Test.make ~name:"art = Map under inserts" ~count:60
-    (QCheck.make ops_gen) (fun ops ->
-      let t = Art.create () in
-      let model =
-        List.fold_left
-          (fun m (k, v) ->
-            Art.insert t ~key:k ~value:v;
-            (k, v) :: List.remove_assoc k m)
-          [] ops
-      in
-      Art.check_invariants t;
-      let sorted_model = List.sort (fun (a, _) (b, _) -> compare a b) model in
-      Art.to_list t = sorted_model
-      && Art.length t = List.length model
-      && List.for_all (fun (k, v) -> Art.find t k = Some v) model)
-
-let test_art_basics () =
-  let t = Art.create () in
-  Alcotest.(check bool) "empty find" true (Art.find t 5 = None);
-  Alcotest.(check int) "empty height" 0 (Art.height t);
-  Art.insert t ~key:42 ~value:1;
-  Art.insert t ~key:42 ~value:2;
-  Alcotest.(check bool) "overwrite" true (Art.find t 42 = Some 2);
-  Alcotest.(check int) "length" 1 (Art.length t);
-  Alcotest.check_raises "negative key"
-    (Invalid_argument "Art.insert: negative key") (fun () ->
-      Art.insert t ~key:(-1) ~value:0)
-
-let test_art_adaptive_node_growth () =
-  (* Dense sequential keys under one parent force N4 -> N16 -> N48 ->
-     N256 growth; the histogram shows which molecules got instantiated. *)
-  let t = Art.create () in
-  for k = 0 to 255 do
-    Art.insert t ~key:k ~value:k
-  done;
-  Art.check_invariants t;
-  let histo = Art.node_histogram t in
-  Alcotest.(check int) "a Node256 exists" 1 (List.assoc "Node256" histo);
-  (* A tiny tree stays in the small layouts. *)
-  let small = Art.create () in
-  List.iter (fun k -> Art.insert small ~key:k ~value:k) [ 1; 2; 3 ];
-  let histo = Art.node_histogram small in
-  Alcotest.(check bool) "small tree uses Node4" true
-    (List.assoc "Node4" histo >= 1);
-  Alcotest.(check int) "no Node256" 0 (List.assoc "Node256" histo)
-
-let test_art_range () =
-  let t = Art.create () in
-  List.iter
-    (fun k -> Art.insert t ~key:k ~value:(k * 10))
-    [ 5; 1_000_000; 3; 77; 500; 123_456_789 ];
-  let acc = ref [] in
-  Art.iter_range t ~lo:4 ~hi:1_000_000 (fun k v -> acc := (k, v) :: !acc);
-  Alcotest.(check (list (pair int int)))
-    "range ascending"
-    [ (5, 50); (77, 770); (500, 5_000); (1_000_000, 10_000_000) ]
-    (List.rev !acc)
-
-let test_art_lazy_leaves_stay_shallow () =
-  (* A few widely-spread keys must not build 8-level chains thanks to
-     lazy leaf placement. *)
-  let t = Art.create () in
-  List.iter (fun k -> Art.insert t ~key:k ~value:k) [ 1 lsl 40; 1 lsl 50; 7 ];
-  (* Bytes diverge at depth 1 (2^50 vs the others) and depth 2 (2^40 vs
-     7), so the tree needs 3 inner levels — far less than the 8 a fully
-     expanded radix tree would use. *)
-  Alcotest.(check bool) "shallow" true (Art.height t <= 4)
-
-(* --- cracking ------------------------------------------------------------ *)
 
 let reference_range column ~lo ~hi =
   let acc = ref [] in
@@ -252,33 +64,6 @@ let test_cracking_convergence () =
 let () =
   Alcotest.run "dqo_index"
     [
-      ( "sorted-array",
-        [
-          Alcotest.test_case "ranks" `Quick test_sorted_array_ranks;
-          Alcotest.test_case "range" `Quick test_sorted_array_range;
-        ] );
-      ( "btree",
-        [
-          qtest prop_btree_matches_map;
-          Alcotest.test_case "bulk load" `Quick test_btree_bulk_load;
-          Alcotest.test_case "range iteration" `Quick
-            test_btree_range_iteration;
-          Alcotest.test_case "insert after bulk" `Quick
-            test_btree_insert_after_bulk;
-          Alcotest.test_case "leaf molecules agree" `Quick
-            test_btree_leaf_search_molecules_agree;
-          Alcotest.test_case "empty" `Quick test_btree_empty;
-        ] );
-      ( "art",
-        [
-          qtest prop_art_matches_map;
-          Alcotest.test_case "basics" `Quick test_art_basics;
-          Alcotest.test_case "adaptive node growth" `Quick
-            test_art_adaptive_node_growth;
-          Alcotest.test_case "range" `Quick test_art_range;
-          Alcotest.test_case "lazy leaves" `Quick
-            test_art_lazy_leaves_stay_shallow;
-        ] );
       ( "cracking",
         [
           qtest prop_cracking_matches_reference;

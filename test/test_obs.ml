@@ -271,7 +271,8 @@ let test_explain_analyze_render_and_json () =
         (Astring.String.is_infix ~affix s))
     [
       "\"estimated_cost\""; "\"plan\""; "\"q_error\""; "\"optimizer\"";
-      "\"trace\""; "\"metrics\"";
+      "\"trace\""; "\"metrics\""; "\"plans_considered\""; "\"levels\"";
+      "\"beam_pruned\"";
     ]
 
 let test_estimates_match_search () =

@@ -579,6 +579,54 @@ let synthetic_case ~seed ~relations ~star =
   let query = Logical.group_by joined ~key:(name 0 "g") [ Logical.count_star () ] in
   (Catalog.create tables, query)
 
+(* A star join around a hub: the hub connects to every satellite, so
+   every relation subset containing the hub is connected (2^(k-1) live
+   DP subproblems).  Satellites alternate sortedness so interesting
+   orders differ per leaf and the Pareto frontiers stay plural. *)
+let hub_star_case ~relations =
+  let hub_props =
+    {
+      Props.sorted_by = Some "hub_k";
+      clustered_by = Some "hub_k";
+      columns =
+        ("hub_k", col ~dense:true ~lo:0 ~hi:9_999 ~distinct:10_000)
+        :: List.init (relations - 1) (fun i ->
+               ( Printf.sprintf "hub_f%d" (i + 1),
+                 col ~dense:true ~lo:0 ~hi:9_999 ~distinct:10_000 ));
+      co_ordered = [];
+    }
+  in
+  let sat_props i =
+    let name = Printf.sprintf "sat%d_k" i in
+    {
+      Props.sorted_by = (if i mod 2 = 0 then Some name else None);
+      clustered_by = (if i mod 2 = 0 then Some name else None);
+      columns = [ (name, col ~dense:true ~lo:0 ~hi:9_999 ~distinct:10_000) ];
+      co_ordered = [];
+    }
+  in
+  let catalog =
+    Catalog.create
+      (Catalog.table ~name:"Hub" ~rows:10_000 ~props:hub_props
+      :: List.init (relations - 1) (fun i ->
+             Catalog.table
+               ~name:(Printf.sprintf "Sat%d" (i + 1))
+               ~rows:(20_000 + (10_000 * i))
+               ~props:(sat_props (i + 1))))
+  in
+  let rec build acc i =
+    if i >= relations then acc
+    else
+      build
+        (Logical.join acc
+           (Logical.scan (Printf.sprintf "Sat%d" i))
+           ~on:(Printf.sprintf "hub_f%d" i, Printf.sprintf "sat%d_k" i))
+        (i + 1)
+  in
+  ( catalog,
+    Logical.group_by (build (Logical.scan "Hub") 1) ~key:"hub_k"
+      [ Logical.count_star () ] )
+
 (* Everything the search returns except wall-clock times, flattened to
    one string: chosen plan, full frontier costs, all counters, the
    complete trace, and the per-level DP breakdown.  Two runs are
@@ -662,11 +710,7 @@ let test_parallel_shallow_and_factor () =
             (Search.improvement_factor ~pool catalog query)))
     [ 2; 3; 8 ]
 
-(* Under the molecule-level model the frontier is larger and the DP does
-   real work per level; sweep every pool size 1..8 and also require the
-   merged [opt.dp.*] metrics to match the sequential registries. *)
-let test_parallel_domain_sweep_deep_model () =
-  let catalog, query = synthetic_case ~seed:7 ~relations:6 ~star:true in
+let domain_sweep_deep_model ~label catalog query =
   let counters m =
     List.map
       (fun c -> (c, Dqo_obs.Metrics.counter m c))
@@ -684,11 +728,13 @@ let test_parallel_domain_sweep_deep_model () =
   in
   let base = fingerprint base_result in
   let base_counters = counters m0 in
-  Alcotest.(check bool) "sequential run recorded dp counters" true
+  Alcotest.(check bool) (label ^ ": sequential run recorded dp counters") true
     (List.for_all (fun (_, v) -> v > 0) base_counters);
   (* The DP skips candidates it proves dominated: fewer are built than
      generated, and the saved work is the same for every pool size. *)
-  Alcotest.(check bool) "built fewer join candidates than generated" true
+  Alcotest.(check bool)
+    (label ^ ": built fewer join candidates than generated")
+    true
     (List.assoc "opt.dp.candidates_built" base_counters
     < List.assoc "opt.dp.candidates_generated" base_counters);
   for domains = 1 to 8 do
@@ -698,15 +744,30 @@ let test_parallel_domain_sweep_deep_model () =
           Search.optimize_entries ~model:Model.deep ~pool ~metrics:m
             Search.Deep catalog query
         in
-        Alcotest.(check string) (Printf.sprintf "deep model domains=%d" domains)
+        Alcotest.(check string)
+          (Printf.sprintf "%s: deep model domains=%d" label domains)
           base (fingerprint result);
         Alcotest.(check int)
-          (Printf.sprintf "candidates built domains=%d" domains)
+          (Printf.sprintf "%s: candidates built domains=%d" label domains)
           base_stats.Search.candidates_built stats.Search.candidates_built;
         Alcotest.(check (list (pair string int)))
-          (Printf.sprintf "dp metrics domains=%d" domains)
+          (Printf.sprintf "%s: dp metrics domains=%d" label domains)
           base_counters (counters m))
   done
+
+(* Under the molecule-level model the frontier is larger and the DP does
+   real work per level; sweep every pool size 1..8 and also require the
+   merged [opt.dp.*] metrics to match the sequential registries.  Two
+   shapes: a synthetic 6-relation star and the dense 7-relation hub
+   star. *)
+let test_parallel_domain_sweep_deep_model () =
+  List.iter
+    (fun (label, (catalog, query)) ->
+      domain_sweep_deep_model ~label catalog query)
+    [
+      ("synthetic star-6", synthetic_case ~seed:7 ~relations:6 ~star:true);
+      ("hub star-7", hub_star_case ~relations:7);
+    ]
 
 (* One pool shared by concurrent submitters (the serving shape): each
    client thread optimises its own query on the same pool; every result
