@@ -126,7 +126,6 @@ let gated_planning t =
 let resolve_mode t mode = Option.value ~default:t.opts.mode mode
 
 let installed_avs t = List.map fst t.avs
-let installed_av_sizes t = t.avs
 let av_bytes t = List.fold_left (fun acc (_, b) -> acc + b) 0 t.avs
 
 let measured name rel = (name, { rel; info = Catalog.of_relation name rel })
@@ -227,12 +226,14 @@ let plan_sql t mode sql = plan t mode (Dqo_sql.Binder.plan_of_sql t.catalog sql)
 (* Execution.                                                          *)
 
 (* Grouping via an FKS perfect hash built offline by an AV: the slot of a
-   key comes from the FKS structure instead of the dense offset. *)
+   key comes from the FKS structure instead of the dense offset.  Slots
+   the input never hit (keys in the AV's build set but absent here) are
+   dropped; groups come out in ascending slot order. *)
 let fks_grouping fks ~keys ~values =
-  let g = Fks.length fks in
-  let slot_key = Array.make (max 1 g) 0 in
-  let counts = Array.make (max 1 g) 0 in
-  let sums = Array.make (max 1 g) 0 in
+  let g = max 1 (Fks.length fks) in
+  let slot_key = Array.make g 0 in
+  let counts = Array.make g 0 in
+  let sums = Array.make g 0 in
   Int_col.iter_seg2 keys values ~f:(fun _ kb ko vb vo len ->
       for i = 0 to len - 1 do
         let k = kb.(ko + i) in
@@ -244,23 +245,12 @@ let fks_grouping fks ~keys ~values =
         | None ->
           invalid_arg "Engine: key outside the perfect-hash AV's key set"
       done);
-  (* Compact away never-hit slots (keys present in the AV build set but
-     absent from this input). *)
-  let hit = ref 0 in
-  Array.iter (fun c -> if c > 0 then incr hit) counts;
-  let out_k = Array.make !hit 0
-  and out_c = Array.make !hit 0
-  and out_s = Array.make !hit 0 in
-  let j = ref 0 in
-  for s = 0 to g - 1 do
-    if counts.(s) > 0 then begin
-      out_k.(!j) <- slot_key.(s);
-      out_c.(!j) <- counts.(s);
-      out_s.(!j) <- sums.(s);
-      incr j
-    end
-  done;
-  { Dqo_exec.Group_result.keys = out_k; counts = out_c; sums = out_s }
+  let r = Dqo_exec.Group_result.of_slots ~lo:0 ~counts ~sums:(Some sums) in
+  {
+    r with
+    Dqo_exec.Group_result.keys =
+      Array.map (fun s -> slot_key.(s)) r.Dqo_exec.Group_result.keys;
+  }
 
 let fks_join fks ~left ~right =
   (* SPH join where the perfect hash comes from an AV: the FKS slot is
@@ -868,53 +858,6 @@ let analysis_to_json (a : analysis) =
       ("metrics", Dqo_obs.Metrics.to_json a.metrics);
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Runtime re-optimisation.                                            *)
-
-type adaptive_report = {
-  static_grouping : string;
-  adaptive_grouping : string;
-  replanned : bool;
-}
-
-let top_grouping_name plan =
-  match plan with
-  | Physical.Group_op (_, _, _, impl) -> Grouping.name impl.Physical.g_alg
-  | Physical.Table_scan _ | Physical.Filter_op _ | Physical.Project_op _
-  | Physical.Sort_enforcer _ | Physical.Join_op _ ->
-    "-"
-
-let run_adaptive t l =
-  match l with
-  | Logical.Group_by (input, key, aggs) ->
-    let static = plan t DQO l in
-    let static_grouping = top_grouping_name static.Dqo_opt.Pareto.plan in
-    (* Execute the input subplan, then measure what actually came out —
-       including properties the static optimiser had to discard (e.g.
-       the probe-order sortedness of a hash-join output, which the paper
-       treats as unknown "to be on the safe side"). *)
-    let input_best = plan t DQO input in
-    let intermediate = execute t input_best.Dqo_opt.Pareto.plan in
-    let sub = create ~model:t.model () in
-    register sub ~name:"__adaptive" intermediate;
-    let regrouped =
-      Logical.group_by (Logical.scan "__adaptive") ~key aggs
-    in
-    let adaptive_plan = plan sub DQO regrouped in
-    let adaptive_grouping =
-      top_grouping_name adaptive_plan.Dqo_opt.Pareto.plan
-    in
-    let result = execute sub adaptive_plan.Dqo_opt.Pareto.plan in
-    ( result,
-      {
-        static_grouping;
-        adaptive_grouping;
-        replanned = not (String.equal static_grouping adaptive_grouping);
-      } )
-  | Logical.Scan _ | Logical.Select _ | Logical.Project _ | Logical.Join _ ->
-    let result = run t l in
-    (result, { static_grouping = "-"; adaptive_grouping = "-"; replanned = false })
-
 let run_sql t ?mode ?threads sql =
   run t ?mode ?threads (Dqo_sql.Binder.plan_of_sql t.catalog sql)
 
@@ -956,10 +899,8 @@ let prepare t ?pool ?mode sql =
 let prepared_entry p = p.entry
 let prepared_sql p = p.p_sql
 let prepared_mode p = p.p_mode
-let prepared_generation p = p.p_generation
 let prepared_stale t p = p.p_generation <> t.generation
 let prepared_worst_q p = p.p_worst_q
-let prepared_gated p = p.p_gated
 
 (* The plan has drifted: its observed misestimation crossed the
    threshold, so replanning is warranted even though the physical
@@ -977,30 +918,33 @@ let reprepare t ?pool p =
   p.p_worst_q <- 1.0;
   p.p_gated <- gated_planning t
 
-(* Shared lifecycle gate: a prepared plan from an older catalog
-   generation either re-optimises in place (opt-in) or raises; a plan
-   past the q-error drift threshold re-optimises on the opt-in path
-   (never raises — a drifted plan is still correct, just suboptimal).
-   A replan triggered while serving runs on the caller's pool. *)
-let check_prepared t ?pool ~reprepare:re p =
-  if prepared_stale t p then begin
-    if re then reprepare t ?pool p
-    else
-      raise
-        (Stale_plan
-           {
-             sql = p.p_sql;
-             prepared_generation = p.p_generation;
-             engine_generation = t.generation;
-           })
-  end
-  else if re && prepared_drifted t p then reprepare t ?pool p
+type replan = Stale | Drifted
 
-(* With feedback or the learner on, prepared executions run analysed so
-   the stores keep learning and the statement tracks its own worst
-   q-error. *)
-let execute_prepared t ?pool ?metrics ?(reprepare = false) p =
-  check_prepared t ?pool ~reprepare p;
+(* The one replan rule: a plan from an older catalog generation, else a
+   plan past the q-error drift threshold, re-optimises in place on the
+   caller's pool; the reason comes back so callers can count it. *)
+let revalidate t ?pool p =
+  let reason =
+    if prepared_stale t p then Some Stale
+    else if prepared_drifted t p then Some Drifted
+    else None
+  in
+  if Option.is_some reason then reprepare t ?pool p;
+  reason
+
+(* A stale plan may describe data that is no longer stored, so it
+   raises rather than runs.  With feedback or the learner on, prepared
+   executions run analysed so the stores keep learning and the
+   statement tracks its own worst q-error. *)
+let execute_prepared t ?pool ?metrics p =
+  if prepared_stale t p then
+    raise
+      (Stale_plan
+         {
+           sql = p.p_sql;
+           prepared_generation = p.p_generation;
+           engine_generation = t.generation;
+         });
   let plan = p.entry.Dqo_opt.Pareto.plan in
   if learning t then begin
     let rel, root =
@@ -1013,8 +957,8 @@ let execute_prepared t ?pool ?metrics ?(reprepare = false) p =
   else execute t ?pool plan
 
 (* Kept only for the served-query benchmark, which pins this name. *)
-let execute_prepared_on t ~pool ?metrics ?reprepare p =
-  execute_prepared t ~pool ?metrics ?reprepare p
+let execute_prepared_on t ~pool ?metrics p =
+  execute_prepared t ~pool ?metrics p
 
 let explain_sql t sql =
   let l = Dqo_sql.Binder.plan_of_sql t.catalog sql in
@@ -1043,58 +987,40 @@ let install_av t (v : Dqo_av.View.t) =
         String.equal v0.Dqo_av.View.id v.Dqo_av.View.id)
       t.avs
   then invalid_arg ("Engine.install_av: already installed: " ^ v.Dqo_av.View.id);
-  let bytes =
+  let rel_name, column =
     match v.Dqo_av.View.kind with
-    | Dqo_av.View.Sorted_projection { relation = rel_name; _ } -> (
-      let { rel; info } = stored t rel_name in
-      let m = Dqo_av.View.materialize ~info rel v in
-      match m with
-      | Dqo_av.View.M_sorted sorted ->
-        t.relations <-
-          List.map
-            (fun ((n, _) as entry) ->
-              if String.equal n rel_name then measured n sorted else entry)
-            t.relations;
-        measure_bytes rel m
-      | Dqo_av.View.M_fks _ | Dqo_av.View.M_dense_bounds _
-      | Dqo_av.View.M_grouping _ ->
-        assert false)
-    | Dqo_av.View.Perfect_hash { relation = rel_name; column } -> (
-      let { rel; info } = stored t rel_name in
-      let m = Dqo_av.View.materialize ~info rel v in
-      match m with
-      | Dqo_av.View.M_fks fks ->
-        Hashtbl.replace t.fks_index column fks;
-        measure_bytes rel m
-      | Dqo_av.View.M_dense_bounds _ -> measure_bytes rel m
-      | Dqo_av.View.M_sorted _ | Dqo_av.View.M_grouping _ -> assert false)
-    | Dqo_av.View.Grouping_result { relation = rel_name; key } -> (
-      let { rel; info } = stored t rel_name in
-      let m = Dqo_av.View.materialize ~info rel v in
-      match m with
-      | Dqo_av.View.M_grouping g ->
-        let name = Dqo_av.View.grouped_name rel_name key in
-        let schema =
-          Schema.of_names
-            [
-              (key, Schema.T_int); ("cnt", Schema.T_int); ("total", Schema.T_int);
-            ]
-        in
-        let mat =
-          Relation.create schema
-            [
-              Column.of_ints g.Dqo_exec.Group_result.keys;
-              Column.of_ints g.Dqo_exec.Group_result.counts;
-              Column.of_ints g.Dqo_exec.Group_result.sums;
-            ]
-        in
-        t.relations <- t.relations @ [ measured name mat ];
-        measure_bytes rel m
-      | Dqo_av.View.M_sorted _ | Dqo_av.View.M_fks _
-      | Dqo_av.View.M_dense_bounds _ ->
-        assert false)
+    | Dqo_av.View.Sorted_projection { relation; column }
+    | Dqo_av.View.Perfect_hash { relation; column } ->
+      (relation, column)
+    | Dqo_av.View.Grouping_result { relation; key } -> (relation, key)
   in
-  t.avs <- t.avs @ [ (v, bytes) ];
+  let { rel; info } = stored t rel_name in
+  let m = Dqo_av.View.materialize ~info rel v in
+  (match m with
+  | Dqo_av.View.M_sorted sorted ->
+    t.relations <-
+      List.map
+        (fun ((n, _) as entry) ->
+          if String.equal n rel_name then measured n sorted else entry)
+        t.relations
+  | Dqo_av.View.M_fks fks -> Hashtbl.replace t.fks_index column fks
+  | Dqo_av.View.M_dense_bounds _ -> ()
+  | Dqo_av.View.M_grouping g ->
+    let schema =
+      Schema.of_names
+        [ (column, Schema.T_int); ("cnt", Schema.T_int); ("total", Schema.T_int) ]
+    in
+    let mat =
+      Relation.create schema
+        [
+          Column.of_ints g.Dqo_exec.Group_result.keys;
+          Column.of_ints g.Dqo_exec.Group_result.counts;
+          Column.of_ints g.Dqo_exec.Group_result.sums;
+        ]
+    in
+    t.relations <-
+      t.relations @ [ measured (Dqo_av.View.grouped_name rel_name column) mat ]);
+  t.avs <- t.avs @ [ (v, measure_bytes rel m) ];
   t.generation <- t.generation + 1;
   rebuild_catalog t
 

@@ -36,11 +36,11 @@ type opts = {
           back into the store. *)
   qerror_threshold : float;
       (** With [feedback], a prepared statement whose worst observed
-          per-node q-error reaches this value is considered {e drifted}
-          and auto-replans on the next opt-in execution (serving does
-          this transparently).  With [learner], a beam-gated execution
-          crossing it also trips the guardrail (the beam doubles — see
-          {!effective_beam}).  Must be at least 1.0. *)
+          per-node q-error reaches this value is {e drifted}
+          ({!prepared_drifted}), and {!revalidate} replans it.  With
+          [learner], a beam-gated execution crossing it also trips the
+          guardrail (the beam doubles — see {!effective_beam}).  Must
+          be at least 1.0. *)
   learner : bool;
       (** Gate the join DP with the learned value model ({!learner}):
           planning cuts each join subset's frontier to the
@@ -69,12 +69,12 @@ type opts = {
     optimiser choice is part of the statement).
 
     A caller-owned pool — a {e resource}, not an option — is passed as
-    [?pool] to {!plan}, {!execute}, {!prepare}, {!reprepare} and
-    {!execute_prepared}.  One rule decides where a call runs: a given
-    pool wins (a pool of size 1 takes the sequential path); otherwise
-    the call runs inline when [opts.threads = 1], else on a per-call
-    [opts.threads]-domain pool.  Results are byte-identical either
-    way. *)
+    [?pool] to {!plan}, {!execute}, {!prepare}, {!reprepare},
+    {!revalidate} and {!execute_prepared}.  One rule decides where a
+    call runs: a given pool wins (a pool of size 1 takes the sequential
+    path); otherwise the call runs inline when [opts.threads = 1], else
+    on a per-call [opts.threads]-domain pool.  Results are
+    byte-identical either way. *)
 
 val default_opts : opts
 (** [{ mode = DQO; threads = 1; feedback = false;
@@ -245,30 +245,13 @@ val analysis_to_json : analysis -> Dqo_obs.Json.t
 (** The analysis as a JSON document: estimated cost, annotated plan,
     optimiser trace, and the executor's metrics registry. *)
 
-type adaptive_report = {
-  static_grouping : string;
-      (** Grouping implementation the static deep optimiser chose. *)
-  adaptive_grouping : string;
-      (** Implementation chosen after measuring the real intermediate. *)
-  replanned : bool;  (** The two differ. *)
-}
-
-val run_adaptive : t -> Dqo_plan.Logical.t -> Dqo_data.Relation.t * adaptive_report
-(** Mid-query re-optimisation (paper §6, "Runtime-Adaptivity and
-    Reoptimisation of AVs"): for a [Group_by] query, execute the input
-    subplan first, {e measure} the intermediate's actual properties
-    (sortedness, clustering, density — including those the static
-    optimiser had to discard under the black-box assumption, cf. §2.1),
-    and re-optimise the grouping against the measured reality.  For
-    other query shapes this degrades to {!run} with
-    [replanned = false]. *)
-
 type prepared
 (** A pre-optimised query, the "prepared statement" of the paper's §3
     analogy: optimisation happened once at prepare time; execution
     reuses the stored physical plan.  The handle records the engine's
     {!av_generation} at prepare time, so executing against a changed
-    physical design is detected instead of silently served. *)
+    physical design is detected instead of silently served.
+    {!revalidate} decides when a statement replans. *)
 
 exception
   Stale_plan of {
@@ -277,7 +260,7 @@ exception
     engine_generation : int;
   }
 (** The prepared plan predates a physical-design change
-    ([install_av] / [register]); re-prepare or pass [~reprepare:true]. *)
+    ([install_av] / [register]); {!revalidate} replans it. *)
 
 val av_generation : t -> int
 (** Physical-design generation: starts at 0, bumped by every
@@ -295,19 +278,12 @@ val prepared_entry : prepared -> Dqo_opt.Pareto.entry
 val prepared_sql : prepared -> string
 val prepared_mode : prepared -> mode
 
-val prepared_generation : prepared -> int
-(** The engine generation the stored plan was optimised against. *)
-
 val prepared_stale : t -> prepared -> bool
 (** The physical design changed since this plan was (re-)prepared. *)
 
 val prepared_worst_q : prepared -> float
 (** Worst per-node q-error observed while executing this plan since it
     was last (re-)prepared; [1.0] before any feedback execution. *)
-
-val prepared_gated : prepared -> bool
-(** Whether the stored plan came out of a beam-gated search (learner on,
-    model warm, beam under the cap at prepare time). *)
 
 val prepared_drifted : t -> prepared -> bool
 (** {!prepared_worst_q} has reached [opts.qerror_threshold] under a
@@ -322,28 +298,35 @@ val reprepare : t -> ?pool:Dqo_par.Pool.t -> prepared -> unit
     the current generation, and reset the statement's worst observed
     q-error. *)
 
+type replan = Stale | Drifted  (** Why {!revalidate} replanned. *)
+
+val revalidate : t -> ?pool:Dqo_par.Pool.t -> prepared -> replan option
+(** The one replan rule for prepared statements.  A {!prepared_stale}
+    plan is re-prepared in place ({!reprepare}) and gives [Some Stale];
+    otherwise a {!prepared_drifted} plan is re-prepared and gives
+    [Some Drifted] (drift is never an error: the plan is still correct,
+    only chosen from estimates now known to be off); a current plan is
+    left alone and gives [None].  The replan runs on the pool chosen as
+    {!opts} describes.  A statement shared between threads needs its
+    callers to serialise [revalidate] (the server holds its lock). *)
+
 val execute_prepared :
   t ->
   ?pool:Dqo_par.Pool.t ->
   ?metrics:Dqo_obs.Metrics.t ->
-  ?reprepare:bool ->
   prepared ->
   Dqo_data.Relation.t
-(** Run the stored plan; no optimiser work happens on the fresh path.
-    If the physical design changed since prepare time, raises
-    {!Stale_plan} — or transparently re-optimises first when
-    [~reprepare:true].  With [~reprepare:true] a {!prepared_drifted}
-    plan also re-optimises (drift never raises: the plan is still
-    correct, just suboptimal).  With [opts.feedback] the execution runs
-    analysed — corrections land in {!corrections}, q-errors in
-    [?metrics], and the statement's {!prepared_worst_q} updates.  A
-    replan and the execution run on the same pool (see {!opts}). *)
+(** Run the stored plan; no optimiser work happens here.  With
+    [opts.feedback] or [opts.learner] the execution runs analysed —
+    corrections land in {!corrections}, q-errors in [?metrics], and the
+    statement's {!prepared_worst_q} updates.
+    @raise Stale_plan if the physical design changed since the plan was
+    prepared: call {!revalidate} first. *)
 
 val execute_prepared_on :
   t ->
   pool:Dqo_par.Pool.t ->
   ?metrics:Dqo_obs.Metrics.t ->
-  ?reprepare:bool ->
   prepared ->
   Dqo_data.Relation.t
 (** [execute_prepared_on t ~pool] is [execute_prepared t ~pool]; kept
@@ -371,14 +354,11 @@ val uninstall_av : t -> string -> unit
     accounting entry (the stored rows stay physically sorted, and
     their measurement was taken on the sorted rows at install, so the
     optimiser keeps seeing the still-true order).  Nothing is measured
-    again.  Bumps {!av_generation}, so outstanding
-    {!prepared} plans revalidate and replan away from the view.
+    again.  Bumps {!av_generation}, so outstanding {!prepared} plans
+    go stale and {!revalidate} replans them away from the view.
     @raise Invalid_argument for an id that is not installed. *)
 
 val installed_avs : t -> Dqo_av.View.t list
-
-val installed_av_sizes : t -> (Dqo_av.View.t * int) list
-(** Installed views with the resident bytes measured at install time. *)
 
 val av_bytes : t -> int
 (** Total resident bytes of every installed view — what an advisor's

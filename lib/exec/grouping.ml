@@ -274,15 +274,3 @@ let run alg ~(dataset : Dqo_data.Datagen.grouping_dataset) ~values =
     order_based ~expected:groups ~keys ~values ()
   | SOG -> sort_order_based ~keys ~values
   | BSG -> binary_search_based ~universe:dataset.universe ~keys ~values
-
-(* [run] with per-algorithm timing recorded into an observability
-   registry: one operator entry per grouping algorithm. *)
-let run_observed ?obs alg ~dataset ~values =
-  match obs with
-  | None -> run alg ~dataset ~values
-  | Some m ->
-    Dqo_obs.Metrics.timed m
-      ~op:("grouping/" ^ name alg)
-      ~rows_in:(Int_col.length dataset.Dqo_data.Datagen.keys)
-      ~rows_out:(fun (r : Group_result.t) -> Array.length r.Group_result.keys)
-      (fun () -> run alg ~dataset ~values)

@@ -89,12 +89,3 @@ val run :
     @raise Invalid_argument if [alg] is inapplicable to the dataset
     (e.g. SPHG on a sparse universe, OG on unsorted keys). *)
 
-val run_observed :
-  ?obs:Dqo_obs.Metrics.t ->
-  algorithm ->
-  dataset:Dqo_data.Datagen.grouping_dataset ->
-  values:Dqo_data.Int_col.t ->
-  Group_result.t
-(** {!run} with per-algorithm timing recorded into [obs] under the
-    operator name ["grouping/<ALG>"] (input rows, output groups, wall
-    time).  Without [obs] it is exactly {!run}. *)

@@ -370,18 +370,6 @@ let run alg ~left ~right =
   | SOJ -> sort_merge_join ~left ~right
   | BSJ -> binary_search_join ~left ~right
 
-(* [run] with per-algorithm timing recorded into an observability
-   registry: one operator entry per join algorithm. *)
-let run_observed ?obs alg ~left ~right =
-  match obs with
-  | None -> run alg ~left ~right
-  | Some m ->
-    Dqo_obs.Metrics.timed m
-      ~op:("join/" ^ name alg)
-      ~rows_in:(Int_col.length left + Int_col.length right)
-      ~rows_out:cardinality
-      (fun () -> run alg ~left ~right)
-
 let materialize ?keep l r pairs =
   let ls = Dqo_data.Relation.schema l in
   let la = Dqo_data.Schema.arity ls in

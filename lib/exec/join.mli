@@ -89,16 +89,6 @@ val run : algorithm -> left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> re
     @raise Invalid_argument when the algorithm's precondition fails
     (OJ on unsorted inputs). *)
 
-val run_observed :
-  ?obs:Dqo_obs.Metrics.t ->
-  algorithm ->
-  left:Dqo_data.Int_col.t ->
-  right:Dqo_data.Int_col.t ->
-  result
-(** {!run} with per-algorithm timing recorded into [obs] under the
-    operator name ["join/<ALG>"] (input rows of both sides, output
-    pairs, wall time).  Without [obs] it is exactly {!run}. *)
-
 val materialize :
   ?keep:string list ->
   Dqo_data.Relation.t ->

@@ -113,14 +113,6 @@ let record t ~op:name ~rows_in ~rows_out ~wall_ns =
   o.rows_out <- o.rows_out + rows_out;
   o.wall_ns <- o.wall_ns + wall_ns
 
-(* Time [f], then record one invocation of [name]; [rows_out] extracts
-   the output cardinality from the result. *)
-let timed t ~op:name ~rows_in ~rows_out f =
-  let t0 = now_ns () in
-  let r = f () in
-  record t ~op:name ~rows_in ~rows_out:(rows_out r) ~wall_ns:(now_ns () - t0);
-  r
-
 let find_op t name = Hashtbl.find_opt t.op_table.entries name
 let ops t = List.map snd (table_to_list t.op_table)
 

@@ -65,12 +65,6 @@ val record :
   t -> op:string -> rows_in:int -> rows_out:int -> wall_ns:int -> unit
 (** Record one complete invocation of the named operator. *)
 
-val timed :
-  t -> op:string -> rows_in:int -> rows_out:('a -> int) -> (unit -> 'a) -> 'a
-(** [timed t ~op ~rows_in ~rows_out f] times [f ()] and records one
-    invocation; [rows_out] extracts the output cardinality from the
-    result. *)
-
 val find_op : t -> string -> op option
 val ops : t -> op list
 

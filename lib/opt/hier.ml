@@ -330,14 +330,6 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
     in
     (entries, merge_stats ~outer:outer_stats ~pieces entries, report)
 
-let optimize ?model ?pool ?feedback ?learner ?beam ?partition_max mode catalog
-    l =
-  let entries, _, report =
-    optimize_entries ?model ?pool ?feedback ?learner ?beam ?partition_max mode
-      catalog l
-  in
-  (Pareto.cheapest entries, report)
-
 (* ------------------------------------------------------------------ *)
 (* Rendering / JSON.                                                   *)
 

@@ -81,19 +81,6 @@ val optimize_entries :
     graph made disconnected by a missing cross predicate,
     [partition_max < 1]). *)
 
-val optimize :
-  ?model:Dqo_cost.Model.t ->
-  ?pool:Dqo_par.Pool.t ->
-  ?feedback:Dqo_cost.Feedback.t ->
-  ?learner:Dqo_learn.Learner.t ->
-  ?beam:int ->
-  ?partition_max:int ->
-  Search.mode ->
-  Catalog.t ->
-  Dqo_plan.Logical.t ->
-  Pareto.entry * report
-(** Cheapest hierarchically planned entry, with the partition report. *)
-
 val report_to_json : report -> Dqo_obs.Json.t
 
 val render_report : report -> string

@@ -19,12 +19,7 @@ module Advisor = Dqo_advisor.Advisor
 exception Session_closed
 exception Overloaded of { limit : int }
 
-type stmt = {
-  id : int;
-  sql : string;
-  mode : Engine.mode;
-  prepared : Engine.prepared;
-}
+type stmt = { id : int; prepared : Engine.prepared }
 
 type outcome = Pending | Done of Dqo_data.Relation.t | Failed of exn
 
@@ -65,10 +60,21 @@ type t = server
 
 let ms_of_ns ns = Float.of_int ns /. 1e6
 
-(* Executor thread: pull a request, revalidate its plan against the
-   engine generation (under the lock — re-prepares are rare and must
-   not race each other), run it on the shared pool (lock dropped), then
-   publish the outcome and record the request's metrics. *)
+(* The engine decides whether a statement replans ([Engine.revalidate]);
+   the server counts.  Called with [mutex] held, so two replans of one
+   shared statement never race.  The replan's DP search fans out over
+   the shared pool, like the execution that follows. *)
+let revalidate srv st =
+  match Engine.revalidate srv.eng ~pool:srv.pool st.prepared with
+  | None -> ()
+  | Some Engine.Stale -> Metrics.incr srv.m "serve.replans"
+  | Some Engine.Drifted ->
+    Metrics.incr srv.m "serve.replans";
+    Metrics.incr srv.m "feedback.replans"
+
+(* Executor thread: pull a request, revalidate its plan (under the
+   lock), run it on the shared pool (lock dropped), then publish the
+   outcome and record the request's metrics. *)
 let rec worker_loop srv =
   Mutex.lock srv.mutex;
   (* [paused] keeps workers from starting new executions while the
@@ -84,20 +90,7 @@ let rec worker_loop srv =
     Metrics.observe
       (Metrics.hist srv.m "serve.queue_wait_ms")
       (ms_of_ns (dequeued_ns - req.submitted_ns));
-    let stale = Engine.prepared_stale srv.eng req.r_stmt.prepared in
-    let drifted =
-      (not stale) && Engine.prepared_drifted srv.eng req.r_stmt.prepared
-    in
-    if stale || drifted then begin
-      (* The replan's DP search fans out over the shared pool, like the
-         execution that follows.  A drifted plan replans against the
-         correction store updated by the execution that crossed the
-         threshold — the feedback loop closing without any client
-         intervention. *)
-      Engine.reprepare srv.eng ~pool:srv.pool req.r_stmt.prepared;
-      Metrics.incr srv.m "serve.replans";
-      if drifted then Metrics.incr srv.m "feedback.replans"
-    end;
+    revalidate srv req.r_stmt;
     srv.executing <- srv.executing + 1;
     Mutex.unlock srv.mutex;
     (* Feedback metrics (q-error histogram, observation counts) land in
@@ -118,8 +111,9 @@ let rec worker_loop srv =
        observed workload. *)
     (match (srv.advisor, outcome) with
     | Some adv, Done _ ->
-      Advisor.observe adv ~sql:req.r_stmt.sql ~mode:req.r_stmt.mode
-        ~latency_ms
+      let p = req.r_stmt.prepared in
+      Advisor.observe adv ~sql:(Engine.prepared_sql p)
+        ~mode:(Engine.prepared_mode p) ~latency_ms
     | (Some _ | None), _ -> ());
     Mutex.lock srv.mutex;
     srv.executing <- srv.executing - 1;
@@ -327,10 +321,7 @@ let prepare s ?mode sql =
         Metrics.incr srv.m "serve.cache_hits";
         (* Revalidate eagerly so prepare-time errors surface here and
            the hot submit path usually finds a fresh plan. *)
-        if Engine.prepared_stale srv.eng st.prepared then begin
-          Engine.reprepare srv.eng ~pool:srv.pool st.prepared;
-          Metrics.incr srv.m "serve.replans"
-        end;
+        revalidate srv st;
         st
       | None ->
         Metrics.incr srv.m "serve.cache_misses";
@@ -341,8 +332,6 @@ let prepare s ?mode sql =
         let st =
           {
             id = srv.next_stmt;
-            sql;
-            mode;
             prepared = Engine.prepare srv.eng ~pool:srv.pool ~mode sql;
           }
         in
@@ -350,7 +339,7 @@ let prepare s ?mode sql =
         st)
 
 let stmt_id st = st.id
-let stmt_sql st = st.sql
+let stmt_sql st = Engine.prepared_sql st.prepared
 let stmt_prepared st = st.prepared
 
 (* --- execution -------------------------------------------------------- *)

@@ -14,12 +14,14 @@
 
     {b Sessions} ({!open_session} / {!close_session}) are lightweight
     request scopes.  {b Prepared statements} live in a server-wide
-    cache keyed by [(sql, mode)]; each cached plan carries the engine's
-    AV-generation, and a statement whose generation lags the engine
-    (after [install_av] / [register]) is transparently re-optimised
-    before execution instead of silently serving a stale plan — the
-    paper's optimise-once/execute-many analogy with an invalidation
-    rule attached.
+    cache keyed by [(sql, mode)] — the paper's optimise-once/execute-many
+    analogy with an invalidation rule attached.  {b Replans}: the
+    engine's one rule, [Engine.revalidate], decides whether a cached
+    plan replans (stale after a physical-design change, or drifted past
+    the q-error threshold); the server calls it under its lock on every
+    cache hit in {!prepare} and before every execution, on the shared
+    pool, and counts each replan under [serve.replans], a drifted one
+    also under [feedback.replans].
 
     {b Admission} is bounded: a request is {e in flight} from
     {!submit} until its result is collected by {!await}, and at most
@@ -35,10 +37,7 @@
     [serve.cache_hits], [serve.cache_misses], [serve.replans],
     [serve.sessions]).  With the engine's feedback option on, the
     cardinality-feedback loop adds [feedback.qerror] (per-observation
-    histogram), [feedback.observations], and [feedback.replans] — the
-    executor replans a cached statement transparently, before reuse,
-    once its worst observed q-error crosses the engine's threshold
-    (counted under both [serve.replans] and [feedback.replans]).
+    histogram), [feedback.observations], and [feedback.replans].
 
     {b Self-tuning}: with [?advisor], the server owns a
     [Dqo_advisor.Advisor] fed by every successful execution (SQL, mode,
@@ -47,9 +46,9 @@
     the executors (new executions pause, in-flight ones drain), runs
     one advisor round (evict stale views, materialise winners within
     the byte budget), and resumes.  Each physical-design change bumps
-    the engine's AV generation, so cached statements transparently
-    replan on their next execution ([serve.replans]).  Tick outcomes
-    land in [advisor.ticks] / [advisor.installed] / [advisor.evicted].
+    the engine's AV generation, so cached statements replan on their
+    next prepare or execution.  Tick outcomes land in [advisor.ticks] /
+    [advisor.installed] / [advisor.evicted].
 
     Manual engine DDL ([register] / [install_av]) remains
     unsynchronised with in-flight execution; quiesce the server (await
@@ -124,17 +123,19 @@ type stmt
 val prepare :
   session -> ?mode:Dqo_engine.Engine.mode -> string -> stmt
 (** Look up or create the server-wide cache entry for [(sql, mode)]
-    ([mode] defaults to the engine's [opts.mode]).  A cache hit whose
-    plan is stale is re-optimised here rather than at execution time.
+    ([mode] defaults to the engine's [opts.mode]).  A cache hit is
+    revalidated here, so a plan that must replan does so before it is
+    submitted.
     @raise Dqo_sql.Parser.Error / Dqo_sql.Binder.Error on bad SQL. *)
 
 val stmt_id : stmt -> int
 val stmt_sql : stmt -> string
+(** [Engine.prepared_sql] of {!stmt_prepared}. *)
 
 val stmt_prepared : stmt -> Dqo_engine.Engine.prepared
 (** The cached plan behind the statement, e.g. to inspect the entry the
-    serve-pool search chose.  Shared and mutable: a stale statement is
-    re-prepared in place. *)
+    serve-pool search chose.  Shared and mutable: a replan re-prepares
+    it in place. *)
 
 (** {2 Execution} *)
 

@@ -204,76 +204,6 @@ let test_grouping_result_av () =
   Alcotest.(check int) "materialised groups" expected_groups
     (Relation.cardinality out)
 
-(* --- runtime re-optimisation ------------------------------------------- *)
-
-let test_adaptive_discovers_density () =
-  (* The grouping key is globally sparse (one huge outlier), so the
-     static optimiser — whose filter estimator narrows bounds but cannot
-     prove density — plans HG even for a query whose WHERE clause
-     removes the outlier.  Adaptive re-optimisation measures the real
-     filter output, finds a dense domain, and switches to SPHG. *)
-  let rng = Dqo_util.Rng.create ~seed:88 in
-  let n = 20_000 in
-  let a =
-    Array.init n (fun i -> if i = 0 then 1_000_000_000 else i mod 1_000)
-  in
-  Dqo_util.Rng.shuffle rng a;
-  let v = Array.init n (fun i -> i mod 7) in
-  let schema =
-    Schema.of_names [ ("a", Schema.T_int); ("v", Schema.T_int) ]
-  in
-  let rel =
-    Relation.create schema [ Dqo_data.Column.of_ints a; Dqo_data.Column.of_ints v ]
-  in
-  let db = Engine.create () in
-  Engine.register db ~name:"T" rel;
-  let q =
-    Dqo_sql.Binder.plan_of_sql (Engine.catalog db)
-      "SELECT a, COUNT(*) AS cnt FROM T WHERE a BETWEEN 0 AND 999 GROUP BY a"
-  in
-  let result, report = Engine.run_adaptive db q in
-  (* The static optimiser cannot prove the filtered domain dense, so any
-     static choice but SPHG is possible (the outlier also wrecks its
-     uniform selectivity estimate); the adaptive pass measures the real
-     intermediate and reaches SPHG. *)
-  Alcotest.(check bool) "static cannot reach SPHG" true
-    (report.Engine.static_grouping <> "SPHG");
-  Alcotest.(check string) "adaptive measures density, picks SPHG" "SPHG"
-    report.Engine.adaptive_grouping;
-  Alcotest.(check bool) "replanned" true report.Engine.replanned;
-  (* Correctness of the adaptive result. *)
-  let expected = Hashtbl.create 1_024 in
-  Array.iter
-    (fun x ->
-      if x <= 999 then
-        Hashtbl.replace expected x
-          (1 + Option.value ~default:0 (Hashtbl.find_opt expected x)))
-    a;
-  let expected =
-    List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) expected [])
-  in
-  Alcotest.(check (list (pair int int))) "adaptive result correct" expected
-    (result_to_alist result)
-
-let test_adaptive_no_change_when_static_is_right () =
-  let db, _ = fk_db ~r_sorted:true ~s_sorted:true ~dense:true ~seed:91 in
-  let q =
-    Dqo_sql.Binder.plan_of_sql (Engine.catalog db)
-      "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id GROUP BY a"
-  in
-  let _, report = Engine.run_adaptive db q in
-  Alcotest.(check bool) "no replanning needed" false report.Engine.replanned
-
-let test_adaptive_on_non_grouping_query () =
-  let db, _ = fk_db ~r_sorted:true ~s_sorted:true ~dense:true ~seed:92 in
-  let q =
-    Dqo_sql.Binder.plan_of_sql (Engine.catalog db) "SELECT a FROM R WHERE a < 5"
-  in
-  let result, report = Engine.run_adaptive db q in
-  Alcotest.(check bool) "fallback executes" true
-    (Relation.cardinality result > 0);
-  Alcotest.(check bool) "no replanning" false report.Engine.replanned
-
 (* --- answering queries from materialised-grouping AVs -------------------- *)
 
 (* The relations a plan scans, in scan order. *)
@@ -340,8 +270,8 @@ let test_prepared_statements () =
 
 (* --- randomised end-to-end fuzz -------------------------------------- *)
 
-(* Random single-table grouping queries with predicates: SQO, DQO and
-   adaptive execution must all equal a naive evaluation. *)
+(* Random single-table grouping queries with predicates: SQO and DQO
+   execution must both equal a naive evaluation. *)
 let prop_engine_fuzz_single_table =
   let gen =
     QCheck.Gen.(
@@ -392,8 +322,7 @@ let prop_engine_fuzz_single_table =
       let q = Dqo_sql.Binder.plan_of_sql (Engine.catalog db) sql in
       let sqo = normalise (Engine.run db ~mode:Engine.SQO q) in
       let dqo = normalise (Engine.run db ~mode:Engine.DQO q) in
-      let adaptive = normalise (fst (Engine.run_adaptive db q)) in
-      sqo = expected && dqo = expected && adaptive = expected)
+      sqo = expected && dqo = expected)
 
 (* Random FK-join grouping queries across all data shapes. *)
 let prop_engine_fuzz_join =
@@ -1361,15 +1290,6 @@ let () =
         ] );
       ( "catalog",
         [ QCheck_alcotest.to_alcotest prop_catalog_matches_full_rebuild ] );
-      ( "adaptive",
-        [
-          Alcotest.test_case "discovers density at runtime" `Quick
-            test_adaptive_discovers_density;
-          Alcotest.test_case "no change when right" `Quick
-            test_adaptive_no_change_when_static_is_right;
-          Alcotest.test_case "non-grouping fallback" `Quick
-            test_adaptive_on_non_grouping_query;
-        ] );
       ( "view-answering",
         [
           Alcotest.test_case "uses materialised grouping" `Quick

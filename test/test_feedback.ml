@@ -40,6 +40,13 @@ let skewed_db () =
 
 let misestimated_sql = "SELECT b, COUNT(*) AS c FROM S WHERE b <= 9 GROUP BY b"
 
+let replan =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with Engine.Stale -> "Stale" | Engine.Drifted -> "Drifted"))
+    ( = )
+
 let with_feedback db =
   Engine.set_opts db { Engine.default_opts with Engine.feedback = true };
   db
@@ -57,7 +64,8 @@ let test_learns_and_replans () =
      the corrected filter estimate shows up in the plan's cost. *)
   let cost_before = (Engine.prepared_entry p).Pareto.cost in
   let m = Metrics.create () in
-  let first = Engine.execute_prepared db ~metrics:m ~reprepare:true p in
+  ignore (Engine.revalidate db p);
+  let first = Engine.execute_prepared db ~metrics:m p in
   (* The analysed execution learned: corrections landed in the store,
      q-errors in the metrics, and the statement saw its misestimate. *)
   Alcotest.(check bool) "corrections learned" true
@@ -71,9 +79,11 @@ let test_learns_and_replans () =
   let q1 = Engine.prepared_worst_q p in
   Alcotest.(check bool) "misestimate observed (q >= 2)" true (q1 >= 2.0);
   Alcotest.(check bool) "statement drifted" true (Engine.prepared_drifted db p);
-  (* Executing the drifted statement replans it transparently first:
-     the q-error tracker resets, then records the corrected round. *)
-  let second = Engine.execute_prepared db ~reprepare:true p in
+  (* Revalidating the drifted statement replans it: the q-error tracker
+     resets, then records the corrected round. *)
+  Alcotest.(check (option replan)) "drift replans" (Some Engine.Drifted)
+    (Engine.revalidate db p);
+  let second = Engine.execute_prepared db p in
   let q2 = Engine.prepared_worst_q p in
   Alcotest.(check bool) "replanned estimate moved" true
     ((Engine.prepared_entry p).Pareto.cost <> cost_before);
@@ -84,7 +94,8 @@ let test_learns_and_replans () =
 let test_threshold_is_inclusive () =
   let db = with_feedback (skewed_db ()) in
   let p = Engine.prepare db misestimated_sql in
-  ignore (Engine.execute_prepared db ~reprepare:true p);
+  ignore (Engine.revalidate db p);
+  ignore (Engine.execute_prepared db p);
   let q = Engine.prepared_worst_q p in
   (* Replanning triggers exactly at the threshold (>=), not beyond it. *)
   Engine.set_opts db
@@ -106,7 +117,8 @@ let test_threshold_is_inclusive () =
 let test_corrections_survive_reprepare () =
   let db = with_feedback (skewed_db ()) in
   let p = Engine.prepare db misestimated_sql in
-  ignore (Engine.execute_prepared db ~reprepare:true p);
+  ignore (Engine.revalidate db p);
+  ignore (Engine.execute_prepared db p);
   let size = Feedback.size (Engine.corrections db) in
   let runs = Feedback.runs (Engine.corrections db) in
   Engine.reprepare db p;
@@ -222,6 +234,34 @@ let test_server_auto_replans () =
       Alcotest.(check bool) "results identical across replan" true
         (Relation.rows first = Relation.rows second))
 
+(* A cache hit on a drifted statement replans it at prepare, counted
+   once; the execution that follows finds a current plan. *)
+let test_server_prepare_replans_drifted () =
+  let db = with_feedback (skewed_db ()) in
+  let srv = Server.create ~workers:2 db in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown srv)
+    (fun () ->
+      let s = Server.open_session srv in
+      let stmt = Server.prepare s misestimated_sql in
+      ignore (Server.execute s stmt);
+      Alcotest.(check bool) "statement drifted" true
+        (Engine.prepared_drifted db (Server.stmt_prepared stmt));
+      let again = Server.prepare s misestimated_sql in
+      Alcotest.(check int) "cache hit" (Server.stmt_id stmt)
+        (Server.stmt_id again);
+      let m = Server.metrics srv in
+      Alcotest.(check int) "replanned at prepare" 1
+        (Metrics.counter m "feedback.replans");
+      Alcotest.(check int) "one serve replan" 1
+        (Metrics.counter m "serve.replans");
+      ignore (Server.execute s again);
+      Server.close_session s;
+      Alcotest.(check int) "execute does not replan again" 1
+        (Metrics.counter m "feedback.replans");
+      Alcotest.(check int) "still one serve replan" 1
+        (Metrics.counter m "serve.replans"))
+
 let () =
   Alcotest.run "dqo_feedback"
     [
@@ -241,5 +281,7 @@ let () =
         [
           Alcotest.test_case "server auto-replans" `Quick
             test_server_auto_replans;
+          Alcotest.test_case "prepare replans a drifted statement" `Quick
+            test_server_prepare_replans_drifted;
         ] );
     ]

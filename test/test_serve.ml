@@ -127,14 +127,23 @@ let test_await_idempotent () =
 
 (* --- stale-plan invalidation ------------------------------------------- *)
 
+let replan =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with Engine.Stale -> "Stale" | Engine.Drifted -> "Drifted"))
+    ( = )
+
 (* Engine level: install_av bumps the generation; execute_prepared
-   raises Stale_plan unless ~reprepare:true. *)
+   raises Stale_plan until revalidate replans. *)
 let test_engine_stale_plan () =
   let db = demo_db () in
   let p = Engine.prepare db demo_sql in
   let before = Engine.run_sql db demo_sql in
   let gen0 = Engine.av_generation db in
   Alcotest.(check bool) "fresh after prepare" false (Engine.prepared_stale db p);
+  Alcotest.(check (option replan)) "fresh plan is current" None
+    (Engine.revalidate db p);
   (match Dqo_av.Avsp.default_candidates (Engine.catalog db) with
   | v :: _ -> Engine.install_av db v
   | [] -> Alcotest.fail "no AV candidates");
@@ -145,7 +154,9 @@ let test_engine_stale_plan () =
      ignore (Engine.execute_prepared db p);
      Alcotest.fail "expected Stale_plan"
    with Engine.Stale_plan _ -> ());
-  let after = Engine.execute_prepared db ~reprepare:true p in
+  Alcotest.(check (option replan)) "stale plan replans" (Some Engine.Stale)
+    (Engine.revalidate db p);
+  let after = Engine.execute_prepared db p in
   Alcotest.(check bool) "replanned result canonically equal" true
     (List.sort compare (Dqo_data.Relation.rows after)
     = List.sort compare (Dqo_data.Relation.rows before));
