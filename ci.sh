@@ -359,6 +359,16 @@ result rows=665 cols=2 sum=2e95b88b02ec585d
 EOF
 )" || { echo "ci: 1-domain groupjoin digests differ from the pinned values" >&2; exit 1; }
 
+echo "== dqo serve --mode sqo sorted-digest pin =="
+# SQO's hash grouping returns the §4.3 join-group's rows unordered, so
+# the digest sorts them first (the comparator sort the ordered pins
+# skip).  As a bag it must digest to the DQO pin above.
+sqo_out="$(printf 'open\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY a\nexec 1 1\nclose 1\nquit\n' \
+  | dune exec bin/dqo.exe -- serve --mode sqo --threads 1 --r-rows 2000 \
+      --s-rows 6000 --groups 1500 | grep '^result ')"
+test "$sqo_out" = "result rows=1441 cols=2 sum=0b8b6e1f38ed0d6e" \
+  || { echo "ci: SQO join-group digest differs from the pinned 0b8b6e1f38ed0d6e" >&2; exit 1; }
+
 echo "== dqo serve --feedback smoke =="
 # A zipf-skewed S.b makes [b <= 9] badly misestimated: the first
 # execution learns corrections, the second finds the cached statement

@@ -4,6 +4,7 @@ module Column = Dqo_data.Column
 module Int_col = Dqo_data.Int_col
 module Physical = Dqo_plan.Physical
 module Logical = Dqo_plan.Logical
+module Props = Dqo_plan.Props
 module Catalog = Dqo_opt.Catalog
 module Grouping = Dqo_exec.Grouping
 module Join = Dqo_exec.Join
@@ -301,8 +302,20 @@ let sparse_error ~op col =
 let key_bounds keys =
   if Int_col.length keys = 0 then (0, 0) else Int_col.min_max keys
 
-let sph_strategy t ~op col keys =
-  let lo, hi = key_bounds keys in
+(* The bounds of SPH key [col] read off [src]'s output [keys].  A key
+   straight off a stored relation takes them from the stored
+   measurement, which is exact (stored relations are immutable); any
+   other input, and an empty relation, scans [keys]. *)
+let sph_bounds t (src : Physical.t) col keys =
+  match src with
+  | Physical.Table_scan name when Int_col.length keys > 0 -> (
+    match Props.column (measurement t name).Catalog.props col with
+    | Some c -> (c.Props.lo, c.Props.hi)
+    | None -> key_bounds keys)
+  | _ -> key_bounds keys
+
+let sph_strategy t ~op ~src col keys =
+  let lo, hi = sph_bounds t src col keys in
   if slots_affordable t col ~lo ~hi ~rows:(Int_col.length keys) then
     Slots { lo; hi }
   else
@@ -314,7 +327,7 @@ let sph_strategy t ~op col keys =
    when a pool with more than one domain is present, the hot operators
    run their [Dqo_par] counterparts (per-domain metrics registries merge
    into [metrics] after each barrier). *)
-let exec_join t ?pool ?metrics ?keep left_rel right_rel lc rc
+let exec_join t ?pool ?metrics ?keep ~lsrc left_rel right_rel lc rc
     (impl : Physical.join_impl) =
   let lk = Relation.int_col left_rel lc in
   let rk = Relation.int_col right_rel rc in
@@ -333,7 +346,7 @@ let exec_join t ?pool ?metrics ?keep left_rel right_rel lc rc
     | Join.SOJ -> Join.sort_merge_join ~left:lk ~right:rk
     | Join.BSJ -> Join.binary_search_join ~left:lk ~right:rk
     | Join.SPHJ -> (
-      match sph_strategy t ~op:"SPHJ" lc lk with
+      match sph_strategy t ~op:"SPHJ" ~src:lsrc lc lk with
       | Slots { lo; hi } -> Join.sph_join ~lo ~hi ~left:lk ~right:rk
       | Fks_av fks -> fks_join fks ~left:lk ~right:rk)
   in
@@ -390,7 +403,7 @@ let grouped_relation key aggs (result : Dqo_exec.Group_result.t) =
     (Column.of_ints result.Dqo_exec.Group_result.keys
     :: List.map agg_column aggs)
 
-let group_fast t ?pool ?metrics rel key aggs payload_col
+let group_fast t ?pool ?metrics ~src rel key aggs payload_col
     (impl : Physical.grouping_impl) =
   let keys = Relation.int_col rel key in
   let values =
@@ -426,7 +439,7 @@ let group_fast t ?pool ?metrics rel key aggs payload_col
         ~universe:(Dqo_util.Int_array.distinct_sorted (Int_col.to_array keys))
         ~keys ~values
     | Grouping.SPHG -> (
-      match (sph_strategy t ~op:"SPHG" key keys, parallel) with
+      match (sph_strategy t ~op:"SPHG" ~src key keys, parallel) with
       | Slots { lo; hi }, Some pool ->
         Dqo_par.Par_group.sph pool ?metrics ~lo ~hi ~keys ~values ()
       | Slots { lo; hi }, None -> Grouping.sph_based ~lo ~hi ~keys ~values
@@ -628,7 +641,7 @@ let exec_node t ?pool ?metrics ~child ~span ~need (p : Physical.t) =
     let need = if clash then None else need in
     let lr = child (input_need need ls lc) l in
     let rr = child (input_need need rs rc) r in
-    exec_join t ?pool ?metrics ?keep:need lr rr lc rc impl
+    exec_join t ?pool ?metrics ?keep:need ~lsrc:l lr rr lc rc impl
   | Physical.Group_op (sub, key, aggs, impl) -> (
     let reads =
       key
@@ -647,7 +660,7 @@ let exec_node t ?pool ?metrics ~child ~span ~need (p : Physical.t) =
               c
           in
           let left = col g.lc in
-          let lo, hi = key_bounds left in
+          let lo, hi = sph_bounds t g.l g.lc left in
           if not (slots_affordable t g.lc ~lo ~hi ~rows:(Int_col.length left))
           then sparse_error ~op:"SPHJ" g.lc;
           let result, pairs =
@@ -662,7 +675,8 @@ let exec_node t ?pool ?metrics ~child ~span ~need (p : Physical.t) =
     | None -> (
       let rel = child (Some reads) sub in
       match fast_path_payload aggs with
-      | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
+      | Some payload ->
+        group_fast t ?pool ?metrics ~src:sub rel key aggs payload impl
       | None -> group_generic rel key aggs))
 
 let rec execute_in t ?pool need p =

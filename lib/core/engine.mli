@@ -170,7 +170,12 @@ val execute :
     SPH operators address a direct slot array when the key span is at
     most 4 × (the larger of the input's rows and the rows of the base
     relation owning the key column, plus 1024), and the column's FKS
-    perfect-hash AV otherwise.
+    perfect-hash AV otherwise.  The key span of SPHJ's build side, of
+    SPHG's key and of the groupjoin's join key is the stored
+    {!measurement}'s [lo]/[hi] when the key comes straight from a
+    non-empty relation's [Table_scan] (exact: stored relations are
+    immutable), and the keys' [Int_col.min_max] otherwise, so both
+    give the same slots and the same decisions.
 
     SPHG over SPHJ whose aggregates are COUNT or SUM over one column,
     whose inputs share no column name and whose join and group keys

@@ -41,6 +41,40 @@ let compare_cells = function
   | Floats a -> fun i j -> Float.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
   | Strings a -> fun i j -> String.compare (Array.unsafe_get a i) (Array.unsafe_get a j)
 
+(* The canonical row order as a permutation, or [None] when the rows
+   are in it already: key-ordered operators (SPHG, OG, SOG, BSG) emit a
+   strictly increasing first column, checked on an int column's array
+   directly.  Other rows take a stable sort under the full comparator. *)
+let canonical_order cols n =
+  let in_order =
+    Array.length cols = 0
+    ||
+    match cols.(0) with
+    | Ints a ->
+      let rec go r = r >= n || (Array.unsafe_get a (r - 1) < Array.unsafe_get a r && go (r + 1)) in
+      go 1
+    | Floats _ | Strings _ ->
+      let first = compare_cells cols.(0) in
+      let rec go r = r >= n || (first (r - 1) r < 0 && go (r + 1)) in
+      go 1
+  in
+  if in_order then None
+  else begin
+    let cmps = Array.map compare_cells cols in
+    let compare_rows i j =
+      let rec go k =
+        if k = Array.length cmps then 0
+        else
+          let c = cmps.(k) i j in
+          if c <> 0 then c else go (k + 1)
+      in
+      go 0
+    in
+    let perm = Array.init n Fun.id in
+    Array.stable_sort compare_rows perm;
+    Some perm
+  end
+
 (* One djb2-xor step, [h * 33] as a shift and an add.  Bits below 62
    of [h * 33] and of [lxor] depend only on the operands' bits below
    62, so masking the final value with [max_int] gives the digest that
@@ -68,55 +102,61 @@ let mix_cell h cells r =
     String.iter (fun c -> h := mix_byte !h (Char.code c)) (Array.unsafe_get a r);
     !h
 
+(* The same step on an unboxed word, and byte [s / 8] of one. *)
+let[@inline] mix64 x b = Int64.logxor (Int64.add (Int64.shift_left x 5) x) b
+let[@inline] byte64 v s = Int64.logand (Int64.shift_right_logical v s) 0xffL
+
+(* [mix_cell] over all-int rows, on [Int64] words that [ocamlopt]
+   keeps unboxed (the refs stay local).  [Int64.of_int] sign-extends,
+   so bits 0..62 of a word are the int's; a step carries only upward,
+   so bits 0..62 of [x] are those of the native fold.  An int's top
+   byte is its bits 56..62, hence the last mask [0x7f]. *)
+let mix_int_rows h ints perm n =
+  let x = ref (Int64.of_int h) in
+  for i = 0 to n - 1 do
+    let r = match perm with None -> i | Some p -> Array.unsafe_get p i in
+    for k = 0 to Array.length ints - 1 do
+      let v = Int64.of_int (Array.unsafe_get (Array.unsafe_get ints k) r) in
+      x := mix64 !x 1L;
+      x := mix64 !x (Int64.logand v 0xffL);
+      x := mix64 !x (byte64 v 8);
+      x := mix64 !x (byte64 v 16);
+      x := mix64 !x (byte64 v 24);
+      x := mix64 !x (byte64 v 32);
+      x := mix64 !x (byte64 v 40);
+      x := mix64 !x (byte64 v 48);
+      x := mix64 !x (Int64.logand (Int64.shift_right_logical v 56) 0x7fL)
+    done
+  done;
+  Int64.to_int !x
+
 let digest rel =
   let n = Relation.cardinality rel in
   let cols =
     Array.init (Schema.arity (Relation.schema rel)) (fun k ->
         cells (Relation.column_at rel k))
   in
-  let cmps = Array.map compare_cells cols in
-  (* Key-ordered operators (SPHG, OG, SOG, BSG) emit a strictly
-     increasing first column: those rows are already in order. *)
-  let in_order =
-    Array.length cmps = 0
-    ||
-    let first = cmps.(0) in
-    let rec go r = r >= n || (first (r - 1) r < 0 && go (r + 1)) in
-    go 1
-  in
-  let compare_rows i j =
-    let rec go k =
-      if k = Array.length cmps then 0
-      else
-        let c = cmps.(k) i j in
-        if c <> 0 then c else go (k + 1)
-    in
-    go 0
-  in
-  let perm = Array.init n Fun.id in
-  if not in_order then Array.stable_sort compare_rows perm;
-  let h = ref (mix_int 5381 n) in
+  let perm = canonical_order cols n in
+  let h = mix_int 5381 n in
   let ints =
     Array.map (function Ints a -> Some a | Floats _ | Strings _ -> None) cols
   in
-  (* All-int results (every grouping) hash without a per-cell match. *)
-  if Array.for_all Option.is_some ints then begin
-    let ints = Array.map Option.get ints in
-    for i = 0 to n - 1 do
-      let r = Array.unsafe_get perm i in
-      for k = 0 to Array.length ints - 1 do
-        h := mix_int (mix_byte !h 1) (Array.unsafe_get (Array.unsafe_get ints k) r)
-      done
-    done
-  end
-  else
-    for i = 0 to n - 1 do
-      let r = Array.unsafe_get perm i in
-      for k = 0 to Array.length cols - 1 do
-        h := mix_cell !h (Array.unsafe_get cols k) r
-      done
-    done;
-  Printf.sprintf "%016x" (!h land max_int)
+  (* All-int results (every grouping) take the unboxed kernel. *)
+  let h =
+    if Array.for_all Option.is_some ints then
+      mix_int_rows h (Array.map Option.get ints) perm n
+    else begin
+      let h = ref h in
+      for i = 0 to n - 1 do
+        let r = match perm with None -> i | Some p -> Array.unsafe_get p i in
+        for k = 0 to Array.length cols - 1 do
+          h := mix_cell !h (Array.unsafe_get cols k) r
+        done
+      done;
+      !h
+    end
+  in
+  Printf.sprintf "%016x" (h land max_int)
 
 let result_header ?ticket rel =
   let cols =

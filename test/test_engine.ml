@@ -1029,6 +1029,18 @@ let prop_catalog_matches_full_rebuild =
           if got <> want then
             fail "got\n%s\nwant\n%s" (String.concat "\n" got)
               (String.concat "\n" want);
+          (* Every stored measurement is exact (SPH operators over a bare
+             scan read their key bounds off it), with or without a view. *)
+          List.iter
+            (fun (n, r) ->
+              if
+                (Engine.measurement m.db n).Catalog.props
+                <> (Catalog.of_relation n r).Catalog.props
+              then
+                fail "measurement of %s: got %s, want %s" n
+                  (dump_info (Engine.measurement m.db n))
+                  (dump_info (Catalog.of_relation n r)))
+            m.stored;
           (* The catalog is built from the stored measurements: where no
              catalog-level view applies, its entry is the measurement
              itself. *)
@@ -1196,6 +1208,60 @@ let prop_groupjoin_matches_unfused =
       Schema.fields (Relation.schema fused) = Schema.fields (Relation.schema expected)
       && Relation.rows fused = Relation.rows expected)
 
+(* SPHJ, SPHG and the groupjoin over a bare scan (bounds from the stored
+   measurement) against the same plans with a keep-everything filter
+   [key >= min] on the key's side (bounds scanned off the filtered
+   keys): same digest, or the same error when the span is unaffordable.
+   Sparse cases spread the left keys past the slot budget. *)
+let prop_stored_bounds_match_scanned =
+  let open QCheck.Gen in
+  let gen =
+    let* c = gen_gj_case in
+    let* sparse = frequency [ (4, return false); (1, return true) ] in
+    return (c, sparse)
+  in
+  let print (c, sparse) = show_gj_case c ^ Printf.sprintf " sparse=%b" sparse in
+  QCheck.Test.make ~count:300 ~name:"stored SPH bounds = scanned SPH bounds"
+    (QCheck.make ~print gen) (fun (c, sparse) ->
+      let spread (k, g, v) = ((if sparse then k * 1_000_003 else k), g, v) in
+      let lrows = List.map spread c.lrows in
+      let l = gj_relation ("lk", "lg", "lv") lrows
+      and r = gj_relation ("rk", "rg", "rv") c.rrows in
+      let db = Engine.create () in
+      Engine.register db ~name:"L" l;
+      Engine.register db ~name:"R" r;
+      let keep_all name col rel =
+        let keys = Relation.int_col rel col in
+        let lo = if Int_col.length keys = 0 then 0 else fst (Int_col.min_max keys) in
+        Physical.Filter_op (Physical.Table_scan name, col, Filter.Ge lo)
+      in
+      let sphj left =
+        Physical.Join_op
+          (left, Physical.Table_scan "R", "lk", "rk", Physical.default_join Join.SPHJ)
+      in
+      let group ?(c = c) sub key =
+        Physical.Group_op (sub, key, gj_aggs c, Physical.default_grouping Grouping.SPHG)
+      in
+      (* A grouping of L alone sums L's payload. *)
+      let l_only = { c with sum = Option.map (fun _ -> "lv") c.sum } in
+      let outcome plan =
+        match
+          Dqo_par.Pool.with_pool ~domains:c.domains (fun pool ->
+              Engine.execute db ~pool plan)
+        with
+        | rel -> Ok (Dqo_serve.Wire.digest rel)
+        | exception Invalid_argument msg -> Error msg
+      in
+      List.for_all
+        (fun (bare, filtered) -> outcome bare = outcome filtered)
+        [
+          (sphj (Physical.Table_scan "L"), sphj (keep_all "L" "lk" l));
+          ( group ~c:l_only (Physical.Table_scan "L") "lk",
+            group ~c:l_only (keep_all "L" "lk" l) "lk" );
+          ( group (sphj (Physical.Table_scan "L")) c.key,
+            group (sphj (keep_all "L" "lk" l)) c.key );
+        ])
+
 (* The group key's slot domain keeps the SPHG affordability rule: a span
    past 4 x (rows + 1024) refuses with SPHG's error. *)
 let test_groupjoin_sparse_group_key () =
@@ -1319,6 +1385,7 @@ let () =
       ( "groupjoin",
         [
           QCheck_alcotest.to_alcotest prop_groupjoin_matches_unfused;
+          QCheck_alcotest.to_alcotest prop_stored_bounds_match_scanned;
           Alcotest.test_case "sparse group key" `Quick
             test_groupjoin_sparse_group_key;
           Alcotest.test_case "analysed tree" `Quick test_groupjoin_analysed_tree;

@@ -330,10 +330,11 @@ let reference_digest rel =
   Printf.sprintf "%016x" (!h land max_int)
 
 (* Random relations for the digest property.  A column's kind fixes its
-   type and, for ints, its storage; rows are drawn mostly from a small
-   pool so duplicates are common; the first column is left as drawn,
-   sorted, or replaced by a strictly increasing run. *)
-type kind = Flat | W32 | W64 | Floats | Strings
+   type and, for ints, its storage and range ([Wide]: flat, every byte
+   below the top four in play); rows are drawn mostly from a small pool
+   so duplicates are common; the first column is left as drawn, sorted,
+   or replaced by a strictly increasing run. *)
+type kind = Flat | W32 | W64 | Wide | Floats | Strings
 type first = As_drawn | Sorted | Strict
 
 let nan_with_payload p = Int64.float_of_bits (Int64.logor 0x7FF0000000000000L p)
@@ -352,12 +353,14 @@ let gen_cell kind =
   match kind with
   | Flat | W64 -> map (fun i -> Value.Int i) (pick int_cells)
   | W32 -> map (fun i -> Value.Int i) (int_range (-4) 4)
+  | Wide -> map (fun i -> Value.Int i) (int_range (-1_000_000_000) 1_000_000_000)
   | Floats -> map (fun f -> Value.Float f) (pick float_cells)
   | Strings -> map (fun s -> Value.String s) (pick string_cells)
 
 let strict_cell kind i =
   match kind with
   | Flat | W32 | W64 -> Value.Int (i - 100)
+  | Wide -> Value.Int ((i - 100) * 7_919)
   | Floats -> Value.Float (Float.of_int i -. 99.5)
   | Strings -> Value.String (Printf.sprintf "k%03d" i)
 
@@ -370,7 +373,7 @@ let digest_column kind (cells : Value.t array) =
          (fun i -> a.(i)))
   in
   match kind with
-  | Flat -> Column.of_ints (ints ())
+  | Flat | Wide -> Column.of_ints (ints ())
   | W32 -> chunked Int_col.W32
   | W64 -> chunked Int_col.W64
   | Floats ->
@@ -382,8 +385,12 @@ let digest_column kind (cells : Value.t array) =
 
 let gen_relation =
   let open QCheck.Gen in
-  let* kinds = list_size (int_bound 4) (oneofl [ Flat; W32; W64; Floats; Strings ]) in
-  let* n = if kinds = [] then return 0 else int_bound 200 in
+  let* kinds =
+    list_size (int_bound 4) (oneofl [ Flat; W32; W64; Wide; Floats; Strings ])
+  in
+  let* n =
+    if kinds = [] then return 0 else frequency [ (1, int_bound 1); (9, int_bound 300) ]
+  in
   let* first = oneofl [ As_drawn; Sorted; Strict ] in
   let gen_row = flatten_l (List.map gen_cell kinds) in
   let* pool = list_size (int_range 1 6) gen_row in
@@ -404,7 +411,7 @@ let gen_relation =
       kinds
   in
   let ty = function
-    | Flat | W32 | W64 -> Schema.T_int
+    | Flat | W32 | W64 | Wide -> Schema.T_int
     | Floats -> Schema.T_float
     | Strings -> Schema.T_string
   in
