@@ -431,4 +431,63 @@ printf '%s\n' "$pb_line" | grep -q '"correct": true' \
 printf '%s\n' "$pb_line" | grep -q '"failed": 0,' \
   || { echo "ci: self-tuning had failed requests" >&2; exit 1; }
 
+echo "== dqo explain plan pin, grouped on the join column =="
+# The §4.3 join grouped on its own join column r_id, over default and
+# sorted data: the grouping key is a join column, the case where a join
+# DP keeping only live orders must still keep the order on r_id.  The
+# plans were recorded before the DP kept only live orders.
+pin_out="$(
+  echo "== r_id key"
+  explain_pin 'SELECT r_id, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY r_id'
+  echo "== r_id key --sorted"
+  explain_pin --sorted 'SELECT r_id, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY r_id'
+)"
+test "$pin_out" = "$(cat <<'EOF'
+== r_id key
+=== SQO (shallow) ===
+cost      56000
+rows      1895
+props     {sorted=-; clustered=r_id; dense=[]}
+plan:
+HG(chaining, murmur3)(key=r_id)
+  HJ(chaining, murmur3)(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+=== DQO (deep) ===
+cost      14000
+rows      1895
+props     {sorted=r_id; clustered=r_id; dense=[r_id]}
+plan:
+SPHG(key=r_id)
+  SPHJ(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+improvement factor (estimated cost): 4.00x
+== r_id key --sorted
+=== SQO (shallow) ===
+cost      14000
+rows      1882
+props     {sorted=r_id; clustered=r_id; dense=[]}
+plan:
+OG(key=r_id)
+  OJ(r_id = id)
+    TableScan(S)
+    TableScan(R)
+
+=== DQO (deep) ===
+cost      14000
+rows      1882
+props     {sorted=r_id; clustered=r_id; dense=[r_id]}
+plan:
+SPHG(key=r_id)
+  OJ(id = r_id)
+    TableScan(R)
+    TableScan(S)
+
+improvement factor (estimated cost): 1.00x
+EOF
+)" || { echo "ci: dqo explain (GROUP BY r_id) differs from the pinned plans" >&2; exit 1; }
+
 echo "ci: OK"

@@ -215,6 +215,26 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
     List.iteri
       (fun pi members -> List.iter (fun m -> part_of.(m) <- pi) members)
       parts;
+    let cross =
+      List.filter_map
+        (fun (a, b, lc, rc) ->
+          if part_of.(a) <> part_of.(b) then Some (lc, rc) else None)
+        resolved
+    in
+    (* Above a partition only properties that can still pay off matter:
+       cross-partition join columns and the outer skeleton's keys.  Each
+       partition's DP keeps orders on these and on its own join columns
+       that cross a subset; the stitch DP on the skeleton's keys and the
+       cross columns that cross a quotient subset.  The whole-query
+       interesting set would re-enforce every partition-internal order
+       at every stitch level, inflating quotient frontiers with entries
+       nothing upstream can use (at 80 relations that is the difference
+       between a seconds-long and a runaway stitch). *)
+    let outer_interesting = Search.interesting_columns skeleton in
+    let stitch_interesting =
+      List.sort_uniq String.compare
+        (List.concat_map (fun (lc, rc) -> [ lc; rc ]) cross @ outer_interesting)
+    in
     (* Exact deep DP inside each partition, over its member leaves'
        frontiers and internal predicates (kept in query order). *)
     let partition_results =
@@ -230,34 +250,13 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
           in
           let entries, stats =
             Search.optimize_frontiers ?model ?pool ?metrics ?feedback ?learner
-              ?beam ~interesting
+              ?beam ~interesting:stitch_interesting
               ~names:(Array.map (fun m -> leaf_names.(m)) member_arr)
               ~leaves:(Array.map (fun m -> leaf_frontiers.(m)) member_arr)
               ~predicates:local_preds mode catalog
           in
           (members, local_preds, entries, stats))
         parts
-    in
-    (* Stitch: a top-level DP over the quotient graph, each partition's
-       Pareto frontier a compound leaf.  Cross-partition predicates
-       resolve against the frontiers' (union) property columns. *)
-    let cross =
-      List.filter_map
-        (fun (a, b, lc, rc) ->
-          if part_of.(a) <> part_of.(b) then Some (lc, rc) else None)
-        resolved
-    in
-    (* Above the partitions only properties that can still pay off
-       matter: cross-partition join columns and the outer skeleton's
-       keys.  The whole-query interesting set would re-enforce every
-       partition-internal order at every stitch level, inflating
-       quotient frontiers with entries nothing upstream can use (at 80
-       relations that is the difference between a seconds-long and a
-       runaway stitch). *)
-    let stitch_interesting =
-      List.sort_uniq String.compare
-        (List.concat_map (fun (lc, rc) -> [ lc; rc ]) cross
-        @ Search.interesting_columns skeleton)
     in
     (* Interface pruning (Neumann-style): a partition exports only
        entries distinguishable above the cut — dominance re-checked on
@@ -280,9 +279,12 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
         in
         List.rev_map fst kept
     in
+    (* Stitch: a top-level DP over the quotient graph, each partition's
+       Pareto frontier a compound leaf.  Cross-partition predicates
+       resolve against the frontiers' (union) property columns. *)
     let stitched, stitch_stats =
       Search.optimize_frontiers ?model ?pool ?metrics ?feedback ?learner ?beam
-        ~interesting:stitch_interesting
+        ~interesting:outer_interesting
         ~names:
           (Array.of_list
              (List.mapi (fun pi _ -> "P" ^ string_of_int pi) parts))

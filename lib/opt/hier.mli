@@ -9,10 +9,11 @@
     feedback-corrected, Pareto-frontier-complete — exactly within each
     partition, and stitches the partitions' frontiers with a top-level
     DP over the quotient graph.  Above the cut only cross-partition
-    join columns and the outer query's keys can still pay off, so the
-    stitch restricts its interesting-order set to those and each
-    partition's exported frontier is pruned by dominance on the
-    restricted property vectors (Neumann-style interface pruning;
+    join columns and the outer query's keys can still pay off, so each
+    partition's DP keeps orders only on those and on its own live join
+    columns, the stitch on the outer keys and its live cross columns,
+    and each partition's exported frontier is pruned by dominance on
+    the restricted property vectors (Neumann-style interface pruning;
     survivors keep their full properties).  Planning cost becomes
     near-linear in the partition count while plan quality stays exact
     inside every partition and optimal across them given the partition

@@ -166,9 +166,9 @@ let base_entry ctx name =
     rows = ti.Catalog.rows;
   }
 
-(* Sort enforcers: for every interesting column the entry knows about
+(* Sort enforcers: for every column of [columns] the entry knows about
    and is not already sorted on, offer a sorted variant. *)
-let enforcer_variants ctx entries =
+let enforcer_variants ctx columns entries =
   List.concat_map
     (fun (e : Pareto.entry) ->
       List.filter_map
@@ -187,14 +187,15 @@ let enforcer_variants ctx entries =
                   props = Props.with_sort e.Pareto.props col;
                   rows = e.Pareto.rows;
                 })
-        ctx.interesting)
+        columns)
     entries
 
-(* Prune [entries], add sort enforcers on the survivors, prune again,
-   and record the whole step in the DP trace. *)
+(* Prune [entries], add sort enforcers on the interesting columns of
+   the survivors, prune again, and record the whole step in the DP
+   trace. *)
 let with_enforcers ctx step ~generated entries =
   let survivors = Pareto.add_all [] entries in
-  let enforced = enforcer_variants ctx survivors in
+  let enforced = enforcer_variants ctx ctx.interesting survivors in
   count ctx (List.length enforced);
   let merged = Pareto.add_all survivors enforced in
   record_step ctx step ~generated ~enforcers:(List.length enforced) merged
@@ -515,6 +516,29 @@ let twins f sorted =
 
 module Int_tbl = Hashtbl.Make (Int)
 
+(* The properties an OJ or SOJ output, sorted on its left join column
+   [c1], records in a subset whose live columns are [live]: the order
+   on [c1] when [c1] is live.  A dead [c1]'s order is read only through
+   co-ordering: when [c1] co-orders exactly one live column [x], the
+   output is recorded as clustered on [x]; when it co-orders several,
+   the order on [c1] is kept; when none, no order is recorded and the
+   output is [unordered] itself. *)
+let sorted_output ~live c1 (unordered : Props.t) =
+  let is_live c = List.exists (String.equal c) live in
+  if is_live c1 then Props.with_sort unordered c1
+  else
+    let coordered =
+      List.sort_uniq String.compare
+        (List.filter_map
+           (fun (a, x) ->
+             if String.equal a c1 && is_live x then Some x else None)
+           unordered.Props.co_ordered)
+    in
+    match coordered with
+    | [] -> unordered
+    | [ x ] -> { unordered with Props.clustered_by = Some x }
+    | _ :: _ :: _ -> Props.with_sort unordered c1
+
 (* All join candidates of one split [(f1, f2)] on [c1 = c2], in the
    order the pairs and algorithms enumerate, minus those that provably
    cannot reach the subset's Pareto frontier — they are counted (in
@@ -536,12 +560,14 @@ module Int_tbl = Hashtbl.Make (Int)
    - {b within a pair}: an unordered candidate is dropped when an
      earlier kept candidate of the pair costs no more, an ordered one
      when an earlier kept ordered one does — the ordered vector is the
-     unordered one sorted on [c1], so it dominates.
+     unordered one with an order added, so it dominates.  An ordered
+     algorithm whose order {!sorted_output} drops counts as unordered.
 
    Each pair's output properties are one [scale_columns] of the union
    of the inputs' column lists, memoised per split on the two inputs'
-   list classes and the output rows. *)
-let join_split ctx algs ~generated ~emit c1 c2 f1 f2 =
+   list classes and the output rows; the ordered variant is the one
+   {!sorted_output} records for the subset's [live] columns. *)
+let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
   let a1 = f1.arr and ids1 = f1.ids and a2 = f2.arr and ids2 = f2.ids in
   let n2 = f2.classes in
   let sorted_on c (e : Pareto.entry) = Props.sorted_on e.Pareto.props c in
@@ -560,9 +586,9 @@ let join_split ctx algs ~generated ~emit c1 c2 f1 f2 =
           (Props.union_columns e1.Pareto.props e2.Pareto.props)
           out_rows
       in
-      (* Sorting touches only the order fields, so the sorted variant
+      (* Ordering touches only the order fields, so the ordered variant
          shares the scaled column list. *)
-      let ordered = Props.with_sort unordered c1 in
+      let ordered = sorted_output ~live c1 unordered in
       Int_tbl.replace unions key ((out_rows, unordered, ordered) :: cached);
       (unordered, ordered)
   in
@@ -635,12 +661,14 @@ let join_split ctx algs ~generated ~emit c1 c2 f1 f2 =
             let unordered, ordered = union i j e1 e2 out_rows in
             let kept = ref [] in
             let min_any = ref Float.nan and min_ordered = ref Float.nan in
+            let has_order = ordered != unordered in
             for k = 0 to nalgs - 1 do
               if mask land (1 lsl k) <> 0 then begin
                 let a = algs.(k) in
+                let a_ordered = a.ordered && has_order in
                 let cost = base +. jcost.(k) in
                 let dominated =
-                  if a.ordered then !min_ordered <= cost else !min_any <= cost
+                  if a_ordered then !min_ordered <= cost else !min_any <= cost
                 in
                 if not dominated then begin
                   kept :=
@@ -649,13 +677,13 @@ let join_split ctx algs ~generated ~emit c1 c2 f1 f2 =
                         Physical.Join_op
                           (e1.Pareto.plan, e2.Pareto.plan, c1, c2, a.impl);
                       cost;
-                      props = (if a.ordered then ordered else unordered);
+                      props = (if a_ordered then ordered else unordered);
                       rows = out_rows;
                     }
                     :: !kept;
                   ctx.built <- ctx.built + 1;
                   if not (!min_any <= cost) then min_any := cost;
-                  if a.ordered && not (!min_ordered <= cost) then
+                  if a_ordered && not (!min_ordered <= cost) then
                     min_ordered := cost
                 end
               end
@@ -693,7 +721,7 @@ let rec leaf_label (l : Logical.t) =
    the per-leaf plans of one query; the hierarchical optimiser feeds it
    partition frontiers as compound leaves.                              *)
 
-let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
+let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
     ~predicates =
   let k = Array.length leaf_sets in
   if k = 0 then invalid_arg "Search: join DP needs at least one leaf";
@@ -738,6 +766,24 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     in
     go 0
   in
+  (* The live columns of subset [s] — those whose order can still pay
+     off above it (§2.1: a choice has a global effect only if an
+     operator above reads the property it changes): a column some
+     predicate of this DP joins to a leaf outside [s], and the columns
+     [above] the DP reads.  Every later join of [s] is on a predicate
+     crossing [s], so an order on any other column is read by nothing;
+     [s] enforces sorts and keeps join output orders on live columns
+     only.  Sorted, like {!interesting_columns}. *)
+  let live_columns s =
+    List.sort_uniq String.compare
+      (Array.fold_left
+         (fun acc (ll, rl, lc, rc) ->
+           let l_in = Bitset.mem ll s and r_in = Bitset.mem rl s in
+           if l_in && not r_in then lc :: acc
+           else if r_in && not l_in then rc :: acc
+           else acc)
+         above pred_endpoints)
+  in
   (* Leaf adjacency from the resolved predicates, for the connected-
      subset enumeration below. *)
   let adj = Array.make k Bitset.empty in
@@ -774,6 +820,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
      candidate products flat. *)
   let algs = join_algs ctx in
   let solve local s =
+    let live = live_columns s in
     let chunks = ref [] and generated = ref 0 in
     let emit chunk = chunks := chunk :: !chunks in
     Bitset.iter_subsets
@@ -788,7 +835,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
             match connecting s1 s2 with
             | None -> ()
             | Some (c1, c2) ->
-              join_split local algs ~generated ~emit c1 c2 f1 f2)))
+              join_split local algs ~live ~generated ~emit c1 c2 f1 f2)))
       s;
     (* A chunk holds its pair's candidates in reverse order. *)
     let survivors =
@@ -797,7 +844,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
           List.fold_right (fun e acc -> Pareto.add acc e) chunk acc)
         [] !chunks
     in
-    let enforced = enforcer_variants local survivors in
+    let enforced = enforcer_variants local live survivors in
     count local (List.length enforced);
     let merged = Pareto.add_all survivors enforced in
     record_step local (subset_label s) ~generated:!generated
@@ -933,7 +980,12 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     invalid_arg "Search: join graph is disconnected (cross product needed)"
   | Some f -> f.entries
 
-let rec plan_node ctx (l : Logical.t) : Pareto.entry list =
+(* [above]: the columns operators above [l] read — what a join DP
+   inside [l] keeps orders on besides its own join columns.  A filter
+   or projection reads none and passes its own [above] down; a grouping
+   reads its key, and nothing past it reads its input; a join DP reads
+   its predicates' columns. *)
+let rec plan_node ctx ~above (l : Logical.t) : Pareto.entry list =
   match l with
   | Logical.Scan name -> (
     match List.assoc_opt name ctx.virtuals with
@@ -951,23 +1003,23 @@ let rec plan_node ctx (l : Logical.t) : Pareto.entry list =
       with_enforcers ctx ("scan(" ^ name ^ ")") ~generated:1
         [ base_entry ctx name ])
   | Logical.Select (t, col, p) ->
-    let inputs = plan_node ctx t in
+    let inputs = plan_node ctx ~above t in
     let candidates = List.map (select_entry ctx col p) inputs in
     count ctx (List.length candidates);
     with_enforcers ctx
       (Format.asprintf "select(%s %a)" col Filter.pp p)
       ~generated:(List.length candidates) candidates
   | Logical.Project (t, cols) ->
-    let inputs = plan_node ctx t in
+    let inputs = plan_node ctx ~above t in
     let candidates = List.map (project_entry cols) inputs in
     count ctx (List.length candidates);
     record_step ctx
       ("project(" ^ String.concat ", " cols ^ ")")
       ~generated:(List.length candidates) ~enforcers:0
       (Pareto.add_all [] candidates)
-  | Logical.Join _ -> join_dp ctx l
+  | Logical.Join _ -> join_dp ctx ~above l
   | Logical.Group_by (t, key, aggs) ->
-    let inputs = plan_node ctx t in
+    let inputs = plan_node ctx ~above:[ key ] t in
     let candidates =
       List.concat_map (fun e -> group_candidates ctx e key aggs) inputs
     in
@@ -976,11 +1028,14 @@ let rec plan_node ctx (l : Logical.t) : Pareto.entry list =
       ~generated:(List.length candidates) ~enforcers:0
       (Pareto.add_all [] candidates)
 
-and join_dp ctx l =
+and join_dp ctx ~above l =
   let leaves, predicates = flatten_joins l in
-  let leaf_sets = Array.of_list (List.map (plan_node ctx) leaves) in
+  let joined = List.concat_map (fun (lc, rc) -> [ lc; rc ]) predicates in
+  let leaf_sets =
+    Array.of_list (List.map (plan_node ctx ~above:(joined @ above)) leaves)
+  in
   let leaf_names = Array.of_list (List.map leaf_label leaves) in
-  dp_frontiers ctx ~leaf_names ~leaf_sets ~predicates
+  dp_frontiers ctx ~above ~leaf_names ~leaf_sets ~predicates
 
 and group_candidates ctx (e : Pareto.entry) key aggs =
   let groups =
@@ -1103,16 +1158,19 @@ let finish_stats ctx ~pool ~gate ~cold entries =
 let optimize_entries ?(model = Model.table2) ?pool ?metrics ?feedback ?learner
     ?(beam = 4) ?interesting ?(virtuals = []) mode catalog l =
   let gate, cold = make_gate ?metrics ~beam learner in
-  let interesting =
+  (* Planned on its own, nothing reads the query's output order; planned
+     as a piece of a larger query, its interesting columns are the
+     superset of what the rest of that query reads. *)
+  let above, interesting =
     match interesting with
-    | Some cols -> cols
-    | None -> interesting_columns l
+    | Some cols -> (cols, cols)
+    | None -> ([], interesting_columns l)
   in
   let ctx =
     make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
       catalog
   in
-  let entries = plan_node ctx l in
+  let entries = plan_node ctx ~above l in
   (entries, finish_stats ctx ~pool ~gate ~cold entries)
 
 let optimize_frontiers ?(model = Model.table2) ?pool ?metrics ?feedback
@@ -1124,7 +1182,8 @@ let optimize_frontiers ?(model = Model.table2) ?pool ?metrics ?feedback
       mode catalog
   in
   let entries =
-    dp_frontiers ctx ~leaf_names:names ~leaf_sets:leaves ~predicates
+    dp_frontiers ctx ~above:interesting ~leaf_names:names ~leaf_sets:leaves
+      ~predicates
   in
   (entries, finish_stats ctx ~pool ~gate ~cold entries)
 

@@ -14,7 +14,20 @@
     The search translates a logical tree bottom-up; maximal join
     subtrees are optimised with System-R style DP over relation subsets
     (no cross products), keeping a Pareto set of (cost, properties) per
-    subset; a sort enforcer may establish any interesting order.
+    subset.
+
+    {b Live orders.}  A subset keeps sort orders only on its {e live}
+    columns: those a predicate of its DP joins to a leaf outside it,
+    and those an operator above the DP reads (the grouping key, the
+    join columns of an enclosing DP, or the [?interesting] columns the
+    caller passes).  It adds sort enforcers on live columns only, and
+    an OJ/SOJ output ordered on a dead join column records no order —
+    unless that column co-orders live columns: exactly one, [x], and
+    the output is recorded as clustered on [x]; several, and it keeps
+    its order.  Nothing above reads any other order, so the cheapest
+    plan and the cheapest entry ordered on each column read above are
+    those keeping every order would give (where a subset's estimated
+    rows do not depend on its plan; Pareto pruning ignores rows).
 
     {b Parallel search.}  The DP is level-synchronous: all subsets of
     one cardinality depend only on the memo of smaller subsets, so when
@@ -135,11 +148,13 @@ val optimize_entries :
     best-scored entries; [opt.learn.scored] / [opt.learn.pruned] count
     the gate's work, [opt.learn.fallbacks] counts cold-model searches.
 
-    [?interesting] overrides the sort-enforcer column set normally
-    derived from the query ({!interesting_columns}) — the hierarchical
-    optimiser passes the {e whole} query's columns into its partition
-    sub-plans, but only the cross-partition and outer-query columns
-    into the stitch.
+    [?interesting] overrides the sort-enforcer column set of scans
+    and filters normally derived from the query
+    ({!interesting_columns}), and names the columns read above the
+    query's output, for a query planned as a piece of a larger one:
+    join DPs keep orders on them.  Without it nothing above the query
+    reads its order.  The hierarchical optimiser passes the {e whole}
+    query's columns when it plans the join leaves.
     [?virtuals] splices pre-planned Pareto frontiers in under pseudo
     relation names: a [Scan] of a listed name returns that frontier
     verbatim (no pruning, no enforcers) instead of consulting the
@@ -171,14 +186,21 @@ val optimize_frontiers :
     unresolvable predicates are dropped.  A single leaf returns its
     frontier verbatim (no DP levels run), which is what makes
     one-partition hierarchical planning byte-identical to the
-    exhaustive search.  Pool, feedback, learner, and determinism
-    behave exactly as in {!optimize_entries}.
+    exhaustive search.  [?interesting] (default none) names the
+    columns operators above the DP read: every subset keeps orders on
+    them besides its own crossing join columns.  The hierarchical
+    optimiser passes a partition the stitch's columns (cross-partition
+    join columns and the outer query's keys), and the stitch the outer
+    query's keys.  Pool, feedback, learner, and determinism behave
+    exactly as in {!optimize_entries}.
     @raise Invalid_argument if [leaves] is empty, the (quotient) join
     graph is disconnected, or [beam < 1]. *)
 
 val interesting_columns : Dqo_plan.Logical.t -> string list
-(** Every column a sort enforcer could later pay off on: join columns
-    and grouping keys, sorted and deduplicated. *)
+(** Every column a sort could later pay off on somewhere in the query:
+    join columns and grouping keys, sorted and deduplicated.  Scans and
+    filters enforce sorts on these; a join subset only on its live
+    ones. *)
 
 val flatten_joins :
   Dqo_plan.Logical.t -> Dqo_plan.Logical.t list * (string * string) list

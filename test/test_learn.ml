@@ -378,11 +378,12 @@ let chain_query ~relations =
 
 (* Train the engine's value model from two analysed executions, then
    compare the exhaustive deep search with the beam-gated one on the
-   measured catalog: the gate enumerates at least [min_reduction] times
-   fewer candidates, picks a plan within 1.1x of the exhaustive optimum
-   that executes to the same digest, and is byte-identical on 2, 4 and
-   8 domains. *)
-let check_gate_vs_exhaustive ~label ~beam ~min_reduction db query =
+   measured catalog: the gate enumerates fewer candidates (and at most
+   [at_most]) — or, with [~cuts:false], exactly as many: no frontier
+   outgrows the beam — picks a plan within 1.1x of the exhaustive
+   optimum that executes to the same digest, and is byte-identical on
+   2, 4 and 8 domains. *)
+let check_gate_vs_exhaustive ~label ~beam ?(cuts = true) ?at_most db query =
   Engine.set_opts db
     { Engine.default_opts with Engine.learner = true; beam_width = beam };
   for _ = 1 to 2 do
@@ -401,13 +402,16 @@ let check_gate_vs_exhaustive ~label ~beam ~min_reduction db query =
     Float.of_int ex_stats.Search.plans_considered
     /. Float.of_int (max 1 ln_stats.Search.plans_considered)
   in
+  let ex = ex_stats.Search.plans_considered
+  and ln = ln_stats.Search.plans_considered in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %d -> %d candidates (%.2fx) >= %.1fx fewer" label
-       ex_stats.Search.plans_considered ln_stats.Search.plans_considered
-       reduction min_reduction)
+    (Printf.sprintf "%s: %d -> %d candidates (%.2fx)%s%s" label ex ln
+       reduction
+       (if cuts then " fewer" else " equal")
+       (match at_most with Some n -> Printf.sprintf ", <= %d" n | None -> ""))
     true
-    (ln_stats.Search.plans_considered < ex_stats.Search.plans_considered
-    && reduction >= min_reduction);
+    ((if cuts then ln < ex else ln = ex)
+    && match at_most with Some n -> ln <= n | None -> true);
   let ex_best = Pareto.cheapest ex_entries
   and ln_best = Pareto.cheapest ln_entries in
   let cost_ratio = ln_best.Pareto.cost /. Float.max 1.0 ex_best.Pareto.cost in
@@ -429,18 +433,26 @@ let check_gate_vs_exhaustive ~label ~beam ~min_reduction db query =
             (fingerprint (search ~pool ~learner:lrn ()))))
     [ 2; 4; 8 ]
 
+(* The star's gate is pinned in candidates, not as a ratio: keeping only
+   live orders shrank the exhaustive search more than the gated one
+   (77,216 -> 38,723 against 19,294 -> 15,579), so the ratio fell from
+   4.00x to 2.49x while the gated search got cheaper.  19,294 is what
+   it considered before that change.  On the chains no subset keeps more
+   than 3 entries since then, so at the default beam of 4 the gate cuts
+   nothing (before, 59,246 -> 25,686 and 161,675 -> 54,125); at beam 2
+   it still does. *)
 let test_gate_vs_exhaustive_on_real_data () =
-  check_gate_vs_exhaustive ~label:"star-7" ~beam:2 ~min_reduction:3.0
+  check_gate_vs_exhaustive ~label:"star-7" ~beam:2 ~at_most:19_294
     (real_star_db ~relations:7 ~hub_rows:4_000 ~sat_rows:5_000)
     (star_query ~relations:7);
   List.iter
-    (fun relations ->
+    (fun (relations, beam) ->
       check_gate_vs_exhaustive
-        ~label:(Printf.sprintf "chain-%d" relations)
-        ~beam:4 ~min_reduction:1.0
+        ~label:(Printf.sprintf "chain-%d, beam %d" relations beam)
+        ~beam ~cuts:(beam < 4)
         (real_chain_db ~relations ~rows:2_000)
         (chain_query ~relations))
-    [ 8; 10 ]
+    [ (8, 4); (10, 4); (8, 2); (10, 2) ]
 
 (* --- cold start ------------------------------------------------------- *)
 

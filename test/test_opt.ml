@@ -1188,60 +1188,127 @@ module Golden = struct
           entries)
       [ query; input ];
     Digest.to_hex (Digest.string (Buffer.contents b))
+
+  (* The query's frontier as a set: every entry's exact (hex) cost, rows
+     and full property vector, sorted, plans left out; hashed.  Pruning
+     orders nothing above the join reads may change which of two equal
+     entries survives and the join frontiers, never this set. *)
+  let frontier_set optimize query =
+    let entries, _ = optimize query in
+    List.map
+      (fun (e : Pareto.entry) ->
+        Printf.sprintf "%h|%d|%s" e.Pareto.cost e.Pareto.rows
+          (props_dump e.Pareto.props))
+      entries
+    |> List.sort String.compare |> String.concat "\n" |> Digest.string
+    |> Digest.to_hex
+
+  (* The §4.3 join grouped on its own join column. *)
+  let rs_id_sql = "SELECT id, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY id"
+
+  (* The star joined on [hub_k] twice: with partitions of 3, [hub_k]
+     joins Sat1 inside the hub's partition and Sat3 across the cut, and
+     the grouping key [sat2_k] is a join column inside it. *)
+  let star_split_sql =
+    "SELECT sat2_k, COUNT(*) AS c FROM Hub JOIN Sat1 ON hub_k = sat1_k JOIN \
+     Sat2 ON hub_f2 = sat2_k JOIN Sat3 ON hub_k = sat3_k JOIN Sat4 ON hub_f4 \
+     = sat4_k JOIN Sat5 ON hub_f5 = sat5_k GROUP BY sat2_k"
 end
 
-(* Digests recorded before the DP's property-vector operations were
-   specialised, and (the molecule-model and partition-of-4 ones) before
-   the DP skipped candidates it proves dominated: a change to the
-   search's inner loop must keep every frontier byte-identical, column
-   order included. *)
+(* Two digests per query.  The first hashes whole frontiers, plans and
+   join frontiers included: recorded before the DP's property-vector
+   operations were specialised and before it skipped candidates it
+   proves dominated, and re-recorded when the DP stopped keeping orders
+   nothing above reads (see CHANGES.md); any change to what the search
+   keeps moves it.  The second hashes the query frontier as a set
+   ({!Golden.frontier_set}), recorded before that pruning: it holds
+   through every change that loses no plan an operator above can
+   use. *)
 let test_golden_frontiers () =
-  let both ?model name catalog sql (deep, shallow) =
+  let check name ~full ~set optimize query =
+    Alcotest.(check string) name full (Golden.digest optimize query);
+    Alcotest.(check string) (name ^ " (set)") set
+      (Golden.frontier_set optimize query)
+  in
+  let both ?model name catalog sql ((deep, deep_set), (shallow, shallow_set)) =
     let query = Dqo_sql.Binder.plan_of_sql catalog sql in
     List.iter
-      (fun (mode, label, expected) ->
-        Alcotest.(check string) (name ^ label) expected
-          (Golden.digest (Search.optimize_entries ?model mode catalog) query))
-      [ (Search.Deep, " deep", deep); (Search.Shallow, " shallow", shallow) ]
+      (fun (mode, label, full, set) ->
+        check (name ^ label) ~full ~set
+          (Search.optimize_entries ?model mode catalog)
+          query)
+      [
+        (Search.Deep, " deep", deep, deep_set);
+        (Search.Shallow, " shallow", shallow, shallow_set);
+      ]
   in
   let rs = Golden.rs () in
   both "rs a<500" rs (Golden.rs_sql "a < 500")
-    ("2a0482c635670b30544450d50ac1dae3", "1bd6c60fa0a3366139cf389f531678ce");
+    ( ("4e8edb5a4a7f0f39c7f4e11891c68592", "bba7f3a432102f1a96994cda930c485a"),
+      ("e6c1e8a39386771e3e2cf1f3eb57aeff", "93070a77be351ade39c788b3a34e0df1") );
   both "rs b<25000" rs (Golden.rs_sql "b < 25000")
-    ("6ecf9f9bea1f8618dd16111ba277c6ce", "143f4432ec3c47e7ac5a6f0fdbfedb94");
+    ( ("9172b2a42fa8db15854a2e81ee3f5b34", "f0ff5ef6d66a2b8160448a833fd9e777"),
+      ("66901c50f829499f38293c861fa6060e", "67239a13b8033f93f912577aef742a4c") );
+  (* The grouping key is the join column. *)
+  both "rs group by id" rs Golden.rs_id_sql
+    ( ("6c531319c22ffeda43233bba9586fbb1", "da7fd5c2d3413fc57ebd7d20ca238d64"),
+      ("83cc6de62966f4eb9ce234230b8ebfe1", "ed95daceb4c726f51e8f2327913867c0") );
   both "star-7" (Golden.star ()) Golden.star_sql
-    ("7ef7aea75b3fb02c84e0866a8b90f845", "d552bac721d6d35d7857d3a0fb001af4");
+    ( ("f769336310ac4f4b2e07ae54f4b533f3", "e436b8776f707aa0e43e6bf95b357eea"),
+      ("1e7a8186d2163560b676a18e3539ec6f", "71692056c62d3fae12346b154fe52b76") );
   both "chain-10" (Golden.chain ()) Golden.chain_sql
-    ("90381ad534c18ba810647f05292b8140", "81b6cf93440c700f507609c982af6018");
+    ( ("9011d9827172fb458a45781c840e3cee", "5db552e83f373c8f2af073b5bcf10f05"),
+      ("868ae8d6cea98d461b1cc3500ce749c9", "528de2631f9b7b8275c0107d4f7c4935") );
   (* Nine hash molecules per pair: the in-pair filter's heaviest case. *)
   both ~model:Model.deep "star-7 molecules" (Golden.star ()) Golden.star_sql
-    ("768e24377802abbebb7099c2fa5fa54e", "d552bac721d6d35d7857d3a0fb001af4");
+    ( ("7902565d2eef107ac1ebae41e76ece26", "e436b8776f707aa0e43e6bf95b357eea"),
+      ("1e7a8186d2163560b676a18e3539ec6f", "71692056c62d3fae12346b154fe52b76") );
   both ~model:Model.deep "chain-10 molecules" (Golden.chain ())
     Golden.chain_sql
-    ("13e74760da531294eea77825dff53129", "81b6cf93440c700f507609c982af6018");
-  let snow = Golden.snowflake () in
-  let hier ~partition_max query =
+    ( ("4e61fb88d820256449f49febc191ed20", "5db552e83f373c8f2af073b5bcf10f05"),
+      ("868ae8d6cea98d461b1cc3500ce749c9", "528de2631f9b7b8275c0107d4f7c4935") );
+  let hier ~partition_max catalog query =
     let entries, stats, report =
-      Hier.optimize_entries ~partition_max Search.Deep snow query
+      Hier.optimize_entries ~partition_max Search.Deep catalog query
     in
-    Alcotest.(check bool) "snowflake splits into partitions" true
+    Alcotest.(check bool) "query splits into partitions" true
       (List.length report.Hier.partitions > 1);
     (entries, stats)
   in
+  let snow = Golden.snowflake () in
   let snow_query = Dqo_sql.Binder.plan_of_sql snow Golden.snowflake_sql in
-  Alcotest.(check string) "snowflake-20 hier" "8f7944bcf37aa67f12cfdda1330b4780"
-    (Golden.digest (hier ~partition_max:12) snow_query);
+  check "snowflake-20 hier" ~full:"6cce77bd8ea730eb7c4d67d9f2d21830"
+    ~set:"50d50838cb01e707305a1c1c32cb0478"
+    (hier ~partition_max:12 snow)
+    snow_query;
   (* Small partitions: more stitch DPs, over frontiers whose lists were
      built in other searches. *)
-  Alcotest.(check string) "snowflake-20 hier, partitions of 4" "8785f047fb294b7877dd403307119a40"
-    (Golden.digest (hier ~partition_max:4) snow_query)
+  check "snowflake-20 hier, partitions of 4"
+    ~full:"c4a9a6fc2e3f198a8e8ba3559853f9f7"
+    ~set:"a2e3a79b1f5e2034645de69d5fc275d4"
+    (hier ~partition_max:4 snow)
+    snow_query;
+  (* One column joining a relation inside its partition and one across
+     the cut. *)
+  let star = Golden.star () in
+  check "star split hier, partitions of 3"
+    ~full:"d5aae3cca37a13b7662362668f1e11f7"
+    ~set:"5b3cd35048d8e549a20e6677178bb3f1"
+    (hier ~partition_max:3 star)
+    (Dqo_sql.Binder.plan_of_sql star Golden.star_split_sql)
 
 (* --- reference join DP ------------------------------------------------- *)
 
 (* The sequential join DP as it stood before the search learned to skip
    candidates it can prove dominated: every pair's candidates built,
    the chunks concatenated, folded through [Pareto.add_all], sort
-   enforcers added on the survivors.  No pool, feedback or learner. *)
+   enforcers added on the survivors.  No pool, feedback or learner.
+   With [~live:None] it is the DP from before it kept only live orders:
+   every OJ/SOJ output sorted on its join column, enforcers on every
+   column of [interesting].  With [~live:(Some above)] it applies the
+   live-order rule, written out again here: a subset's live columns are
+   [above] and the columns a predicate joins to a leaf outside it;
+   enforcers go on those, and OJ/SOJ outputs record {!sorted_output}. *)
 module Reference = struct
   module Bitset = Dqo_util.Bitset
   module Subsets = Hashtbl.Make (Bitset)
@@ -1254,6 +1321,7 @@ module Reference = struct
     mode : Search.mode;
     model : Model.t;
     interesting : string list;
+    live : string list option;
     mutable considered : int;
     mutable enforced : int;
     mutable pruned : int;
@@ -1271,7 +1339,7 @@ module Reference = struct
     ctx.steps <- { Search.step; generated; enforcers; kept; pruned } :: ctx.steps;
     kept_entries
 
-  let enforcer_variants ctx entries =
+  let enforcer_variants ctx columns entries =
     List.concat_map
       (fun (e : Pareto.entry) ->
         List.filter_map
@@ -1290,8 +1358,24 @@ module Reference = struct
                     props = Props.with_sort e.Pareto.props col;
                     rows = e.Pareto.rows;
                   })
-          ctx.interesting)
+          columns)
       entries
+
+  (* An OJ/SOJ output sorted on a dead [c1] keeps no order, unless [c1]
+     co-orders live columns: exactly one, [x], and it is clustered on
+     [x]; several, and it stays sorted on [c1]. *)
+  let sorted_output ~live c1 (unordered : Props.t) =
+    if List.mem c1 live then Props.with_sort unordered c1
+    else
+      match
+        List.sort_uniq String.compare
+          (List.filter_map
+             (fun (a, x) -> if a = c1 && List.mem x live then Some x else None)
+             unordered.Props.co_ordered)
+      with
+      | [] -> unordered
+      | [ x ] -> { unordered with Props.clustered_by = Some x }
+      | _ -> Props.with_sort unordered c1
 
   let hash_molecules ctx =
     match ctx.mode with
@@ -1304,7 +1388,8 @@ module Reference = struct
         [ Grouping.Chaining; Grouping.Linear_probing; Grouping.Robin_hood ]
     | Search.Deep | Search.Shallow -> [ (Grouping.Chaining, Hash_fn.Murmur3) ]
 
-  let join_candidates ctx (e1 : Pareto.entry) (e2 : Pareto.entry) c1 c2 =
+  let join_candidates ctx ~order (e1 : Pareto.entry) (e2 : Pareto.entry) c1
+      c2 =
     let d1 = Search.distinct_or e1.Pareto.props c1 e1.Pareto.rows in
     let d2 = Search.distinct_or e2.Pareto.props c2 e2.Pareto.rows in
     let out_rows =
@@ -1316,7 +1401,7 @@ module Reference = struct
         (Props.union_columns e1.Pareto.props e2.Pareto.props)
         out_rows
     in
-    let ordered = Props.with_sort unordered c1 in
+    let ordered = order unordered in
     let mk impl cost props =
       {
         Pareto.plan =
@@ -1418,7 +1503,25 @@ module Reference = struct
           (List.map (fun i -> leaf_names.(i)) (Bitset.to_list s))
       ^ "}"
     in
+    (* Sorted, as the search lists them. *)
+    let live_columns above s =
+      List.sort_uniq String.compare
+        (Array.fold_left
+           (fun acc (ll, rl, lc, rc) ->
+             match (Bitset.mem ll s, Bitset.mem rl s) with
+             | true, false -> lc :: acc
+             | false, true -> rc :: acc
+             | _ -> acc)
+           above pred_endpoints)
+    in
     let solve s =
+      let columns, order =
+        match ctx.live with
+        | None -> (ctx.interesting, fun c1 u -> Props.with_sort u c1)
+        | Some above ->
+          let live = live_columns above s in
+          (live, fun c1 -> sorted_output ~live c1)
+      in
       let chunks = ref [] in
       Bitset.iter_subsets
         (fun s1 ->
@@ -1436,13 +1539,15 @@ module Reference = struct
                   (fun e1 ->
                     List.iter
                       (fun e2 ->
-                        chunks := join_candidates ctx e1 e2 c1 c2 :: !chunks)
+                        chunks :=
+                          join_candidates ctx ~order:(order c1) e1 e2 c1 c2
+                          :: !chunks)
                       p2)
                   p1)))
         s;
       let candidates = List.concat !chunks in
       let survivors = Pareto.add_all [] candidates in
-      let enforced = enforcer_variants ctx survivors in
+      let enforced = enforcer_variants ctx columns survivors in
       count ctx (List.length enforced);
       let merged = Pareto.add_all survivors enforced in
       record_step ctx (subset_label s)
@@ -1494,13 +1599,16 @@ module Reference = struct
     done;
     Option.value ~default:[] (Subsets.find_opt memo (Bitset.full k))
 
-  (* What [Search.optimize_frontiers] returns, rebuilt by the copy. *)
-  let optimize_frontiers ~model ~interesting ~names ~leaves ~predicates mode =
+  (* What [Search.optimize_frontiers] returns, rebuilt by the copy, with
+     the frontier and its counters. *)
+  let optimize_frontiers ~model ?(interesting = []) ?live ~names ~leaves
+      ~predicates mode =
     let ctx =
       {
         mode;
         model;
         interesting;
+        live;
         considered = 0;
         enforced = 0;
         pruned = 0;
@@ -1549,12 +1657,22 @@ let dp_dump entries (considered, kept, enforced, pruned, trace, levels) =
   Buffer.contents b
 
 (* Random leaf frontiers built to hit every corner the join DP's
-   candidate skipping depends on: sort variants that share their
-   source's lists (twins) next to copies with equal but unshared lists,
-   row variants on shared lists (one union, several output row counts),
-   rows 0 and 1 (sorting is free, so twins tie on cost), costs near
-   2^53 (float sums tie), dense and sparse columns, co-ordering pairs,
-   and chain, star and cycle graphs of 2-7 leaves. *)
+   candidate skipping and live orders depend on: sort variants that
+   share their source's lists (twins) next to copies with equal but
+   unshared lists, rows 1 (sorting is free, so twins tie on cost),
+   costs near 2^53 (float sums tie), dense and sparse columns,
+   co-ordering pairs (a column co-ordering one or several others), chain,
+   star and cycle graphs of 2-7 leaves, sometimes with one more
+   predicate on a column another predicate already joins, and columns
+   read above the DP ([above]) that are often join columns too.
+
+   With [~keys:false] column distinct counts are drawn freely, leaves
+   may have 0 rows, and entries of one leaf, even on shared lists, may
+   estimate different rows (one union, several output row counts).
+   With [~keys:true] every column is a key of its leaf (as many
+   distinct values as the leaf has rows) and all of a leaf's entries
+   share its rows, so every join estimates the smaller input's rows
+   and a subset's rows do not depend on its plan. *)
 type dp_case = {
   shape : string;
   mode : Search.mode;
@@ -1562,10 +1680,10 @@ type dp_case = {
   names : string array;
   leaves : Pareto.entry list array;
   predicates : (string * string) list;
-  interesting : string list;
+  above : string list;
 }
 
-let dp_case_gen st =
+let dp_case_gen ~keys st =
   let int n = Random.State.int st n in
   let pick l = List.nth l (int (List.length l)) in
   let chance p = Random.State.float st 1.0 < p in
@@ -1575,7 +1693,7 @@ let dp_case_gen st =
   let ncols = Array.init k (fun _ -> 1 + int 3) in
   let rows () =
     match int 5 with
-    | 0 -> 0
+    | 0 -> if keys then 1 else 0
     | 1 -> 1
     | 2 -> 2 + int 20
     | _ -> 50 + int 2_000
@@ -1586,16 +1704,24 @@ let dp_case_gen st =
     else Float.of_int (int 5_000) +. Random.State.float st 1.0
   in
   let leaf i =
+    let first_rows = rows () in
+    let rows () = if keys || chance 0.5 then first_rows else rows () in
     let columns () =
       List.init ncols.(i) (fun m ->
-          let d = 1 + int 60 in
+          let lo = int 3 and d = if keys then first_rows else 1 + int 60 in
           if chance 0.5 then
-            (colname i m, { Props.dense = true; lo = 0; hi = d - 1; distinct = d })
+            (colname i m, { Props.dense = true; lo; hi = lo + d - 1; distinct = d })
           else
             (colname i m, { Props.dense = false; lo = 0; hi = -1; distinct = d }))
     in
     let co_ordered =
-      if ncols.(i) > 1 && chance 0.5 then [ (colname i 0, colname i 1) ] else []
+      List.concat
+        (List.init ncols.(i) (fun a ->
+             List.filter_map
+               (fun b ->
+                 if a <> b && chance 0.3 then Some (colname i a, colname i b)
+                 else None)
+               (List.init ncols.(i) Fun.id)))
     in
     let order () =
       if chance 0.4 then Some (colname i (int ncols.(i))) else None
@@ -1612,13 +1738,12 @@ let dp_case_gen st =
     in
     (* Sources share their column statistics or draw their own, and
        often their rows: equal rows over other distinct counts. *)
-    let shared = columns () and first_rows = rows () in
+    let shared = columns () in
     let sources =
       List.init (1 + int 2) (fun _ ->
           entry
             (props (if chance 0.5 then shared else columns ()))
-            ~rows:(if chance 0.5 then first_rows else rows ())
-            ~cost:(cost ()))
+            ~rows:(rows ()) ~cost:(cost ()))
     in
     List.concat_map
       (fun (src : Pareto.entry) ->
@@ -1649,7 +1774,7 @@ let dp_case_gen st =
               }
               ~rows:src.Pareto.rows ~cost:(src.Pareto.cost +. delta)
           | 2 ->
-            (* Same lists, other rows. *)
+            (* Same lists, other cost and maybe other rows. *)
             entry src.Pareto.props ~rows:(rows ())
               ~cost:(src.Pareto.cost +. delta)
           | _ ->
@@ -1676,11 +1801,27 @@ let dp_case_gen st =
   let predicates =
     List.map (fun (a, b) -> if chance 0.5 then edge a b else edge b a) edges
   in
-  let interesting =
+  (* One more predicate on the first one's left column, to another
+     leaf: that column joins two relations. *)
+  let predicates =
+    match predicates with
+    | (lc, _) :: _ when k > 2 && chance 0.5 ->
+      let owner = int_of_string (String.sub lc 1 (String.index lc 'c' - 1)) in
+      let other = (owner + 1 + int (k - 1)) mod k in
+      predicates @ [ (lc, colname other (int ncols.(other))) ]
+    | _ -> predicates
+  in
+  let above =
     List.concat
       (List.init k (fun i ->
-           List.filter (fun _ -> chance 0.5)
+           List.filter (fun _ -> chance 0.3)
              (List.init ncols.(i) (colname i))))
+    @
+    (* A grouping key that is also a join column. *)
+    if chance 0.5 then
+      let lc, rc = List.nth predicates (int (List.length predicates)) in
+      [ (if chance 0.5 then lc else rc) ]
+    else []
   in
   {
     shape;
@@ -1689,7 +1830,7 @@ let dp_case_gen st =
     names = Array.init k (Printf.sprintf "L%d");
     leaves;
     predicates;
-    interesting;
+    above = List.sort_uniq String.compare above;
   }
 
 let dp_case_print c =
@@ -1699,20 +1840,87 @@ let dp_case_print c =
     (if c.deep_model then "deep" else "table2")
     (Array.fold_left (fun acc l -> acc + List.length l) 0 c.leaves)
 
+(* The cheapest cost, and for every column read above the DP the
+   cheapest cost of an entry sorted on it and of one clustered on it,
+   in hex; "-" where no entry qualifies. *)
+let dp_summary above (entries : Pareto.entry list) =
+  let cheapest ok =
+    match List.filter ok entries with
+    | [] -> "-"
+    | es -> Printf.sprintf "%h" (Pareto.cheapest es).Pareto.cost
+  in
+  String.concat "\n"
+    (("cheapest " ^ cheapest (fun _ -> true))
+    :: List.map
+         (fun c ->
+           Printf.sprintf "%s: sorted %s, clustered %s" c
+             (cheapest (fun e -> Props.sorted_on e.Pareto.props c))
+             (cheapest (fun e -> Props.clustered_on e.Pareto.props c)))
+         above)
+
+let frontier_dump entries =
+  String.concat "\n"
+    (List.map
+       (fun (e : Pareto.entry) ->
+         Format.asprintf "%h rows=%d %a@\n%a" e.Pareto.cost e.Pareto.rows
+           Props.pp e.Pareto.props Physical.pp e.Pareto.plan)
+       entries)
+
+(* Where a subset's rows do not depend on its plan (key-only leaves),
+   keeping only live orders loses nothing anything above can use: the
+   old DP, enforcing sorts on every join column and every column read
+   above at every subset and keeping every join output's order, finds
+   the same cheapest plan cost and, for each column read above, the
+   same cheapest sorted and clustered entries.  With row variants it
+   can find cheaper ones: Pareto pruning ignores rows, and an entry
+   kept only for a dead order may carry fewer rows. *)
 let prop_dp_matches_reference =
-  QCheck.Test.make ~count:200
-    ~name:"optimize_frontiers = reference DP (frontier, counters, trace)"
-    (QCheck.make ~print:dp_case_print dp_case_gen)
+  QCheck.Test.make ~count:300
+    ~name:"optimize_frontiers = reference DP (cheapest, orders read above)"
+    (QCheck.make ~print:dp_case_print (dp_case_gen ~keys:true))
     (fun c ->
       let model = if c.deep_model then Model.deep else Model.table2 in
       let entries, (stats : Search.stats) =
-        Search.optimize_frontiers ~model ~interesting:c.interesting
-          ~names:c.names ~leaves:c.leaves ~predicates:c.predicates c.mode
-          (Catalog.create [])
+        Search.optimize_frontiers ~model ~interesting:c.above ~names:c.names
+          ~leaves:c.leaves ~predicates:c.predicates c.mode (Catalog.create [])
+      in
+      let interesting =
+        List.sort_uniq String.compare
+          (c.above @ List.concat_map (fun (l, r) -> [ l; r ]) c.predicates)
+      in
+      let r_entries, _ =
+        Reference.optimize_frontiers ~model ~interesting ~names:c.names
+          ~leaves:c.leaves ~predicates:c.predicates c.mode
+      in
+      let got = dp_summary c.above entries
+      and want = dp_summary c.above r_entries in
+      String.equal got want
+      && stats.Search.candidates_built <= stats.Search.plans_considered
+      || QCheck.Test.fail_reportf "above [%s]\nsearch:\n%s\n%s\nreference:\n%s\n%s"
+           (String.concat "," c.above) got (frontier_dump entries) want
+           (frontier_dump r_entries))
+
+(* The candidates the search skips (twin inputs, in-pair dominance, the
+   memoised unions per output row count) never change what it keeps:
+   against the reference building every candidate under the same
+   live-order rule, frontiers, counters, trace and level stats are
+   byte-identical, also where a subset's plans estimate different
+   rows. *)
+let prop_dp_matches_live_reference =
+  QCheck.Test.make ~count:300
+    ~name:
+      "optimize_frontiers = reference DP (live orders: frontier, counters, \
+       trace)"
+    (QCheck.make ~print:dp_case_print (dp_case_gen ~keys:false))
+    (fun c ->
+      let model = if c.deep_model then Model.deep else Model.table2 in
+      let entries, (stats : Search.stats) =
+        Search.optimize_frontiers ~model ~interesting:c.above ~names:c.names
+          ~leaves:c.leaves ~predicates:c.predicates c.mode (Catalog.create [])
       in
       let r_entries, r_stats =
-        Reference.optimize_frontiers ~model ~interesting:c.interesting
-          ~names:c.names ~leaves:c.leaves ~predicates:c.predicates c.mode
+        Reference.optimize_frontiers ~model ~live:c.above ~names:c.names
+          ~leaves:c.leaves ~predicates:c.predicates c.mode
       in
       let got =
         dp_dump entries
@@ -1726,7 +1934,8 @@ let prop_dp_matches_reference =
       let want = dp_dump r_entries r_stats in
       String.equal got want
       && stats.Search.candidates_built <= stats.Search.plans_considered
-      || QCheck.Test.fail_reportf "search:\n%s\nreference:\n%s" got want)
+      || QCheck.Test.fail_reportf "above [%s]\nsearch:\n%s\nreference:\n%s"
+           (String.concat "," c.above) got want)
 
 let () =
   Alcotest.run "dqo_opt"
@@ -1816,7 +2025,10 @@ let () =
       ( "golden",
         [ Alcotest.test_case "frontier digests" `Quick test_golden_frontiers ] );
       ( "reference-dp",
-        [ QCheck_alcotest.to_alcotest prop_dp_matches_reference ] );
+        [
+          QCheck_alcotest.to_alcotest prop_dp_matches_reference;
+          QCheck_alcotest.to_alcotest prop_dp_matches_live_reference;
+        ] );
       ( "parallel",
         [
           Alcotest.test_case "pool matches sequential" `Quick
