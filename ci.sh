@@ -344,11 +344,13 @@ grep -q '^ok stats requests=4' "$serve_out" || { echo "ci: serve stats missing" 
 grep -q '^ok bye$' "$serve_out" || { echo "ci: serve did not quit cleanly" >&2; exit 1; }
 
 echo "== dqo serve 1-domain groupjoin pin =="
-# SPHG over SPHJ with COUNT/SUM runs as one groupjoin pass.  On a
-# 1-domain pool, the §4.3 join-group, two filtered variants and a SUM
-# over the other join side must digest to the values the unfused
-# operators printed.
-gj_out="$(printf 'open\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 10000 GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c, SUM(b) AS s FROM R JOIN S ON id = r_id GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 700 GROUP BY a\nexec 1 1\nexec 1 2\nexec 1 3\nexec 1 4\nclose 1\nquit\n' \
+# SPHG over SPHJ with COUNT/SUM runs as one groupjoin pass, and a WHERE
+# on a stored relation runs inside the pass of the SPHG or groupjoin
+# that reads it.  On a 1-domain pool, the §4.3 join-group, filtered
+# variants (R side, S side, a conjunction over both), a SUM over the
+# other join side and the S group-by under an S filter must digest to
+# the values the unfused operators printed.
+gj_out="$(printf 'open\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 10000 GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c, SUM(b) AS s FROM R JOIN S ON id = r_id GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE a < 700 GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c FROM R JOIN S ON id = r_id WHERE b > 250000 GROUP BY a\nprepare 1 SELECT a, COUNT(*) AS c, SUM(b) AS s FROM R JOIN S ON id = r_id WHERE a < 700 AND b > 250000 AND b < 900000 GROUP BY a\nprepare 1 SELECT r_id, COUNT(*) AS c FROM S WHERE b < 500000 GROUP BY r_id\nexec 1 1\nexec 1 2\nexec 1 3\nexec 1 4\nexec 1 5\nexec 1 6\nexec 1 7\nclose 1\nquit\n' \
   | dune exec bin/dqo.exe -- serve --threads 1 --r-rows 2000 --s-rows 6000 \
       --groups 1500 | grep '^result ')"
 test "$gj_out" = "$(cat <<'EOF'
@@ -356,6 +358,9 @@ result rows=1441 cols=2 sum=0b8b6e1f38ed0d6e
 result rows=1441 cols=2 sum=0b8b6e1f38ed0d6e
 result rows=1441 cols=3 sum=324dd6f8ed4e28bc
 result rows=665 cols=2 sum=2e95b88b02ec585d
+result rows=1388 cols=2 sum=2aa91dc47d2d305b
+result rows=613 cols=3 sum=33bf87ff649a60c3
+result rows=1567 cols=2 sum=254288dd9ee97a9f
 EOF
 )" || { echo "ci: 1-domain groupjoin digests differ from the pinned values" >&2; exit 1; }
 

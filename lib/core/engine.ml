@@ -403,22 +403,24 @@ let grouped_relation key aggs (result : Dqo_exec.Group_result.t) =
     (Column.of_ints result.Dqo_exec.Group_result.keys
     :: List.map agg_column aggs)
 
+(* The pool the parallel operators run on: one of more than one domain. *)
+let parallel = function
+  | Some pool when Dqo_par.Pool.size pool > 1 -> Some pool
+  | Some _ | None -> None
+
 let group_fast t ?pool ?metrics ~src rel key aggs payload_col
     (impl : Physical.grouping_impl) =
   let keys = Relation.int_col rel key in
+  let payload = Option.map (Relation.int_col rel) payload_col in
   let values =
-    match payload_col with
-    | Some c -> Relation.int_col rel c
+    match payload with
+    | Some v -> v
     (* COUNT-only grouping: an O(1) constant column instead of an
        n-element zero array — at paper scale that is the difference
        between nothing and 800 MB. *)
     | None -> Int_col.const (Int_col.length keys) 0
   in
-  let parallel =
-    match pool with
-    | Some pool when Dqo_par.Pool.size pool > 1 -> Some pool
-    | Some _ | None -> None
-  in
+  let parallel = parallel pool in
   let result =
     match impl.Physical.g_alg with
     | Grouping.HG -> (
@@ -442,7 +444,8 @@ let group_fast t ?pool ?metrics ~src rel key aggs payload_col
       match (sph_strategy t ~op:"SPHG" ~src key keys, parallel) with
       | Slots { lo; hi }, Some pool ->
         Dqo_par.Par_group.sph pool ?metrics ~lo ~hi ~keys ~values ()
-      | Slots { lo; hi }, None -> Grouping.sph_based ~lo ~hi ~keys ~values
+      | Slots { lo; hi }, None ->
+        fst (Grouping.sph_where ~lo ~hi ~keys ~values:payload ~where:[])
       | Fks_av fks, _ -> fks_grouping fks ~keys ~values)
   in
   grouped_relation key aggs result
@@ -614,6 +617,65 @@ let groupjoin t (sub : Physical.t) key aggs (impl : Physical.grouping_impl) =
     if clash then None else Some { l; r; lc; rc; ls; rs; payload }
   | _ -> None
 
+(* A WHERE on a stored relation is tested inside the pass of the
+   operator that reads it — the sequential SPHG, or the groupjoin
+   (either input) — instead of running as its own operators: no row-id
+   array is built and no column is gathered.  [stored_where t p] matches
+   a chain of filters directly over a Table_scan, which may be empty. *)
+type stored_where = {
+  scan : Physical.t;
+  base : Relation.t;
+  filters : Physical.t list;  (* outermost first *)
+  where : (string * Dqo_exec.Filter.predicate) list;  (* innermost first *)
+}
+
+let rec stored_where t (p : Physical.t) =
+  match p with
+  | Physical.Table_scan name ->
+    Some { scan = p; base = relation t name; filters = []; where = [] }
+  | Physical.Filter_op (sub, col, pred) ->
+    Option.map
+      (fun s -> { s with filters = p :: s.filters; where = s.where @ [ (col, pred) ] })
+      (stored_where t sub)
+  | Physical.Project_op _ | Physical.Sort_enforcer _ | Physical.Join_op _
+  | Physical.Group_op _ ->
+    None
+
+let where_columns s =
+  List.map (fun (col, pred) -> (Relation.int_col s.base col, pred)) s.where
+
+(* The fusion's one affordability rule: the stored span of SPH key
+   [col] over the base relation, when a slot array over it is
+   affordable with no input rows.  The unfused check sees a sub-span of
+   it at no fewer rows, so it would pass too: fusing never turns a
+   refusal into a result.  Otherwise the filters run as operators. *)
+let stored_bounds t s col =
+  let keys = Relation.int_col s.base col in
+  let lo, hi = sph_bounds t s.scan col keys in
+  if slots_affordable t col ~lo ~hi ~rows:0 then Some (keys, lo, hi) else None
+
+(* The fused chain's nodes, once the kernel has counted their rows
+   ([passed], innermost first): the analysed walk reports each filter
+   with its exact qualifying rows and the scan with its own.  The
+   relation a filter node returns is the scan's; nothing reads it. *)
+let report ~child ~span s passed =
+  let rec go = function
+    | [] -> child None s.scan
+    | (p, rows) :: inner -> span p (fun () -> (go inner, rows))
+  in
+  ignore (go (List.combine s.filters (List.rev (Array.to_list passed))))
+
+(* The sequential SPHG over a WHERE on a stored relation fuses (a bare
+   scan needs no fusing); a pool of more than one domain keeps the
+   parallel SPHG. *)
+let fused_sphg t ?pool (sub : Physical.t) key (impl : Physical.grouping_impl) =
+  match sub with
+  | Physical.Filter_op _
+    when impl.Physical.g_alg = Grouping.SPHG && parallel pool = None ->
+    Option.bind (stored_where t sub) (fun s ->
+        Option.map (fun b -> (s, b)) (stored_bounds t s key))
+  | _ -> None
+
 (* The one operator match.  [child need sub] evaluates a sub-plan, left
    before right: the plain walk recurses directly, the analysed walk
    also times and annotates each node.  [span p f] runs [f], which
@@ -650,9 +712,48 @@ let exec_node t ?pool ?metrics ~child ~span ~need (p : Physical.t) =
     match groupjoin t sub key aggs impl with
     | Some g ->
       span sub (fun () ->
-          let need = Some reads in
-          let lr = child (input_need need g.ls g.lc) g.l in
-          let rr = child (input_need need g.rs g.rc) g.r in
+          (* Both inputs fuse, or neither: the analysed children stay in
+             plan order. *)
+          let fused =
+            match (stored_where t g.l, stored_where t g.r) with
+            | Some l, Some r ->
+              Option.map (fun (_, lo, hi) -> (l, r, lo, hi)) (stored_bounds t l g.lc)
+            | _ -> None
+          in
+          let matched =
+            Join.Matched
+              (fun ~lo ~hi ~rows ->
+                if not (slots_affordable t key ~lo ~hi ~rows) then
+                  sparse_error ~op:"SPHG" key)
+          in
+          let lr, rr, where, (lo, hi), groups, report_inputs =
+            match fused with
+            | Some (l, r, lo, hi) ->
+              (* The group key's stored span, when affordable, holds
+                 every group key and passes the check [matched] would
+                 make over the matched ones. *)
+              let gs = if Schema.mem g.ls key then l else r in
+              ( l.base,
+                r.base,
+                (where_columns l, where_columns r),
+                (lo, hi),
+                (match stored_bounds t gs key with
+                | Some (_, glo, ghi) -> Join.Span (glo, ghi)
+                | None -> matched),
+                fun (lp, rp) ->
+                  report ~child ~span l lp;
+                  report ~child ~span r rp )
+            | None ->
+              let need = Some reads in
+              let lr = child (input_need need g.ls g.lc) g.l in
+              let rr = child (input_need need g.rs g.rc) g.r in
+              ( lr,
+                rr,
+                ([], []),
+                sph_bounds t g.l g.lc (Relation.int_col lr g.lc),
+                matched,
+                ignore )
+          in
           let side c = if Schema.mem g.ls c then Join.Left else Join.Right in
           let col c =
             Relation.int_col
@@ -660,24 +761,32 @@ let exec_node t ?pool ?metrics ~child ~span ~need (p : Physical.t) =
               c
           in
           let left = col g.lc in
-          let lo, hi = sph_bounds t g.l g.lc left in
           if not (slots_affordable t g.lc ~lo ~hi ~rows:(Int_col.length left))
           then sparse_error ~op:"SPHJ" g.lc;
-          let result, pairs =
-            Join.sph_group_join ~lo ~hi ~left ~right:(col g.rc)
+          let gj =
+            Join.sph_group_join ~lo ~hi ~left ~right:(col g.rc) ~where
               ~group:(side key) ~gkeys:(col key)
               ~sum:(Option.map (fun c -> (side c, col c)) g.payload)
-              ~check:(fun ~lo ~hi ~rows ->
-                if not (slots_affordable t key ~lo ~hi ~rows) then
-                  sparse_error ~op:"SPHG" key)
+              ~groups
           in
-          (grouped_relation key aggs result, pairs))
+          report_inputs gj.Join.passed;
+          (grouped_relation key aggs gj.Join.groups, gj.Join.pairs))
     | None -> (
-      let rel = child (Some reads) sub in
       match fast_path_payload aggs with
-      | Some payload ->
-        group_fast t ?pool ?metrics ~src:sub rel key aggs payload impl
-      | None -> group_generic rel key aggs))
+      | None -> group_generic (child (Some reads) sub) key aggs
+      | Some payload -> (
+        match fused_sphg t ?pool sub key impl with
+        | Some (s, (keys, lo, hi)) ->
+          let result, passed =
+            Grouping.sph_where ~lo ~hi ~keys
+              ~values:(Option.map (Relation.int_col s.base) payload)
+              ~where:(where_columns s)
+          in
+          report ~child ~span s passed;
+          grouped_relation key aggs result
+        | None ->
+          group_fast t ?pool ?metrics ~src:sub (child (Some reads) sub) key aggs
+            payload impl)))
 
 let rec execute_in t ?pool need p =
   exec_node t ?pool ~child:(execute_in t ?pool) ~span:(fun _ f -> fst (f ()))

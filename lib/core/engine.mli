@@ -183,6 +183,27 @@ val execute :
     ({!Dqo_exec.Join.sph_group_join}): no pair is materialised, and the
     result is byte-identical to the two operators run apart, on any
     pool size.
+
+    A WHERE on a stored relation — a chain of [Filter_op]s directly
+    over its [Table_scan] — runs inside the pass of the operator that
+    reads it instead of as operators of its own, when that operator is
+    the SPHG of the COUNT/SUM fast path on a pool of at most one domain
+    (more domains keep the parallel SPHG), or the groupjoin with both
+    inputs such chains (bare scans included).  The pass reads the base
+    columns and narrows each segment's selection vector per predicate
+    ({!Dqo_exec.Filter.iter_where}): no row-id array is built and no
+    column gathered.  It fuses only when the slot array over the SPH
+    key's stored span (SPHG's key, the groupjoin's join key) is
+    affordable with no input rows: the unfused check, which sees a
+    sub-span at no fewer rows, then passes too, so results, errors and
+    decisions are those of the unfused operators.  The groupjoin's
+    group slots span the group key's stored span when that is
+    affordable too (one pass over the group side), the matched keys
+    otherwise.  The plain and the analysed walks keep every node: each
+    fused [Filter_op] reports the rows it keeps (counted by the pass,
+    including rows the join finds no partner for) and its scan its
+    stored rows, with next to no time; the consuming node's span
+    carries the pass's time.
     @raise Not_found / Invalid_argument on plans referencing unknown
     relations or columns, or prescribing SPH on a wider span without
     an AV. *)

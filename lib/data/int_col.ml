@@ -297,6 +297,36 @@ let iter_seg2_range a b ~pos ~len ~f =
 
 let iter_seg2 a b ~f = iter_seg2_range a b ~pos:0 ~len:(length a) ~f
 
+let iter_segn cols ~seg ~f =
+  if seg < 1 then invalid_arg "Int_col.iter_segn: seg < 1";
+  let n = if Array.length cols = 0 then 0 else length cols.(0) in
+  Array.iter
+    (fun c ->
+      if length c <> n then invalid_arg "Int_col.iter_segn: length mismatch")
+    cols;
+  let seg = min seg n in
+  (* Flat columns are read in place; the others are copied into one
+     scratch buffer each, allocated once. *)
+  let bufs =
+    Array.map
+      (function Arr a -> a | Const c -> Array.make seg c.v | Big _ -> Array.make seg 0)
+      cols
+  in
+  let offs = Array.make (Array.length cols) 0 in
+  let p = ref 0 in
+  while !p < n do
+    let l = min seg (n - !p) in
+    Array.iteri
+      (fun j c ->
+        match c with
+        | Arr _ -> offs.(j) <- !p
+        | Const _ -> ()
+        | Big _ -> blit c ~pos:!p bufs.(j) ~dst_pos:0 ~len:l)
+      cols;
+    f !p bufs offs l;
+    p := !p + l
+  done
+
 let iteri t ~f =
   iter_seg t ~f:(fun pos buf off len ->
       for k = 0 to len - 1 do

@@ -119,6 +119,15 @@ val iter_seg2 :
     [f pos abuf aoff bbuf boff len].
     @raise Invalid_argument on a length mismatch. *)
 
+val iter_segn :
+  t array -> seg:int -> f:(int -> int array array -> int array -> int -> unit) -> unit
+(** Lock-step iteration over any number of equal-length columns in
+    segments of at most [seg] rows: [f pos bufs offs len] reads column
+    [j]'s rows [pos..pos+len-1] as [bufs.(j).(offs.(j)..offs.(j)+len-1)].
+    [bufs] and [offs] are borrowed like a segment buffer.  Bounding the
+    segment keeps per-segment scratch a caller sizes by [seg] in cache.
+    @raise Invalid_argument on a length mismatch or [seg < 1]. *)
+
 val iter_seg2_range :
   t ->
   t ->

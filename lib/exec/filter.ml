@@ -17,79 +17,88 @@ let eval p v =
   | Ge x -> v >= x
   | Between (lo, hi) -> lo <= v && v <= hi
 
-(* The predicate is matched once, outside the row loops; each loop
-   appends branch-free: the row id is always written and the cursor
-   advances only when the row qualifies ([out] has room for every
-   row). *)
+(* [v] satisfies [p] iff [(lo <= v && v <= hi) <> negate].  The
+   predicates that select nothing at the ends of the int range map to
+   the empty range [(1, 0)]. *)
+let nothing = (1, 0, false)
+
+let range = function
+  | Eq x -> (x, x, false)
+  | Ne x -> (x, x, true)
+  | Lt x -> if x = min_int then nothing else (min_int, x - 1, false)
+  | Le x -> (min_int, x, false)
+  | Gt x -> if x = max_int then nothing else (x + 1, max_int, false)
+  | Ge x -> (x, max_int, false)
+  | Between (a, b) -> if b < a then nothing else (a, b, false)
+
+(* 1 if [v] is in the range, 0 if not, without a branch. *)
+let[@inline] hit (lo : int) (hi : int) neg (v : int) =
+  (Bool.to_int (lo <= v) land Bool.to_int (v <= hi)) lxor neg
+
+type where = (Dqo_data.Int_col.t * predicate) list
+
+(* Rows per segment of a filtered scan: the selection vector and one
+   segment of every column read stay in the L1/L2 caches. *)
+let morsel = 2048
+
+(* The selection vector of a segment every row of which qualifies;
+   consumers only read it, so every scan without predicates shares it. *)
+let identity = Array.init morsel Fun.id
+
+(* Each predicate narrows the segment's selection vector: every
+   candidate offset is written at the cursor, which advances only when
+   the row qualifies, so no branch depends on the data. *)
+let iter_where where cols ~f =
+  let ranges =
+    Array.of_list
+      (List.map
+         (fun (_, p) ->
+           let lo, hi, neg = range p in
+           (lo, hi, Bool.to_int neg))
+         where)
+  in
+  let k = Array.length ranges and nc = Array.length cols in
+  let all = Array.append cols (Array.of_list (List.map fst where)) in
+  let rows = if Array.length all = 0 then 0 else Dqo_data.Int_col.length all.(0) in
+  let sel = if k = 0 then identity else Array.make (min rows morsel) 0 in
+  let passed = Array.make k 0 in
+  Dqo_data.Int_col.iter_segn all ~seg:morsel ~f:(fun pos bufs offs len ->
+      let n = ref len in
+      for j = 0 to k - 1 do
+        let lo, hi, neg = ranges.(j) in
+        let b = bufs.(nc + j) and o = offs.(nc + j) in
+        let c = ref 0 in
+        if j = 0 then
+          for i = 0 to len - 1 do
+            Array.unsafe_set sel !c i;
+            c := !c + hit lo hi neg (Array.unsafe_get b (o + i))
+          done
+        else
+          for x = 0 to !n - 1 do
+            let i = Array.unsafe_get sel x in
+            Array.unsafe_set sel !c i;
+            c := !c + hit lo hi neg (Array.unsafe_get b (o + i))
+          done;
+        n := !c;
+        passed.(j) <- passed.(j) + !c
+      done;
+      f pos sel !n bufs offs);
+  passed
+
+(* Each row id is always written and the cursor advances only when the
+   row qualifies ([out] has room for every row). *)
 let select column p =
-  let n = Dqo_data.Int_col.length column in
-  let out = Array.make n 0 in
+  let lo, hi, neg = range p in
+  let neg = Bool.to_int neg in
+  let out = Array.make (Dqo_data.Int_col.length column) 0 in
   let m = ref 0 in
-  let scan f = Dqo_data.Int_col.iter_seg column ~f in
-  (match p with
-  | Eq x ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (v = x)
-        done;
-        m := !j)
-  | Ne x ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (v <> x)
-        done;
-        m := !j)
-  | Lt x ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (v < x)
-        done;
-        m := !j)
-  | Le x ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (v <= x)
-        done;
-        m := !j)
-  | Gt x ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (v > x)
-        done;
-        m := !j)
-  | Ge x ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (v >= x)
-        done;
-        m := !j)
-  | Between (lo, hi) ->
-    scan (fun pos buf off len ->
-        let j = ref !m in
-        for k = 0 to len - 1 do
-          let v = Array.unsafe_get buf (off + k) in
-          Array.unsafe_set out !j (pos + k);
-          j := !j + Bool.to_int (lo <= v) land Bool.to_int (v <= hi)
-        done;
-        m := !j));
+  Dqo_data.Int_col.iter_seg column ~f:(fun pos buf off len ->
+      let j = ref !m in
+      for k = 0 to len - 1 do
+        Array.unsafe_set out !j (pos + k);
+        j := !j + hit lo hi neg (Array.unsafe_get buf (off + k))
+      done;
+      m := !j);
   Array.sub out 0 !m
 
 let selectivity p ~lo ~hi =

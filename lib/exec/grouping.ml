@@ -142,21 +142,48 @@ let compact (r : Group_result.t) : Group_result.t =
     { keys; counts; sums }
   end
 
-let sph_based ~lo ~hi ~keys ~values =
-  check_lengths keys values;
+(* SPHG over the rows [where] keeps, visited through each segment's
+   selection vector. *)
+let sph_where ~lo ~hi ~keys ~values ~where =
   if hi < lo then invalid_arg "Grouping.sph_based: hi < lo";
   let domain = hi - lo + 1 in
-  let counts = Array.make domain 0 and sums = Array.make domain 0 in
-  Int_col.iter_seg2 keys values ~f:(fun _ kb ko vb vo len ->
-      for i = 0 to len - 1 do
-        let k = Array.unsafe_get kb (ko + i) in
-        if k < lo || k > hi then
-          invalid_arg "Grouping.sph_based: key outside dense domain";
-        let slot = k - lo in
-        counts.(slot) <- counts.(slot) + 1;
-        sums.(slot) <- sums.(slot) + Array.unsafe_get vb (vo + i)
-      done);
-  Group_result.of_slots ~lo ~counts ~sums:(Some sums)
+  let counts = Array.make domain 0 in
+  let[@inline] slot k =
+    let s = k - lo in
+    if s < 0 || s >= domain then
+      invalid_arg "Grouping.sph_based: key outside dense domain";
+    s
+  in
+  match values with
+  | None ->
+    let passed =
+      Filter.iter_where where [| keys |] ~f:(fun _ sel n bufs offs ->
+          let kb = bufs.(0) and ko = offs.(0) in
+          for x = 0 to n - 1 do
+            let s = slot (Array.unsafe_get kb (ko + Array.unsafe_get sel x)) in
+            Array.unsafe_set counts s (Array.unsafe_get counts s + 1)
+          done)
+    in
+    (Group_result.of_slots ~lo ~counts ~sums:None, passed)
+  | Some values ->
+    check_lengths keys values;
+    let sums = Array.make domain 0 in
+    let passed =
+      Filter.iter_where where [| keys; values |] ~f:(fun _ sel n bufs offs ->
+          let kb = bufs.(0) and ko = offs.(0) in
+          let vb = bufs.(1) and vo = offs.(1) in
+          for x = 0 to n - 1 do
+            let i = Array.unsafe_get sel x in
+            let s = slot (Array.unsafe_get kb (ko + i)) in
+            Array.unsafe_set counts s (Array.unsafe_get counts s + 1);
+            Array.unsafe_set sums s
+              (Array.unsafe_get sums s + Array.unsafe_get vb (vo + i))
+          done)
+    in
+    (Group_result.of_slots ~lo ~counts ~sums:(Some sums), passed)
+
+let sph_based ~lo ~hi ~keys ~values =
+  fst (sph_where ~lo ~hi ~keys ~values:(Some values) ~where:[])
 
 let order_based ?(expected = 16) ~keys ~values () =
   check_lengths keys values;

@@ -59,6 +59,22 @@ val sph_based : lo:int -> hi:int -> keys:Dqo_data.Int_col.t -> values:Dqo_data.I
     @raise Invalid_argument on length mismatch or a key outside
     [\[lo, hi\]]. *)
 
+val sph_where :
+  lo:int ->
+  hi:int ->
+  keys:Dqo_data.Int_col.t ->
+  values:Dqo_data.Int_col.t option ->
+  where:Filter.where ->
+  Group_result.t * int array
+(** [sph_where ~lo ~hi ~keys ~values ~where] — SPHG over the rows that
+    satisfy [where], tested in the grouping's own pass
+    ({!Filter.iter_where}): exactly {!sph_based} over the rows
+    {!Filter.select} keeps, without gathering them.  [values = None]
+    counts only (the result's sums are zeros).  Also returns
+    {!Filter.iter_where}'s per-predicate row counts.
+    @raise Invalid_argument on length mismatch or a qualifying key
+    outside [\[lo, hi\]]. *)
+
 val order_based : ?expected:int -> keys:Dqo_data.Int_col.t -> values:Dqo_data.Int_col.t
   -> unit -> Group_result.t
 (** [order_based ~keys ~values ()] — OG.  Requires the input clustered by

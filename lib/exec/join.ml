@@ -146,120 +146,199 @@ let sph_join ~lo ~hi ~left ~right =
 
 type side = Left | Right
 
+type group_join = {
+  groups : Group_result.t;
+  pairs : int;
+  passed : int array * int array;
+}
+
+type group_slots =
+  | Matched of (lo:int -> hi:int -> rows:int -> unit)
+  | Span of int * int
+
 (* The groupjoin: SPHJ's slots counted instead of enumerated.  The side
    without the group key ([other]) is counted into [cnt.(slot)] (and
    summed into [osum.(slot)] when the SUM column lives there); each row
-   of the group side then stands for [cnt.(slot)] pairs.  A first pass
-   over the group side records every row's slot ([-1]: no partner) and
-   the group keys' bounds over the matched rows, which [check] vets
-   before the counting pass allocates its slot arrays.  Multiplying by
+   of the group side then stands for [cnt.(slot)] pairs.  Multiplying by
    [cnt.(slot)] is exact mod 2^63, like the repeated addition it
-   replaces. *)
-let sph_group_join ~lo ~hi ~left ~right ~group ~gkeys ~sum ~check =
+   replaces.  Each side's WHERE is tested in the first pass over that
+   side, which then visits only the rows it keeps. *)
+let sph_group_join ~lo ~hi ~left ~right ~where ~group ~gkeys ~sum ~groups =
   if hi < lo then invalid_arg "Join.sph_group_join: hi < lo";
   let slots = hi - lo + 1 in
   let outside = "Join.sph_group_join: build key outside dense domain" in
-  let gside, oside =
-    match group with Left -> (left, right) | Right -> (right, left)
+  let gside, oside, gwhere, owhere =
+    match group with
+    | Left -> (left, right, fst where, snd where)
+    | Right -> (right, left, snd where, fst where)
   in
   if Int_col.length gkeys <> Int_col.length gside then
     invalid_arg "Join.sph_group_join: group key length mismatch";
   (* Left keys must lie in [lo, hi]; right keys outside simply miss. *)
   let gstrict = group = Left and ostrict = group = Right in
   let cnt = Array.make slots 0 in
-  let osum =
+  let osum, opassed =
     match sum with
     | Some (s, values) when s <> group ->
       let osum = Array.make slots 0 in
-      Int_col.iter_seg2 oside values ~f:(fun _ kb ko vb vo len ->
-          for k = 0 to len - 1 do
-            let s = Array.unsafe_get kb (ko + k) - lo in
-            if s >= 0 && s < slots then begin
-              Array.unsafe_set cnt s (Array.unsafe_get cnt s + 1);
-              Array.unsafe_set osum s
-                (Array.unsafe_get osum s + Array.unsafe_get vb (vo + k))
-            end
-            else if ostrict then invalid_arg outside
-          done);
-      Some osum
+      let passed =
+        Filter.iter_where owhere [| oside; values |] ~f:(fun _ sel n bufs offs ->
+            let kb = bufs.(0) and ko = offs.(0) in
+            let vb = bufs.(1) and vo = offs.(1) in
+            for x = 0 to n - 1 do
+              let i = Array.unsafe_get sel x in
+              let s = Array.unsafe_get kb (ko + i) - lo in
+              if s >= 0 && s < slots then begin
+                Array.unsafe_set cnt s (Array.unsafe_get cnt s + 1);
+                Array.unsafe_set osum s
+                  (Array.unsafe_get osum s + Array.unsafe_get vb (vo + i))
+              end
+              else if ostrict then invalid_arg outside
+            done)
+      in
+      (Some osum, passed)
     | Some _ | None ->
-      Int_col.iter_seg oside ~f:(fun _ kb ko len ->
-          for k = 0 to len - 1 do
-            let s = Array.unsafe_get kb (ko + k) - lo in
-            if s >= 0 && s < slots then
-              Array.unsafe_set cnt s (Array.unsafe_get cnt s + 1)
-            else if ostrict then invalid_arg outside
-          done);
-      None
+      let passed =
+        Filter.iter_where owhere [| oside |] ~f:(fun _ sel n bufs offs ->
+            let kb = bufs.(0) and ko = offs.(0) in
+            for x = 0 to n - 1 do
+              let s = Array.unsafe_get kb (ko + Array.unsafe_get sel x) - lo in
+              if s >= 0 && s < slots then
+                Array.unsafe_set cnt s (Array.unsafe_get cnt s + 1)
+              else if ostrict then invalid_arg outside
+            done)
+      in
+      (None, passed)
   in
-  let n = Int_col.length gside in
-  let gslot = Array.make n (-1) in
-  let pairs = ref 0 and glo = ref max_int and ghi = ref min_int in
-  Int_col.iter_seg2 gside gkeys ~f:(fun pos kb ko gb go len ->
-      for k = 0 to len - 1 do
-        let s = Array.unsafe_get kb (ko + k) - lo in
-        if s >= 0 && s < slots then begin
-          let c = Array.unsafe_get cnt s in
-          if c > 0 then begin
-            Array.unsafe_set gslot (pos + k) s;
-            pairs := !pairs + c;
-            let g = Array.unsafe_get gb (go + k) in
-            if g < !glo then glo := g;
-            if g > !ghi then ghi := g
-          end
-        end
-        else if gstrict then invalid_arg outside
-      done);
-  let pairs = !pairs in
-  (* One slot serves an empty result, as for an empty SPHG input. *)
-  let glo, ghi = if pairs = 0 then (0, 0) else (!glo, !ghi) in
-  check ~lo:glo ~hi:ghi ~rows:pairs;
-  let domain = ghi - glo + 1 in
-  let counts = Array.make domain 0 in
-  (* COUNT only: no per-slot sums; the result's are zeros. *)
-  let sums =
-    match (sum, osum) with
-    | _, Some osum ->
-      let sums = Array.make domain 0 in
-      Int_col.iter_seg gkeys ~f:(fun pos gb go len ->
-          for k = 0 to len - 1 do
-            let s = Array.unsafe_get gslot (pos + k) in
-            if s >= 0 then begin
-              let g = Array.unsafe_get gb (go + k) - glo in
-              Array.unsafe_set counts g
-                (Array.unsafe_get counts g + Array.unsafe_get cnt s);
-              Array.unsafe_set sums g
-                (Array.unsafe_get sums g + Array.unsafe_get osum s)
-            end
-          done);
-      Some sums
-    | Some (_, values), None ->
-      let sums = Array.make domain 0 in
-      Int_col.iter_seg2 gkeys values ~f:(fun pos gb go vb vo len ->
-          for k = 0 to len - 1 do
-            let s = Array.unsafe_get gslot (pos + k) in
-            if s >= 0 then begin
-              let g = Array.unsafe_get gb (go + k) - glo in
-              let c = Array.unsafe_get cnt s in
-              Array.unsafe_set counts g (Array.unsafe_get counts g + c);
-              Array.unsafe_set sums g
-                (Array.unsafe_get sums g + (c * Array.unsafe_get vb (vo + k)))
-            end
-          done);
-      Some sums
-    | None, None ->
-      Int_col.iter_seg gkeys ~f:(fun pos gb go len ->
-          for k = 0 to len - 1 do
-            let s = Array.unsafe_get gslot (pos + k) in
-            if s >= 0 then begin
-              let g = Array.unsafe_get gb (go + k) - glo in
-              Array.unsafe_set counts g
-                (Array.unsafe_get counts g + Array.unsafe_get cnt s)
-            end
-          done);
-      None
+  (* The SUM column when it lives on the group side. *)
+  let gsum = match (sum, osum) with Some (_, values), None -> Some values | _ -> None in
+  let groups, pairs, gpassed =
+    match groups with
+    | Span (glo, ghi) ->
+      (* One pass: the slots span every group key, so a row without a
+         partner adds its count 0 without a branch on it. *)
+      let domain = ghi - glo + 1 in
+      let counts = Array.make domain 0 in
+      let sums = Array.make (if Option.is_none sum then 0 else domain) 0 in
+      let pairs = ref 0 in
+      let gpassed =
+        Filter.iter_where gwhere
+          (match gsum with Some v -> [| gside; gkeys; v |] | None -> [| gside; gkeys |])
+          ~f:(fun _ sel n bufs offs ->
+            let kb = bufs.(0) and ko = offs.(0) and gb = bufs.(1) and go = offs.(1) in
+            let vb, vo = if Option.is_none gsum then ([||], 0) else (bufs.(2), offs.(2)) in
+            let p = ref !pairs in
+            for x = 0 to n - 1 do
+              let i = Array.unsafe_get sel x in
+              let s = Array.unsafe_get kb (ko + i) - lo in
+              if s >= 0 && s < slots then begin
+                let c = Array.unsafe_get cnt s in
+                let g = Array.unsafe_get gb (go + i) - glo in
+                if g >= 0 && g < domain then begin
+                  Array.unsafe_set counts g (Array.unsafe_get counts g + c);
+                  match (osum, gsum) with
+                  | Some osum, _ ->
+                    Array.unsafe_set sums g
+                      (Array.unsafe_get sums g + Array.unsafe_get osum s)
+                  | None, Some _ ->
+                    Array.unsafe_set sums g
+                      (Array.unsafe_get sums g + (c * Array.unsafe_get vb (vo + i)))
+                  | None, None -> ()
+                end
+                else if c > 0 then
+                  invalid_arg "Join.sph_group_join: group key outside its span";
+                p := !p + c
+              end
+              else if gstrict then invalid_arg outside
+            done;
+            pairs := !p)
+      in
+      ( Group_result.of_slots ~lo:glo ~counts
+          ~sums:(Option.map (fun _ -> sums) sum),
+        !pairs,
+        gpassed )
+    | Matched check ->
+      (* Two passes: the first records every row's slot ([-1]: no
+         partner) and the group keys' bounds over the matched rows,
+         which [check] vets before the second allocates the group
+         slots over them. *)
+      let gslot = Array.make (Int_col.length gside) (-1) in
+      let pairs = ref 0 and glo = ref max_int and ghi = ref min_int in
+      let gpassed =
+        Filter.iter_where gwhere [| gside; gkeys |] ~f:(fun pos sel n bufs offs ->
+            let kb = bufs.(0) and ko = offs.(0) and gb = bufs.(1) and go = offs.(1) in
+            for x = 0 to n - 1 do
+              let i = Array.unsafe_get sel x in
+              let s = Array.unsafe_get kb (ko + i) - lo in
+              if s >= 0 && s < slots then begin
+                let c = Array.unsafe_get cnt s in
+                if c > 0 then begin
+                  Array.unsafe_set gslot (pos + i) s;
+                  pairs := !pairs + c;
+                  let g = Array.unsafe_get gb (go + i) in
+                  if g < !glo then glo := g;
+                  if g > !ghi then ghi := g
+                end
+              end
+              else if gstrict then invalid_arg outside
+            done)
+      in
+      let pairs = !pairs in
+      (* One slot serves an empty result, as for an empty SPHG input. *)
+      let glo, ghi = if pairs = 0 then (0, 0) else (!glo, !ghi) in
+      check ~lo:glo ~hi:ghi ~rows:pairs;
+      let domain = ghi - glo + 1 in
+      let counts = Array.make domain 0 in
+      (* COUNT only: no per-slot sums; the result's are zeros. *)
+      let sums =
+        match (osum, gsum) with
+        | Some osum, _ ->
+          let sums = Array.make domain 0 in
+          Int_col.iter_seg gkeys ~f:(fun pos gb go len ->
+              for k = 0 to len - 1 do
+                let s = Array.unsafe_get gslot (pos + k) in
+                if s >= 0 then begin
+                  let g = Array.unsafe_get gb (go + k) - glo in
+                  Array.unsafe_set counts g
+                    (Array.unsafe_get counts g + Array.unsafe_get cnt s);
+                  Array.unsafe_set sums g
+                    (Array.unsafe_get sums g + Array.unsafe_get osum s)
+                end
+              done);
+          Some sums
+        | None, Some values ->
+          let sums = Array.make domain 0 in
+          Int_col.iter_seg2 gkeys values ~f:(fun pos gb go vb vo len ->
+              for k = 0 to len - 1 do
+                let s = Array.unsafe_get gslot (pos + k) in
+                if s >= 0 then begin
+                  let g = Array.unsafe_get gb (go + k) - glo in
+                  let c = Array.unsafe_get cnt s in
+                  Array.unsafe_set counts g (Array.unsafe_get counts g + c);
+                  Array.unsafe_set sums g
+                    (Array.unsafe_get sums g + (c * Array.unsafe_get vb (vo + k)))
+                end
+              done);
+          Some sums
+        | None, None ->
+          Int_col.iter_seg gkeys ~f:(fun pos gb go len ->
+              for k = 0 to len - 1 do
+                let s = Array.unsafe_get gslot (pos + k) in
+                if s >= 0 then begin
+                  let g = Array.unsafe_get gb (go + k) - glo in
+                  Array.unsafe_set counts g
+                    (Array.unsafe_get counts g + Array.unsafe_get cnt s)
+                end
+              done);
+          None
+      in
+      (Group_result.of_slots ~lo:glo ~counts ~sums, pairs, gpassed)
   in
-  (Group_result.of_slots ~lo:glo ~counts ~sums, pairs)
+  {
+    groups;
+    pairs;
+    passed = (match group with Left -> (gpassed, opassed) | Right -> (opassed, gpassed));
+  }
 
 (* Merge join over key/id accessors: [lkey]/[rkey] enumerate the inputs
    in key order, [lid]/[rid] map merge ranks back to row ids; equal-key

@@ -47,30 +47,51 @@ val sph_join :
 
 type side = Left | Right
 
+type group_join = {
+  groups : Group_result.t;
+  pairs : int;  (** The SPHJ's pair count. *)
+  passed : int array * int array;
+      (** Per side (left, right), {!Filter.iter_where}'s per-predicate
+          row counts of that side's WHERE. *)
+}
+
+type group_slots =
+  | Matched of (lo:int -> hi:int -> rows:int -> unit)
+      (** Slots over the group keys of the matched rows: a first pass
+          over the group side finds their bounds and the pair count,
+          which the function sees before the slots are allocated; it
+          raises to refuse. *)
+  | Span of int * int
+      (** Slots over [\[glo, ghi\]], which the caller knows holds
+          every group key and is affordable: one pass over the group
+          side, without a branch on whether a row matched. *)
+
 val sph_group_join :
   lo:int ->
   hi:int ->
   left:Dqo_data.Int_col.t ->
   right:Dqo_data.Int_col.t ->
+  where:Filter.where * Filter.where ->
   group:side ->
   gkeys:Dqo_data.Int_col.t ->
   sum:(side * Dqo_data.Int_col.t) option ->
-  check:(lo:int -> hi:int -> rows:int -> unit) ->
-  Group_result.t * int
+  groups:group_slots ->
+  group_join
 (** The groupjoin: COUNT and SUM grouped by [gkeys] over the SPHJ of
     [left] and [right] (domain [\[lo, hi\]] as in {!sph_join}), without
     enumerating pairs, in O(|left| + |right|) plus the group key span.
+    [where] holds each side's WHERE (left, right), tested in the first
+    pass over that side ({!Filter.iter_where}); [\[\]] keeps every row.
     [gkeys] is a column of the [group] side; [sum], when present, is the
     SUM column and its side (COUNT only otherwise: sums are all zero).
-    The side without the group key is counted per slot, and one pass
-    over the group side adds each row's match count to its group.
-    Before the group slots are allocated, [check ~lo ~hi ~rows] sees the
-    group key's bounds over the matched rows ([(0, 0)] when none match)
-    and the pair count; it raises to refuse.  Returns the groups in
-    ascending key order, never-hit keys dropped — exactly
-    {!Grouping.sph_based} over {!sph_join}'s materialised pairs — and
-    the pair count.
-    @raise Invalid_argument if a {e left} key falls outside [\[lo, hi\]]. *)
+    The side without the group key is counted per slot, and the group
+    side adds each row's match count to its group, with [groups] setting
+    the group slots.  The groups come out in ascending key order,
+    never-hit keys dropped — exactly {!Grouping.sph_based} over
+    {!sph_join}'s materialised pairs of the rows each side's WHERE
+    keeps, whichever [groups].
+    @raise Invalid_argument if a qualifying {e left} key falls outside
+    [\[lo, hi\]], or a matched group key outside a [Span]. *)
 
 val merge_join : left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
 (** OJ: both inputs must be sorted; emits pairs in key order.

@@ -1088,8 +1088,8 @@ type gj_case = {
   rrows : (int * int * int) list;  (* rk, rg, rv *)
   key : string;
   sum : string option;
-  lfilter : Filter.predicate option;
-  rfilter : Filter.predicate option;
+  lfilters : (string * Filter.predicate) list;  (* innermost first *)
+  rfilters : (string * Filter.predicate) list;
   domains : int;
 }
 
@@ -1106,17 +1106,18 @@ let gj_aggs c =
      | Some col -> [ { Logical.spec = Aggregate.Sum; column = Some col; alias = "total" } ]
      | None -> [])
 
+(* Filters stacked over [sub], the first innermost. *)
+let filtered_plan sub filters =
+  List.fold_left (fun p (col, pred) -> Physical.Filter_op (p, col, pred)) sub filters
+
 (* The plan the fused path serves: SPHG over SPHJ(lk = rk) of the two
    (optionally filtered) scans. *)
 let gj_plan c =
-  let scan name col = function
-    | Some p -> Physical.Filter_op (Physical.Table_scan name, col, p)
-    | None -> Physical.Table_scan name
-  in
+  let scan name filters = filtered_plan (Physical.Table_scan name) filters in
   Physical.Group_op
     ( Physical.Join_op
-        ( scan "L" "lk" c.lfilter,
-          scan "R" "rk" c.rfilter,
+        ( scan "L" c.lfilters,
+          scan "R" c.rfilters,
           "lk",
           "rk",
           Physical.default_join Join.SPHJ ),
@@ -1124,14 +1125,17 @@ let gj_plan c =
       gj_aggs c,
       Physical.default_grouping Grouping.SPHG )
 
+(* The unfused filters called directly, innermost first: select, then
+   gather every column. *)
+let select_take rel filters =
+  List.fold_left
+    (fun rel (col, p) -> Relation.take rel (Filter.select (Relation.int_col rel col) p))
+    rel filters
+
 (* The unfused operators called directly: filter, SPHJ over the left
    keys' min/max, gather every column, SPHG over the key's min/max. *)
 let gj_reference c l r =
-  let filtered rel col = function
-    | Some p -> Relation.take rel (Filter.select (Relation.int_col rel col) p)
-    | None -> rel
-  in
-  let l = filtered l "lk" c.lfilter and r = filtered r "rk" c.rfilter in
+  let l = select_take l c.lfilters and r = select_take r c.rfilters in
   let bounds col =
     if Int_col.length col = 0 then (0, 0) else Int_col.min_max col
   in
@@ -1162,34 +1166,62 @@ let gj_reference c l r =
              | _ -> g.Dqo_exec.Group_result.counts))
          (gj_aggs c))
 
+(* Any predicate, with literals near the data and at the ends of the
+   int range. *)
+let gen_pred =
+  let open QCheck.Gen in
+  let literal =
+    frequency
+      [
+        (6, int_range (-35) 35);
+        (1, oneofl [ min_int; min_int + 1; max_int - 1; max_int ]);
+      ]
+  in
+  let* x = literal and* y = literal in
+  oneofl
+    Filter.
+      [ Eq x; Ne x; Lt x; Le x; Gt x; Ge x; Between (x, y); Between (min x y, max x y) ]
+
+(* Zero to two stacked filters over the named columns. *)
+let gen_filters cols =
+  let open QCheck.Gen in
+  let* n = frequency [ (3, return 0); (2, return 1); (1, return 2) ] in
+  list_repeat n (pair (oneofl cols) gen_pred)
+
 let gen_gj_case =
   let open QCheck.Gen in
   (* Keys collide on both sides; right keys reach past the left span.
-     Values include the extremes, so SUM wraps. *)
+     Values include the extremes, so SUM wraps.  Filters test the join
+     key, the group key and the payload of either side.  An outlier row
+     on each side, which never finds a partner, takes the stored span of
+     either group key past the slot budget, so the group slots come
+     from the matched rows. *)
   let value = frequency [ (6, int_range (-50) 50); (1, oneofl [ min_int; max_int ]) ] in
   let row kmax = triple (int_range 0 kmax) (int_range (-30) 30) value in
-  let pred = opt ~ratio:0.3 (map (fun x -> Filter.Lt x) (int_range 0 12)) in
-  let* lrows = list_size (int_bound 40) (row 10) in
-  let* rrows = list_size (int_bound 40) (row 16) in
+  let* outliers = frequency [ (4, return false); (1, return true) ] in
+  let outlier k rows = if outliers then rows @ [ (k, 1_000_000_000_000, 0) ] else rows in
+  let* lrows = map (outlier (-1)) (list_size (int_bound 40) (row 10)) in
+  let* rrows = map (outlier 17) (list_size (int_bound 40) (row 16)) in
   let* key = oneofl [ "lg"; "rg"; "lk"; "rk" ] in
   let* sum = oneofl [ None; Some "lv"; Some "rv" ] in
-  let* lfilter = pred and* rfilter = pred in
+  let* lfilters = gen_filters [ "lk"; "lg"; "lv" ]
+  and* rfilters = gen_filters [ "rk"; "rg"; "rv" ] in
   let* domains = oneofl [ 1; 2 ] in
-  return { lrows; rrows; key; sum; lfilter; rfilter; domains }
+  return { lrows; rrows; key; sum; lfilters; rfilters; domains }
+
+let show_filters filters =
+  String.concat " AND "
+    (List.map (fun (col, p) -> Format.asprintf "%s %a" col Filter.pp p) filters)
 
 let show_gj_case c =
   let rows l =
     String.concat " "
       (List.map (fun (k, g, v) -> Printf.sprintf "(%d,%d,%d)" k g v) l)
   in
-  let pred = function
-    | Some p -> Format.asprintf "%a" Filter.pp p
-    | None -> "-"
-  in
-  Printf.sprintf "L=[%s]\nR=[%s]\nkey=%s sum=%s lfilter=%s rfilter=%s domains=%d"
+  Printf.sprintf "L=[%s]\nR=[%s]\nkey=%s sum=%s lfilters=%s rfilters=%s domains=%d"
     (rows c.lrows) (rows c.rrows) c.key
     (Option.value ~default:"-" c.sum)
-    (pred c.lfilter) (pred c.rfilter) c.domains
+    (show_filters c.lfilters) (show_filters c.rfilters) c.domains
 
 let prop_groupjoin_matches_unfused =
   QCheck.Test.make ~count:300 ~name:"groupjoin = SPHJ + materialize + SPHG"
@@ -1262,6 +1294,191 @@ let prop_stored_bounds_match_scanned =
             group (sphj (keep_all "L" "lk" l)) c.key );
         ])
 
+(* SPHG over a WHERE on a stored relation T(k, f, v), which the sequential
+   SPHG tests in its own pass, against the operators it replaces: the
+   same plan with a projection of every column shielding the scan runs
+   [Filter.select] + [take] per filter and then the grouping the plan
+   names (the parallel SPHG on 2 domains, the FKS grouping when an FKS
+   AV serves a sparse key).  Same digest, or the same error.  Where the
+   keys are dense, the digest is also that of [Filter.select] + [take]
+   + [Grouping.sph_based] called directly.  Storage is flat or chunked
+   (16-row chunks, so segments cross chunk boundaries). *)
+type sphg_case = {
+  rows : (int * int * int) list;  (* k, f, v *)
+  filters : (string * Filter.predicate) list;  (* innermost first *)
+  with_sum : bool;
+  chunked : bool;
+  sparse : bool;
+  fks : bool;
+  pool_domains : int;
+}
+
+let prop_sphg_where_matches_operators =
+  let open QCheck.Gen in
+  let gen =
+    let value = frequency [ (6, int_range (-50) 50); (1, oneofl [ min_int; max_int ]) ] in
+    let* rows = list_size (int_bound 60) (triple (int_range 0 12) (int_range (-30) 30) value) in
+    let* n = int_range 1 2 in
+    let* filters = list_repeat n (pair (oneofl [ "k"; "f"; "v" ]) gen_pred) in
+    let* with_sum = bool and* chunked = bool in
+    let* sparse = frequency [ (3, return false); (1, return true) ] in
+    let* fks = bool and* pool_domains = oneofl [ 1; 2 ] in
+    return { rows; filters; with_sum; chunked; sparse; fks; pool_domains }
+  in
+  let print c =
+    Printf.sprintf "T=[%s]\nwhere %s sum=%b chunked=%b sparse=%b fks=%b domains=%d"
+      (String.concat " "
+         (List.map (fun (k, f, v) -> Printf.sprintf "(%d,%d,%d)" k f v) c.rows))
+      (show_filters c.filters) c.with_sum c.chunked c.sparse c.fks c.pool_domains
+  in
+  QCheck.Test.make ~count:300 ~name:"SPHG over Filter = Filter.select + take + sph_based"
+    (QCheck.make ~print gen) (fun c ->
+      let rows =
+        List.map (fun (k, f, v) -> ((if c.sparse then k * 1_000_003 else k), f, v)) c.rows
+      in
+      let column pick =
+        let a = Array.of_list (List.map pick rows) in
+        if c.chunked then
+          Column.of_int_col
+            (Int_col.init ~backend:(Int_col.Chunked Int_col.W64) ~chunk_rows:16
+               (Array.length a) (Array.get a))
+        else Column.of_ints a
+      in
+      let t =
+        Relation.create
+          (Schema.of_names [ ("k", Schema.T_int); ("f", Schema.T_int); ("v", Schema.T_int) ])
+          [ column (fun (k, _, _) -> k); column (fun (_, f, _) -> f); column (fun (_, _, v) -> v) ]
+      in
+      let db = Engine.create () in
+      Engine.register db ~name:"T" t;
+      if c.fks then
+        Engine.install_av db (View.perfect_hash (Engine.catalog db) ~relation:"T" ~column:"k");
+      let aggs =
+        { Logical.spec = Aggregate.Count; column = None; alias = "cnt" }
+        :: (if c.with_sum then
+              [ { Logical.spec = Aggregate.Sum; column = Some "v"; alias = "total" } ]
+            else [])
+      in
+      let plan scan =
+        Physical.Group_op
+          (filtered_plan scan c.filters, "k", aggs, Physical.default_grouping Grouping.SPHG)
+      in
+      let outcome plan =
+        match
+          Dqo_par.Pool.with_pool ~domains:c.pool_domains (fun pool ->
+              Engine.execute db ~pool plan)
+        with
+        | rel -> Ok (Dqo_serve.Wire.digest rel)
+        | exception Invalid_argument msg -> Error msg
+      in
+      let fused = outcome (plan (Physical.Table_scan "T")) in
+      let operators =
+        outcome (plan (Physical.Project_op (Physical.Table_scan "T", [ "k"; "f"; "v" ])))
+      in
+      let direct () =
+        let kept = select_take t c.filters in
+        let keys = Relation.int_col kept "k" in
+        let lo, hi = if Int_col.length keys = 0 then (0, 0) else Int_col.min_max keys in
+        let g =
+          Grouping.sph_based ~lo ~hi ~keys
+            ~values:
+              (if c.with_sum then Relation.int_col kept "v"
+               else Int_col.const (Int_col.length keys) 0)
+        in
+        Dqo_serve.Wire.digest
+          (Relation.create
+             (Schema.of_names
+                (List.map (fun (a : Logical.aggregate) -> (a.Logical.alias, Schema.T_int)) aggs
+                |> List.cons ("k", Schema.T_int)))
+             (Column.of_ints g.Dqo_exec.Group_result.keys
+             :: List.map
+                  (fun (a : Logical.aggregate) ->
+                    Column.of_ints
+                      (match a.Logical.spec with
+                      | Aggregate.Sum -> g.Dqo_exec.Group_result.sums
+                      | _ -> g.Dqo_exec.Group_result.counts))
+                  aggs))
+      in
+      fused = operators && (c.sparse || fused = Ok (direct ())))
+
+(* Every node of an analysed execution, fused or not, keeps its plan
+   label and estimate, and as actual rows what executing that node's
+   subtree alone returns: a filter reports the rows it keeps (also
+   those the join above finds no partner for), a join the pairs it
+   would materialise. *)
+let check_analysed db ~name plan root =
+  let rec check (p : Physical.t) (n : Dqo_opt.Explain.analyzed) =
+    let label = name ^ ": " ^ Physical.op_label p in
+    Alcotest.(check string) label (Physical.op_label p) n.Dqo_opt.Explain.op;
+    Alcotest.(check int) (label ^ " est")
+      (Dqo_opt.Explain.estimated_rows (Engine.catalog db) p)
+      n.Dqo_opt.Explain.est_rows;
+    Alcotest.(check int) (label ^ " actual")
+      (Relation.cardinality (Engine.execute db p))
+      n.Dqo_opt.Explain.actual_rows;
+    let subs =
+      match p with
+      | Physical.Table_scan _ -> []
+      | Physical.Filter_op (c, _, _) | Physical.Project_op (c, _)
+      | Physical.Sort_enforcer (c, _) | Physical.Group_op (c, _, _, _) ->
+        [ c ]
+      | Physical.Join_op (l, r, _, _, _) -> [ l; r ]
+    in
+    Alcotest.(check int) (label ^ " children") (List.length subs)
+      (List.length n.Dqo_opt.Explain.children);
+    List.iter2 check subs n.Dqo_opt.Explain.children
+  in
+  check plan root
+
+(* [check_analysed] over EXPLAIN ANALYZE of random WHEREs (one or two
+   predicates per relation, literals the SQL lexer reads: no negative
+   ones) on a grouping of L alone and of L JOIN R, as planned. *)
+let prop_analysed_matches_operators =
+  let open QCheck.Gen in
+  let gen =
+    let* c = gen_gj_case in
+    let pred =
+      let* x = int_range 0 20 and* y = int_range 0 20 in
+      oneofl
+        Filter.[ Eq x; Ne x; Lt x; Le x; Gt x; Ge x; Between (min x y, max x y) ]
+    in
+    let filters cols =
+      let* n = frequency [ (1, return 1); (2, return 2) ] in
+      list_repeat n (pair (oneofl cols) pred)
+    in
+    let* lfilters = filters [ "lk"; "lg" ] and* rfilters = filters [ "rk"; "rg" ] in
+    let* join = bool in
+    return ({ c with lfilters; rfilters }, join)
+  in
+  let print (c, join) = show_gj_case c ^ Printf.sprintf " join=%b" join in
+  QCheck.Test.make ~count:200 ~name:"EXPLAIN ANALYZE nodes = unfused operators"
+    (QCheck.make ~print gen) (fun (c, join) ->
+      let db = Engine.create () in
+      Engine.register db ~name:"L" (gj_relation ("lk", "lg", "lv") c.lrows);
+      Engine.register db ~name:"R" (gj_relation ("rk", "rg", "rv") c.rrows);
+      let key, from, filters =
+        if join then (c.key, "L JOIN R ON lk = rk", c.lfilters @ c.rfilters)
+        else ("lg", "L", c.lfilters)
+      in
+      let sql =
+        Printf.sprintf "SELECT %s, COUNT(*) AS cnt%s FROM %s%s GROUP BY %s" key
+          (match c.sum with
+          | Some v when join || String.equal v "lv" -> Printf.sprintf ", SUM(%s) AS total" v
+          | _ -> "")
+          from
+          (if filters = [] then ""
+           else
+             " WHERE "
+             ^ String.concat " AND "
+                 (List.map (fun (col, p) -> Format.asprintf "%s %a" col Filter.pp p) filters))
+          key
+      in
+      match Engine.explain_analyze db (Dqo_sql.Binder.plan_of_sql (Engine.catalog db) sql) with
+      | a ->
+        check_analysed db ~name:sql a.Engine.entry.Pareto.plan a.Engine.root;
+        true
+      | exception Invalid_argument _ -> true)
+
 (* The group key's slot domain keeps the SPHG affordability rule: a span
    past 4 x (rows + 1024) refuses with SPHG's error. *)
 let test_groupjoin_sparse_group_key () =
@@ -1271,8 +1488,8 @@ let test_groupjoin_sparse_group_key () =
       rrows = [ (1, 0, 0); (2, 1_000_000_000, 0) ];
       key = "rg";
       sum = None;
-      lfilter = None;
-      rfilter = None;
+      lfilters = [];
+      rfilters = [];
       domains = 1;
     }
   in
@@ -1297,28 +1514,7 @@ let test_groupjoin_analysed_tree () =
       Alcotest.(check (list string)) (sql ^ ": fused shape")
         [ "SPHG"; "SPHJ" ]
         (List.filteri (fun i _ -> i < 2) (Physical.operators plan));
-      let rec check (p : Physical.t) (n : Dqo_opt.Explain.analyzed) =
-        let label = sql ^ ": " ^ Physical.op_label p in
-        Alcotest.(check string) label (Physical.op_label p) n.Dqo_opt.Explain.op;
-        Alcotest.(check int) (label ^ " est")
-          (Dqo_opt.Explain.estimated_rows (Engine.catalog db) p)
-          n.Dqo_opt.Explain.est_rows;
-        Alcotest.(check int) (label ^ " actual")
-          (Relation.cardinality (Engine.execute db p))
-          n.Dqo_opt.Explain.actual_rows;
-        let subs =
-          match p with
-          | Physical.Table_scan _ -> []
-          | Physical.Filter_op (c, _, _) | Physical.Project_op (c, _)
-          | Physical.Sort_enforcer (c, _) | Physical.Group_op (c, _, _, _) ->
-            [ c ]
-          | Physical.Join_op (l, r, _, _, _) -> [ l; r ]
-        in
-        Alcotest.(check int) (label ^ " children") (List.length subs)
-          (List.length n.Dqo_opt.Explain.children);
-        List.iter2 check subs n.Dqo_opt.Explain.children
-      in
-      check plan a.Engine.root;
+      check_analysed db ~name:sql plan a.Engine.root;
       Alcotest.(check bool) (sql ^ ": result") true
         (Relation.rows a.Engine.result = Relation.rows (Engine.execute db plan)))
     [
@@ -1386,6 +1582,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_groupjoin_matches_unfused;
           QCheck_alcotest.to_alcotest prop_stored_bounds_match_scanned;
+          QCheck_alcotest.to_alcotest prop_sphg_where_matches_operators;
+          QCheck_alcotest.to_alcotest prop_analysed_matches_operators;
           Alcotest.test_case "sparse group key" `Quick
             test_groupjoin_sparse_group_key;
           Alcotest.test_case "analysed tree" `Quick test_groupjoin_analysed_tree;

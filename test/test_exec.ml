@@ -606,13 +606,20 @@ let prop_of_relation_matches_reference =
 
 (* Every predicate, on every column kind the executor filters: flat,
    chunked (segments of 16 rows, so a scan crosses chunk boundaries)
-   and constant, checked against [Filter.eval] row by row. *)
+   and constant, checked against [Filter.eval] row by row: [select],
+   the closed-range form [Filter.range] (on every value and on the ends
+   of the int range), and [Filter.iter_where] with the predicate alone
+   and under a second one (its selected rows and per-predicate counts).
+   Literals include the ends of the int range and their neighbours. *)
 let prop_filter_matches_spec =
   let open QCheck in
   let values =
     Gen.(
       frequency
-        [ (8, int_range (-20) 20); (1, oneofl [ min_int; max_int; 0 ]) ])
+        [
+          (8, int_range (-20) 20);
+          (2, oneofl [ min_int; min_int + 1; max_int - 1; max_int; 0 ]);
+        ])
   in
   let gen =
     Gen.(
@@ -643,17 +650,50 @@ let prop_filter_matches_spec =
             small )
         | _ -> (Int_col.const n x, Array.make n x)
       in
-      List.for_all
-        (fun p ->
-          let expected = ref [] in
-          Array.iteri
-            (fun i v -> if Filter.eval p v then expected := i :: !expected)
-            column;
-          Array.to_list (Filter.select col p) = List.rev !expected)
+      let rows keep =
+        List.rev
+          (snd
+             (Array.fold_left
+                (fun (i, acc) v -> (i + 1, if keep v then i :: acc else acc))
+                (0, []) column))
+      in
+      let iterated where =
+        let got = ref [] in
+        let passed =
+          Filter.iter_where where [| col |] ~f:(fun pos sel k bufs offs ->
+              for j = 0 to k - 1 do
+                let i = sel.(j) in
+                if bufs.(0).(offs.(0) + i) <> column.(pos + i) then
+                  Test.fail_report "iter_where: column row misread";
+                got := (pos + i) :: !got
+              done)
+        in
+        (List.rev !got, Array.to_list passed)
+      in
+      let preds =
         [
           Filter.Eq x; Filter.Ne x; Filter.Lt x; Filter.Le x; Filter.Gt x;
           Filter.Ge x; Filter.Between (x, y); Filter.Between (min x y, max x y);
-        ])
+        ]
+      in
+      List.for_all
+        (fun p ->
+          let lo, hi, neg = Filter.range p in
+          let in_range v = (lo <= v && v <= hi) <> neg in
+          let q = Filter.Ge y in
+          List.for_all
+            (fun v -> in_range v = Filter.eval p v)
+            (Array.to_list column @ [ x; y; min_int; min_int + 1; max_int - 1; max_int ])
+          && Array.to_list (Filter.select col p) = rows (Filter.eval p)
+          && iterated [ (col, p) ]
+             = (rows (Filter.eval p), [ List.length (rows (Filter.eval p)) ])
+          && iterated [ (col, p); (col, q) ]
+             = ( rows (fun v -> Filter.eval p v && Filter.eval q v),
+                 [
+                   List.length (rows (Filter.eval p));
+                   List.length (rows (fun v -> Filter.eval p v && Filter.eval q v));
+                 ] ))
+        preds)
 
 let test_selectivity_bounds () =
   List.iter
