@@ -3,7 +3,7 @@
    Subcommands:
      run        generate the paper's R/S database and run a SQL query
      explain    show the SQO-vs-DQO plan comparison for a query
-     granules   print the physiological (granule) unnest tree
+     granules   print the component table the optimiser searches
      calibrate  measure the cost model's constants on this machine
      avsp       solve the Algorithmic View Selection Problem
      serve      line-oriented prepared-statement server on stdin/stdout
@@ -305,28 +305,23 @@ let explain_cmd =
       $ sparse $ skew $ seed)
 
 let granules_cmd =
+  let module Granule = Dqo_plan.Granule in
   let action operator =
-    let component =
-      match operator with
-      | "grouping" -> Dqo_plan.Granule.grouping_cell
-      | "join" -> Dqo_plan.Granule.join_cell
-      | other ->
-        Printf.eprintf "unknown operator %s (have: grouping, join)\n" other;
-        exit 1
+    let show cell =
+      let count max_level =
+        Granule.count ~available:Granule.all_requirements ~max_level cell
+      in
+      Format.printf "%a@." Granule.pp cell;
+      Printf.printf
+        "plan space: %d shallow (organelle-level) / %d deep (molecule-level)\n"
+        (count Granule.Organelle) (count Granule.Molecule)
     in
-    Format.printf "%a@." Dqo_plan.Granule.pp component;
-    let all =
-      [
-        Dqo_plan.Granule.Requires_dense; Dqo_plan.Granule.Requires_clustered;
-        Dqo_plan.Granule.Requires_sorted;
-        Dqo_plan.Granule.Requires_known_universe;
-      ]
-    in
-    Printf.printf
-      "plan space: %d shallow (organelle-level) / %d deep (full unnest)\n"
-      (Dqo_plan.Granule.count ~available:all
-         ~max_level:Dqo_plan.Granule.Organelle component)
-      (Dqo_plan.Granule.count ~available:all component)
+    match operator with
+    | "grouping" -> show Granule.grouping
+    | "join" -> show Granule.join
+    | other ->
+      Printf.eprintf "unknown operator %s (have: grouping, join)\n" other;
+      exit 1
   in
   let operator =
     Arg.(
@@ -335,7 +330,9 @@ let granules_cmd =
   in
   Cmd.v
     (Cmd.info "granules"
-       ~doc:"Print an operator's physiological unnest tree (paper Fig. 3).")
+       ~doc:
+         "Print the component table the optimiser searches for an operator \
+          (paper Fig. 3, Table 1).")
     Term.(const action $ operator)
 
 let calibrate_cmd =

@@ -436,6 +436,16 @@ printf '%s\n' "$pb_line" | grep -q '"correct": true' \
 printf '%s\n' "$pb_line" | grep -q '"failed": 0,' \
   || { echo "ci: self-tuning had failed requests" >&2; exit 1; }
 
+echo "== dqo granules plan-space pin =="
+# The component table the join DP walks: five organelles per operator,
+# nine hash molecules under HG/HJ.  An edit to the table changes the
+# space every deep search enumerates, so it has to be declared here.
+for op in grouping join; do
+  test "$(dune exec bin/dqo.exe -- granules "$op" | grep '^plan space:')" \
+    = 'plan space: 5 shallow (organelle-level) / 13 deep (molecule-level)' \
+    || { echo "ci: dqo granules $op plan space differs from the pin" >&2; exit 1; }
+done
+
 echo "== dqo explain plan pin, grouped on the join column =="
 # The §4.3 join grouped on its own join column r_id, over default and
 # sorted data: the grouping key is a join column, the case where a join

@@ -10,7 +10,7 @@
    The example fires a stream of random range queries at a 5M-row
    column and reports, in phases: cracking time vs a full scan, how the
    piece count grows, and when the index converges.  It closes by
-   showing the same offline/online spectrum on the granule algebra
+   showing the same offline/online spectrum on the component table
    (Partial AVs of the grouping operator).
 
    Run with: dune exec examples/adaptive_index.exe *)
@@ -70,29 +70,20 @@ let () =
     "Per-query cracking cost collapses after the first phases while the\n\
      full scan stays flat: the index pays for itself query by query.\n";
 
-  (* The same offline/online spectrum, stated on the granule algebra. *)
-  let available =
-    [ Granule.Requires_dense; Granule.Requires_clustered;
-      Granule.Requires_sorted; Granule.Requires_known_universe ]
-  in
+  (* The same offline/online spectrum, stated on the component table the
+     optimiser searches. *)
+  let available = Granule.all_requirements in
   let show label p =
     Printf.printf "%-48s residual plans: %3d   offline fraction: %.2f\n" label
       (Partial.residual_count ~available p)
       (Partial.offline_fraction ~available p)
   in
   print_endline "Partial AVs of the grouping operator (paper §6):";
-  let p0 = Partial.create Granule.grouping_cell in
+  let p0 = Partial.create Granule.grouping in
   show "nothing fixed (pure query-time DQO)" p0;
-  let p1 = Partial.specialize p0 ~path:"grouping.algorithm" ~choice:"hash-based" in
+  let p1 = Partial.specialize p0 ~path:"grouping.algorithm" ~choice:"HG" in
   show "algorithm fixed offline" p1;
-  let p2 =
-    Partial.specialize p1 ~path:"grouping.hash-table.layout" ~choice:"robin-hood"
-  in
+  let p2 = Partial.specialize p1 ~path:"grouping.layout" ~choice:"robin-hood" in
   show "+ hash-table layout fixed offline" p2;
-  let p3 =
-    Partial.specialize
-      (Partial.specialize p2 ~path:"grouping.hash-table.hash-function.mixer"
-         ~choice:"murmur3")
-      ~path:"grouping.hash-table.loop.schedule" ~choice:"serial"
-  in
+  let p3 = Partial.specialize p2 ~path:"grouping.mixer" ~choice:"murmur3" in
   show "fully materialised (a classic AV)" p3

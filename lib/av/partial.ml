@@ -1,36 +1,19 @@
 module Granule = Dqo_plan.Granule
 
-type t = { component : Granule.component; fixed : Granule.binding }
+type 'alg t = { cell : 'alg Granule.cell; fixed : Granule.binding }
 
-let create component = { component; fixed = [] }
+let create cell = { cell; fixed = [] }
 
-(* All decision paths and their options, flattened from the tree. *)
-let all_decisions component =
-  let rec go prefix (c : Granule.component) acc =
-    let path =
-      if String.equal prefix "" then c.Granule.name
-      else prefix ^ "." ^ c.Granule.name
-    in
-    List.fold_left
-      (fun acc (d : Granule.decision) ->
-        let key = path ^ "." ^ d.Granule.dimension in
-        let choices = List.map (fun o -> o.Granule.choice) d.Granule.options in
-        let acc = (key, choices) :: acc in
-        List.fold_left
-          (fun acc (o : Granule.option_) ->
-            List.fold_left (fun acc s -> go path s acc) acc o.Granule.sub)
-          acc d.Granule.options)
-      acc c.Granule.decisions
-  in
-  go "" component []
+let space ?(available = []) t =
+  Granule.enumerate ~available ~max_level:Granule.Molecule t.cell
 
 let specialize t ~path ~choice =
-  match List.assoc_opt path (all_decisions t.component) with
-  | None -> invalid_arg ("Partial.specialize: unknown decision " ^ path)
-  | Some choices ->
-    if not (List.mem choice choices) then
-      invalid_arg ("Partial.specialize: unknown choice " ^ choice);
-    { t with fixed = (path, choice) :: List.remove_assoc path t.fixed }
+  let all = space ~available:Granule.all_requirements t in
+  if not (List.exists (List.mem_assoc path) all) then
+    invalid_arg ("Partial.specialize: unknown decision " ^ path);
+  if not (List.exists (fun b -> List.assoc_opt path b = Some choice) all) then
+    invalid_arg ("Partial.specialize: unknown choice " ^ choice);
+  { t with fixed = (path, choice) :: List.remove_assoc path t.fixed }
 
 let consistent fixed binding =
   List.for_all
@@ -44,13 +27,12 @@ let consistent fixed binding =
     fixed
 
 let residual ?available t =
-  List.filter (consistent t.fixed)
-    (Granule.enumerate ?available t.component)
+  List.filter (consistent t.fixed) (space ?available t)
 
 let residual_count ?available t = List.length (residual ?available t)
 
 let offline_fraction ?available t =
-  let total = Granule.count ?available t.component in
+  let total = List.length (space ?available t) in
   let left = residual_count ?available t in
   if total <= 1 then 1.0
   else 1.0 -. (Float.of_int (max 0 (left - 1)) /. Float.of_int (total - 1))

@@ -1,6 +1,7 @@
 module Grouping = Dqo_exec.Grouping
 module Join = Dqo_exec.Join
 module Physical = Dqo_plan.Physical
+module Granule = Dqo_plan.Granule
 
 type t = { hash_factor : float; deep_molecules : bool }
 
@@ -10,21 +11,17 @@ let deep = { table2 with deep_molecules = true }
 
 let log2 x = if x <= 1.0 then 0.0 else Float.log x /. Float.log 2.0
 
-(* Relative hash-path costs of the molecule alternatives, shaped after
-   the measured ablations: open addressing beats chaining (fewer cache
-   misses per probe); cheaper mixers shave a little more. *)
-let table_multiplier = function
-  | Grouping.Chaining -> 1.0
-  | Grouping.Linear_probing -> 0.75
-  | Grouping.Robin_hood -> 0.8
+let priced_level t =
+  if t.deep_molecules then Granule.Molecule else Granule.Organelle
 
-let hash_multiplier = function
-  | Dqo_hash.Hash_fn.Murmur3 -> 1.0
-  | Dqo_hash.Hash_fn.Fibonacci -> 0.95
-  | Dqo_hash.Hash_fn.Multiply_shift -> 0.95
-  | Dqo_hash.Hash_fn.Identity -> 0.9
-
-let molecule_multiplier ~table ~hash = table_multiplier table *. hash_multiplier hash
+let molecule_multiplier ~table ~hash =
+  match
+    List.find_opt
+      (fun (m : Granule.molecule) -> m.table == table && m.hash == hash)
+      Granule.molecules
+  with
+  | Some m -> m.multiplier
+  | None -> 1.0
 
 let effective_hash_factor t ~table ~hash =
   if t.deep_molecules then t.hash_factor *. molecule_multiplier ~table ~hash

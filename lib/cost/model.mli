@@ -16,7 +16,8 @@
     "sort then the order-based algorithm".
 
     When [deep_molecules] is set, the hash-based constant 4 is modulated
-    by the molecule choices (table layout, hash function), reflecting the
+    by the molecule choices (table layout, hash function): each row of
+    {!Dqo_plan.Granule.molecules} carries its multiplier, reflecting the
     measured differences the ablation benches report.  The paper-exact
     model {!table2} keeps them off so the Figure 5 reproduction is
     bit-for-bit the published factors. *)
@@ -61,7 +62,14 @@ val scan_cost : t -> rows:int -> float
 
 val filter_cost : t -> rows:int -> float
 
+val priced_level : t -> Dqo_plan.Granule.level
+(** The deepest level of the component table whose choices the model
+    prices apart: [Molecule] when [deep_molecules] is set, [Organelle]
+    otherwise. *)
+
 val molecule_multiplier :
   table:Dqo_exec.Grouping.table_kind -> hash:Dqo_hash.Hash_fn.t -> float
-(** Relative cost of a hash-based operator under the given molecule
-    choices; [1.0] for the paper's default (chaining + murmur3). *)
+(** The multiplier of the molecule row with this table layout and hash
+    function.  A pair without a row (any with [Hash_fn.Identity]) is
+    priced as the default molecule, [1.0]: the model has measured
+    nothing else for it. *)

@@ -1,10 +1,9 @@
 module Props = Dqo_plan.Props
 module Physical = Dqo_plan.Physical
+module Granule = Dqo_plan.Granule
 module Logical = Dqo_plan.Logical
 module Model = Dqo_cost.Model
 module Cardinality = Dqo_cost.Cardinality
-module Grouping = Dqo_exec.Grouping
-module Join = Dqo_exec.Join
 module Filter = Dqo_exec.Filter
 module Bitset = Dqo_util.Bitset
 module Pool = Dqo_par.Pool
@@ -57,9 +56,22 @@ type stats = {
   levels : level_stat list; (* join-DP levels, ascending cardinality *)
 }
 
+(* One operator kind's candidates from {!Granule}, in enumeration order,
+   built once per search: their implementations, the orders they yield,
+   and [fits.(av)], the bit mask of those whose requirements the
+   available-requirement mask [av] grants.  The candidate builders and
+   the counters read the same masks. *)
+type 'impl candidates = {
+  impls : 'impl array;
+  yields : Granule.order array;
+  fits : int array;
+}
+
 type ctx = {
   mode : mode;
   model : Model.t;
+  groupings : Physical.grouping_impl candidates;
+  joins : Physical.join_impl candidates;
   catalog : Catalog.t;
   interesting : string list;
   pool : Pool.t option;
@@ -239,23 +251,54 @@ let beam_gate ctx entries =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Molecule enumeration: which (table, hash) pairs to consider for the
-   hash-based operators.                                               *)
+(* The component table under the search's cut.                         *)
 
-let hash_molecules ctx =
-  match ctx.mode with
-  | Deep when ctx.model.Model.deep_molecules ->
-    List.concat_map
-      (fun table ->
-        List.map
-          (fun hash -> (table, hash))
-          [
-            Dqo_hash.Hash_fn.Murmur3;
-            Dqo_hash.Hash_fn.Fibonacci;
-            Dqo_hash.Hash_fn.Multiply_shift;
-          ])
-      [ Grouping.Chaining; Grouping.Linear_probing; Grouping.Robin_hood ]
-  | Deep | Shallow -> [ (Grouping.Chaining, Dqo_hash.Hash_fn.Murmur3) ]
+let max_level mode model =
+  match mode with
+  | Shallow -> Granule.Organelle
+  | Deep -> Model.priced_level model
+
+let candidates ~max_level cell impl =
+  let cs = Array.of_list (Granule.candidates ~max_level cell) in
+  let need =
+    Array.map
+      (fun (o, _) ->
+        List.fold_left (fun m r -> m lor Granule.bit r) 0 o.Granule.requires)
+      cs
+  in
+  let fits av =
+    let mask = ref 0 in
+    Array.iteri
+      (fun i n -> if n land av = n then mask := !mask lor (1 lsl i))
+      need;
+    !mask
+  in
+  {
+    impls = Array.map (fun (o, m) -> impl o.Granule.alg m) cs;
+    yields = Array.map (fun (o, _) -> o.Granule.yields) cs;
+    fits = Array.init (1 lsl List.length Granule.all_requirements) fits;
+  }
+
+(* What a column record grants: a known key universe, and density. *)
+let known_available : Props.column option -> int = function
+  | None -> 0
+  | Some c ->
+    Granule.bit Granule.Requires_known_universe
+    lor if c.Props.dense then Granule.bit Granule.Requires_dense else 0
+
+(* The requirements a grouping's input grants on its key. *)
+let group_available props key =
+  known_available (Props.column props key)
+  lor
+  if Props.clustered_on props key then Granule.bit Granule.Requires_clustered
+  else 0
+
+(* The requirements a pair joined on [c1 = c2] grants: [left] is the
+   left entry's record of [c1], [both_sorted] whether the left entry is
+   sorted on [c1] and the right one on [c2]. *)
+let join_available ~left ~both_sorted =
+  known_available left
+  lor if both_sorted then Granule.bit Granule.Requires_sorted else 0
 
 (* ------------------------------------------------------------------ *)
 (* Select / project.                                                   *)
@@ -367,60 +410,6 @@ let project_entry cols (e : Pareto.entry) =
 
 (* ------------------------------------------------------------------ *)
 (* Join candidates for one split of a subset.                          *)
-
-(* The join algorithms the DP offers a pair of entries, in candidate
-   order: a hash join per molecule, then OJ, SOJ, SPHJ and BSJ.
-   [ordered] marks the two whose output is sorted on the left join
-   column; the others leave it unordered. *)
-type need = Always | Both_sorted | Dense_left | Known_left
-
-type join_alg = { impl : Physical.join_impl; ordered : bool; need : need }
-
-let join_algs ctx =
-  let alg ?(table = Grouping.Chaining) ?(hash = Dqo_hash.Hash_fn.Murmur3)
-      j_alg ordered need =
-    {
-      impl =
-        { (Physical.default_join j_alg) with
-          Physical.j_table = table; j_hash = hash };
-      ordered;
-      need;
-    }
-  in
-  Array.of_list
-    (List.map
-       (fun (table, hash) ->
-         (* A black-box hash table's output order is unknown — the paper's
-            "assume unordered to be on the safe side". *)
-         alg ~table ~hash Join.HJ false Always)
-       (hash_molecules ctx)
-    @ [
-        alg Join.OJ true Both_sorted;
-        alg Join.SOJ true Always;
-        alg Join.SPHJ false Dense_left;
-        alg Join.BSJ false Known_left;
-      ])
-
-(* Which of [algs] apply to a pair joined on [c1 = c2], as a bit mask
-   over [algs]' indices: [left] is the left entry's record of [c1],
-   [both_sorted] whether the left entry is sorted on [c1] and the right
-   one on [c2].  The one place that decides it: the candidate builder
-   and the candidate counter both read its mask. *)
-let applicable algs ~(left : Props.column option) ~both_sorted =
-  let mask = ref 0 in
-  Array.iteri
-    (fun i a ->
-      let ok =
-        match a.need with
-        | Always -> true
-        | Both_sorted -> both_sorted
-        | Dense_left -> (
-          match left with Some c -> c.Props.dense | None -> false)
-        | Known_left -> Option.is_some left
-      in
-      if ok then mask := !mask lor (1 lsl i))
-    algs;
-  !mask
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
@@ -567,7 +556,7 @@ let sorted_output ~live c1 (unordered : Props.t) =
    of the inputs' column lists, memoised per split on the two inputs'
    list classes and the output rows; the ordered variant is the one
    {!sorted_output} records for the subset's [live] columns. *)
-let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
+let join_split ctx ~live ~generated ~emit c1 c2 f1 f2 =
   let a1 = f1.arr and ids1 = f1.ids and a2 = f2.arr and ids2 = f2.ids in
   let n2 = f2.classes in
   let sorted_on c (e : Pareto.entry) = Props.sorted_on e.Pareto.props c in
@@ -597,7 +586,8 @@ let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
       (fun (e : Pareto.entry) -> distinct_or e.Pareto.props c2 e.Pareto.rows)
       a2
   in
-  let nalgs = Array.length algs in
+  let algs = ctx.joins in
+  let nalgs = Array.length algs.impls in
   let jcost = Array.make nalgs 0.0 in
   Array.iteri
     (fun i (e1 : Pareto.entry) ->
@@ -605,8 +595,10 @@ let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
       let d1 =
         match left with Some c -> c.Props.distinct | None -> e1.Pareto.rows
       in
-      let unsorted = applicable algs ~left ~both_sorted:false in
-      let sorted = applicable algs ~left ~both_sorted:sorted1.(i) in
+      let unsorted = algs.fits.(join_available ~left ~both_sorted:false) in
+      let sorted =
+        algs.fits.(join_available ~left ~both_sorted:sorted1.(i))
+      in
       let n_unsorted = popcount unsorted and n_sorted = popcount sorted in
       (* Join costs and the output rows depend on the right entry only
          through its rows and distinct count, which runs of right
@@ -624,7 +616,7 @@ let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
             for k = 0 to nalgs - 1 do
               if sorted land (1 lsl k) <> 0 then
                 jcost.(k) <-
-                  Model.join_cost ctx.model ~impl:algs.(k).impl
+                  Model.join_cost ctx.model ~impl:algs.impls.(k)
                     ~left_rows:e1.Pareto.rows ~right_rows:!rows2
                     ~left_distinct:d1
             done
@@ -664,8 +656,11 @@ let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
             let has_order = ordered != unordered in
             for k = 0 to nalgs - 1 do
               if mask land (1 lsl k) <> 0 then begin
-                let a = algs.(k) in
-                let a_ordered = a.ordered && has_order in
+                let a_ordered =
+                  has_order
+                  && Granule.sorted_output algs.yields.(k)
+                       ~input_sorted:sorted1.(i)
+                in
                 let cost = base +. jcost.(k) in
                 let dominated =
                   if a_ordered then !min_ordered <= cost else !min_any <= cost
@@ -675,7 +670,8 @@ let join_split ctx algs ~live ~generated ~emit c1 c2 f1 f2 =
                     {
                       Pareto.plan =
                         Physical.Join_op
-                          (e1.Pareto.plan, e2.Pareto.plan, c1, c2, a.impl);
+                          (e1.Pareto.plan, e2.Pareto.plan, c1, c2,
+                            algs.impls.(k));
                       cost;
                       props = (if a_ordered then ordered else unordered);
                       rows = out_rows;
@@ -818,7 +814,6 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
      beam gate cuts the merged Pareto frontier to the top-k before it
      is recorded and memoised — the pruning that keeps downstream
      candidate products flat. *)
-  let algs = join_algs ctx in
   let solve local s =
     let live = live_columns s in
     let chunks = ref [] and generated = ref 0 in
@@ -835,7 +830,7 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
             match connecting s1 s2 with
             | None -> ()
             | Some (c1, c2) ->
-              join_split local algs ~live ~generated ~emit c1 c2 f1 f2)))
+              join_split local ~live ~generated ~emit c1 c2 f1 f2)))
       s;
     (* A chunk holds its pair's candidates in reverse order. *)
     let survivors =
@@ -1070,30 +1065,16 @@ and group_candidates ctx (e : Pareto.entry) key aggs =
       rows = out_rows;
     }
   in
-  let hash_groupings =
-    List.map
-      (fun (table, hash) ->
-        mk
-          { (Physical.default_grouping Grouping.HG) with
-            Physical.g_table = table; g_hash = hash }
-          (key_props false))
-      (hash_molecules ctx)
-  in
-  let simple alg sorted = mk (Physical.default_grouping alg) (key_props sorted) in
-  let candidates =
-    hash_groupings
-    @ (if Props.clustered_on e.Pareto.props key then
-         [ simple Grouping.OG (Props.sorted_on e.Pareto.props key) ]
-       else [])
-    @ [ simple Grouping.SOG true ]
-    @ (if Props.dense_on e.Pareto.props key then
-         [ simple Grouping.SPHG true ]
-       else [])
-    @
-    match Props.column e.Pareto.props key with
-    | Some _ -> [ simple Grouping.BSG true ]
-    | None -> []
-  in
+  let g = ctx.groupings in
+  let fits = g.fits.(group_available e.Pareto.props key) in
+  let input_sorted = Props.sorted_on e.Pareto.props key in
+  let candidates = ref [] in
+  for k = Array.length g.impls - 1 downto 0 do
+    if fits land (1 lsl k) <> 0 then
+      let sorted = Granule.sorted_output g.yields.(k) ~input_sorted in
+      candidates := mk g.impls.(k) (key_props sorted) :: !candidates
+  done;
+  let candidates = !candidates in
   count ctx (List.length candidates);
   candidates
 
@@ -1119,9 +1100,18 @@ let make_gate ?metrics ~beam learner =
 
 let make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
     catalog =
+  let max_level = max_level mode model in
   {
     mode;
     model;
+    groupings =
+      candidates ~max_level Granule.grouping (fun alg m ->
+          { (Physical.default_grouping alg) with
+            Physical.g_table = m.Granule.table; g_hash = m.Granule.hash });
+    joins =
+      candidates ~max_level Granule.join (fun alg m ->
+          { (Physical.default_join alg) with
+            Physical.j_table = m.Granule.table; j_hash = m.Granule.hash });
     catalog;
     interesting;
     pool;

@@ -7,9 +7,10 @@
     {- {b property vector}: shallow mode projects base properties
        through {!Dqo_plan.Props.shallow}, erasing density — so SPH-based
        alternatives are never applicable;}
-    {- {b unnesting depth}: deep mode may additionally enumerate
-       molecule-level choices (hash-table layout, hash function) when
-       the cost model distinguishes them.}}
+    {- {b unnesting depth}: both walk the one component table,
+       {!Dqo_plan.Granule}; shallow mode cuts it at the organelles, deep
+       mode enumerates its molecule rows (hash-table layout x hash
+       function) when the cost model prices them ({!max_level}).}}
 
     The search translates a logical tree bottom-up; maximal join
     subtrees are optimised with System-R style DP over relation subsets
@@ -59,6 +60,11 @@
     threshold) leaves the search exhaustive. *)
 
 type mode = Shallow | Deep
+
+val max_level : mode -> Dqo_cost.Model.t -> Dqo_plan.Granule.level
+(** The cut of the component table the search enumerates: [Organelle]
+    for [Shallow], and for [Deep] the deepest level the model prices
+    ({!Dqo_cost.Model.priced_level}). *)
 
 type trace_step = {
   step : string;

@@ -1,39 +1,16 @@
-type level = Cell | Organelle | Macro_molecule | Molecule | Atom
+module Grouping = Dqo_exec.Grouping
+module Join = Dqo_exec.Join
+module Hash_fn = Dqo_hash.Hash_fn
+
+type level = Organelle | Molecule
 
 let level_name = function
-  | Cell -> "physical query plan"
   | Organelle -> "physical operator"
-  | Macro_molecule -> "index/scan/bulkload method"
   | Molecule -> "node type, hash function, probing"
-  | Atom -> "assignment, loop, arithmetic"
 
 let biology_analogue = function
-  | Cell -> "living cell"
   | Organelle -> "organelle"
-  | Macro_molecule -> "macro-molecule"
   | Molecule -> "molecule"
-  | Atom -> "atom"
-
-let typical_loc = function
-  | Cell -> 10_000
-  | Organelle -> 1_000
-  | Macro_molecule -> 100
-  | Molecule -> 10
-  | Atom -> 1
-
-let deeper = function
-  | Cell -> Some Organelle
-  | Organelle -> Some Macro_molecule
-  | Macro_molecule -> Some Molecule
-  | Molecule -> Some Atom
-  | Atom -> None
-
-let level_rank = function
-  | Cell -> 0
-  | Organelle -> 1
-  | Macro_molecule -> 2
-  | Molecule -> 3
-  | Atom -> 4
 
 type requirement =
   | Requires_dense
@@ -47,223 +24,138 @@ let requirement_name = function
   | Requires_sorted -> "sorted input"
   | Requires_known_universe -> "known key universe"
 
-type component = { name : string; level : level; decisions : decision list }
-and decision = { dimension : string; options : option_ list }
-and option_ = { choice : string; requires : requirement list; sub : component list }
+let all_requirements =
+  [ Requires_dense; Requires_clustered; Requires_sorted;
+    Requires_known_universe ]
 
-let opt ?(requires = []) ?(sub = []) choice = { choice; requires; sub }
+let bit = function
+  | Requires_dense -> 1
+  | Requires_clustered -> 2
+  | Requires_sorted -> 4
+  | Requires_known_universe -> 8
 
-(* Shared molecule components. *)
+type order = Unordered | Input_order | Key_order
 
-let loop_atom =
+let sorted_output order ~input_sorted =
+  match order with
+  | Unordered -> false
+  | Input_order -> input_sorted
+  | Key_order -> true
+
+type 'alg organelle = {
+  alg : 'alg;
+  name : string;
+  requires : requirement list;
+  yields : order;
+  hashed : bool;
+}
+
+type molecule = {
+  table : Grouping.table_kind;
+  hash : Hash_fn.t;
+  multiplier : float;
+}
+
+type 'alg cell = { operator : string; organelles : 'alg organelle list }
+
+let row name ?(requires = []) ?(hashed = false) alg yields =
+  { alg; name = name alg; requires; yields; hashed }
+
+let grouping =
+  let g = row Grouping.name in
   {
-    name = "loop";
-    level = Atom;
-    decisions =
+    operator = "grouping";
+    organelles =
       [
-        {
-          dimension = "schedule";
-          options = [ opt "serial"; opt "blocked" ];
-        };
+        g Grouping.HG Unordered ~hashed:true;
+        g Grouping.OG Input_order ~requires:[ Requires_clustered ];
+        g Grouping.SOG Key_order;
+        g Grouping.SPHG Key_order ~requires:[ Requires_dense ];
+        g Grouping.BSG Key_order ~requires:[ Requires_known_universe ];
       ];
   }
 
-let hash_function_molecule =
+let join =
+  let j = row Join.name in
   {
-    name = "hash-function";
-    level = Molecule;
-    decisions =
+    operator = "join";
+    organelles =
       [
-        {
-          dimension = "mixer";
-          options = [ opt "murmur3"; opt "fibonacci"; opt "multiply-shift" ];
-        };
+        j Join.HJ Unordered ~hashed:true;
+        j Join.OJ Key_order ~requires:[ Requires_sorted ];
+        j Join.SOJ Key_order;
+        j Join.SPHJ Unordered ~requires:[ Requires_dense ];
+        j Join.BSJ Unordered ~requires:[ Requires_known_universe ];
       ];
   }
 
-let hash_table_macro =
-  {
-    name = "hash-table";
-    level = Macro_molecule;
-    decisions =
-      [
-        {
-          dimension = "layout";
-          options =
-            [
-              opt "chaining" ~sub:[ hash_function_molecule; loop_atom ];
-              opt "linear-probing" ~sub:[ hash_function_molecule; loop_atom ];
-              opt "robin-hood" ~sub:[ hash_function_molecule; loop_atom ];
-            ];
-        };
-      ];
-  }
+(* Relative hash-path costs, shaped after the measured ablations: open
+   addressing beats chaining (fewer cache misses per probe); cheaper
+   mixers shave a little more. *)
+let molecules =
+  List.concat_map
+    (fun (table, t) ->
+      List.map
+        (fun (hash, h) -> { table; hash; multiplier = t *. h })
+        [ (Hash_fn.Murmur3, 1.0); (Hash_fn.Fibonacci, 0.95);
+          (Hash_fn.Multiply_shift, 0.95) ])
+    [ (Grouping.Chaining, 1.0); (Grouping.Linear_probing, 0.75);
+      (Grouping.Robin_hood, 0.8) ]
 
-let sph_macro =
-  {
-    name = "slot-array";
-    level = Macro_molecule;
-    decisions = [ { dimension = "load"; options = [ opt "serial"; opt "parallel" ] } ];
-  }
-
-let sort_macro =
-  {
-    name = "sort";
-    level = Macro_molecule;
-    decisions =
-      [
-        {
-          dimension = "sort-algorithm";
-          options = [ opt "radix"; opt "mergesort" ];
-        };
-      ];
-  }
-
-let search_structure_macro =
-  {
-    name = "search-structure";
-    level = Macro_molecule;
-    decisions =
-      [
-        {
-          dimension = "layout";
-          options =
-            [
-              opt "sorted-array";
-              opt "btree"
-                ~sub:
-                  [
-                    {
-                      name = "leaf";
-                      level = Molecule;
-                      decisions =
-                        [
-                          {
-                            dimension = "search";
-                            options = [ opt "binary"; opt "linear" ];
-                          };
-                        ];
-                    };
-                  ];
-            ];
-        };
-      ];
-  }
-
-let grouping_cell =
-  {
-    name = "grouping";
-    level = Organelle;
-    decisions =
-      [
-        {
-          dimension = "algorithm";
-          options =
-            [
-              opt "hash-based" ~sub:[ hash_table_macro ];
-              opt "sph-based" ~requires:[ Requires_dense ] ~sub:[ sph_macro ];
-              opt "order-based" ~requires:[ Requires_clustered ];
-              opt "sort-order-based" ~sub:[ sort_macro ];
-              opt "binary-search-based"
-                ~requires:[ Requires_known_universe ]
-                ~sub:[ search_structure_macro ];
-            ];
-        };
-      ];
-  }
-
-let join_cell =
-  {
-    name = "join";
-    level = Organelle;
-    decisions =
-      [
-        {
-          dimension = "algorithm";
-          options =
-            [
-              opt "hash-join" ~sub:[ hash_table_macro ];
-              opt "sph-join" ~requires:[ Requires_dense ] ~sub:[ sph_macro ];
-              opt "merge-join" ~requires:[ Requires_sorted ];
-              opt "sort-merge-join" ~sub:[ sort_macro ];
-              opt "binary-search-join"
-                ~requires:[ Requires_known_universe ]
-                ~sub:[ search_structure_macro ];
-            ];
-        };
-      ];
-  }
+let candidates ~max_level cell =
+  let default = List.hd molecules in
+  let reached =
+    match max_level with Organelle -> [ default ] | Molecule -> molecules
+  in
+  List.concat_map
+    (fun o ->
+      if o.hashed then List.map (fun m -> (o, m)) reached else [ (o, default) ])
+    cell.organelles
 
 type binding = (string * string) list
 
-let cartesian lists =
-  List.fold_right
-    (fun choices acc ->
-      List.concat_map
-        (fun c -> List.map (fun rest -> c @ rest) acc)
-        choices)
-    lists [ [] ]
+let enumerate ~available ~max_level cell =
+  List.filter_map
+    (fun (o, m) ->
+      if List.for_all (fun r -> List.mem r available) o.requires then
+        let path d = cell.operator ^ "." ^ d in
+        Some
+          ((path "algorithm", o.name)
+          ::
+          (if o.hashed && max_level = Molecule then
+             [ (path "layout", Physical.table_name m.table);
+               (path "mixer", Hash_fn.name m.hash) ]
+           else []))
+      else None)
+    (candidates ~max_level cell)
 
-let enumerate ?(available = []) ?(max_level = Atom) component =
-  let cutoff = level_rank max_level in
-  let rec component_bindings prefix c =
-    if level_rank c.level > cutoff then [ [] ]
-    else begin
-      let path = if prefix = "" then c.name else prefix ^ "." ^ c.name in
-      cartesian (List.map (decision_bindings path) c.decisions)
-    end
-  and decision_bindings path d =
-    List.concat_map
-      (fun o ->
-        if List.for_all (fun r -> List.mem r available) o.requires then begin
-          let here = (path ^ "." ^ d.dimension, o.choice) in
-          let subs = cartesian (List.map (component_bindings path) o.sub) in
-          List.map (fun s -> here :: s) subs
-        end
-        else [])
-      d.options
+let count ~available ~max_level cell =
+  List.length (enumerate ~available ~max_level cell)
+
+let pp ppf cell =
+  let order = function
+    | Unordered -> "unordered"
+    | Input_order -> "input's order"
+    | Key_order -> "sorted on the key"
   in
-  component_bindings "" component
-
-let count ?available ?max_level component =
-  List.length (enumerate ?available ?max_level component)
-
-let depth component =
-  let rec go c =
-    let sub_depth =
-      List.fold_left
-        (fun acc d ->
-          List.fold_left
-            (fun acc o ->
-              List.fold_left (fun acc s -> max acc (go s)) acc o.sub)
-            acc d.options)
-        0 c.decisions
-    in
-    1 + sub_depth
-  in
-  go component
-
-let pp ppf component =
-  let rec pp_component indent c =
-    Format.fprintf ppf "%s%s [%s]@," indent c.name (biology_analogue c.level);
-    List.iter
-      (fun d ->
-        Format.fprintf ppf "%s  ?%s@," indent d.dimension;
-        List.iter
-          (fun o ->
-            let req =
-              match o.requires with
-              | [] -> ""
-              | rs ->
-                " (requires "
-                ^ String.concat ", " (List.map requirement_name rs)
-                ^ ")"
-            in
-            Format.fprintf ppf "%s    - %s%s@," indent o.choice req;
-            List.iter (pp_component (indent ^ "      ")) o.sub)
-          d.options)
-      c.decisions
-  in
-  Format.fprintf ppf "@[<v>";
-  pp_component "" component;
+  Format.fprintf ppf "@[<v>%s %ss (%s), in candidate order:@," cell.operator
+    (biology_analogue Organelle) (level_name Organelle);
+  List.iter
+    (fun o ->
+      let requires =
+        match o.requires with
+        | [] -> "-"
+        | rs -> String.concat ", " (List.map requirement_name rs)
+      in
+      Format.fprintf ppf "  %-5s requires %-19s yields %s%s@," o.name requires
+        (order o.yields)
+        (if o.hashed then ", refined by the molecules" else ""))
+    cell.organelles;
+  Format.fprintf ppf "%ss (%s), cost relative to the first:@,"
+    (biology_analogue Molecule) (level_name Molecule);
+  List.iter
+    (fun m ->
+      Format.fprintf ppf "  %-14s x %-14s %.4f@," (Physical.table_name m.table)
+        (Hash_fn.name m.hash) m.multiplier)
+    molecules;
   Format.fprintf ppf "@]"

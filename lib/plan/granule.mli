@@ -1,79 +1,90 @@
-(** The physiological algebra: granules and recursive unnesting.
+(** The component table the optimiser searches (paper §2, Fig. 3, Table 1).
 
-    Table 1 of the paper maps biology onto query optimisation:
+    Table 1 of the paper maps biology onto query optimisation.  The
+    table has rows at two of its levels:
 
     {v
-    living cell     ~ "physical" query plan      (~10000 LOC)
-    organelle       ~ "physical" operator        (~1000 LOC)
-    macro-molecule  ~ index type / scan method   (~100 LOC)
-    molecule        ~ node type, hash function,  (~10 LOC)
-                      probing implementation
-    atom            ~ assignment, loop, arithmetic (~1 LOC)
+    organelle  ~ "physical" operator                 HG, OG, ..., HJ, OJ, ...
+    molecule   ~ node type, hash function, probing   table layout x mixer
     v}
 
-    A {!component} is a granule together with its decision dimensions;
-    each option may require data properties and may expose further
-    sub-components — unnesting one level is exactly one step of Figure 3.
-    {!enumerate} walks the whole tree and yields every fully-instantiated
-    deep plan whose requirements the context satisfies; shallow (SQO)
-    enumeration is the same walk cut off below {!Organelle}. *)
+    An organelle row names an executor algorithm, the data properties it
+    requires and the order its output has.  A hashed organelle (HG, HJ)
+    is refined by the molecule rows.  {!Dqo_opt.Search} enumerates
+    exactly {!candidates}, in that order, for every grouping and join it
+    plans; unnesting is the cut [max_level]. *)
 
-type level = Cell | Organelle | Macro_molecule | Molecule | Atom
+type level = Organelle | Molecule
 
 val level_name : level -> string
 val biology_analogue : level -> string
-val typical_loc : level -> int
-(** Order-of-magnitude lines of code of a granule at this level. *)
-
-val deeper : level -> level option
-(** The next level down, [None] below [Atom]. *)
 
 type requirement =
   | Requires_dense  (** Key domain dense (enables SPH). *)
   | Requires_clustered  (** Equal keys contiguous (enables OG). *)
-  | Requires_sorted  (** Input sorted (enables merge). *)
-  | Requires_known_universe  (** Distinct keys known ahead (enables BSG). *)
+  | Requires_sorted  (** Both join inputs sorted (enables OJ). *)
+  | Requires_known_universe  (** Distinct keys known ahead (enables BS). *)
 
 val requirement_name : requirement -> string
 
-type component = {
-  name : string;
-  level : level;
-  decisions : decision list;
-}
+val all_requirements : requirement list
 
-and decision = { dimension : string; options : option_ list }
+val bit : requirement -> int
+(** A requirement's bit in an available-requirement mask. *)
 
-and option_ = {
-  choice : string;
+type order =
+  | Unordered  (** Assumed unordered, "to be on the safe side". *)
+  | Input_order  (** Sorted on the key iff the input is. *)
+  | Key_order  (** Sorted on the grouping key or the left join column. *)
+
+val sorted_output : order -> input_sorted:bool -> bool
+(** Whether the output is sorted on the key, given whether the input
+    (the left one of a join) is. *)
+
+type 'alg organelle = {
+  alg : 'alg;
+  name : string;  (** The executor's name, as plans print it. *)
   requires : requirement list;
-  sub : component list;  (** Components revealed by this choice. *)
+  yields : order;
+  hashed : bool;  (** Refined by the {!molecules}. *)
 }
 
-val grouping_cell : component
-(** The full unnest tree of the grouping operator, from Figure 3:
-    algorithm choice at the organelle level, index-structure and
-    hash-function molecules below, loop atoms at the bottom. *)
+type molecule = {
+  table : Dqo_exec.Grouping.table_kind;
+  hash : Dqo_hash.Hash_fn.t;
+  multiplier : float;
+      (** The hash cost relative to chaining x murmur3, which a model
+          that prices molecules applies to the hash constant. *)
+}
 
-val join_cell : component
-(** The analogous tree for the join operator. *)
+type 'alg cell = { operator : string; organelles : 'alg organelle list }
+
+val grouping : Dqo_exec.Grouping.algorithm cell
+(** HG, OG, SOG, SPHG, BSG. *)
+
+val join : Dqo_exec.Join.algorithm cell
+(** HJ, OJ, SOJ, SPHJ, BSJ. *)
+
+val molecules : molecule list
+(** Three table layouts x three mixers, chaining x murmur3 first. *)
+
+val candidates :
+  max_level:level -> 'alg cell -> ('alg organelle * molecule) list
+(** The operator's candidates in enumeration order: every organelle in
+    row order, a hashed one once per molecule the cut reaches (only the
+    first at [Organelle]), any other once with the first molecule. *)
 
 type binding = (string * string) list
-(** A fully-instantiated deep plan: decision path → chosen option, e.g.
-    [("grouping.algorithm", "hash-based");
-     ("grouping.hash-table.layout", "chaining"); ...]. *)
+(** One candidate as decision path -> choice, e.g.
+    [[("grouping.algorithm", "HG"); ("grouping.layout", "chaining");
+      ("grouping.mixer", "murmur3")]]; molecule decisions appear only
+    below the [Organelle] cut. *)
 
 val enumerate :
-  ?available:requirement list -> ?max_level:level -> component -> binding list
-(** [enumerate ~available c] lists every complete instantiation whose
-    requirements are all in [available].  [max_level] cuts unnesting off:
-    [~max_level:Organelle] yields the {e shallow} (SQO) plan space,
-    deeper levels grow it combinatorially. *)
+  available:requirement list -> max_level:level -> 'alg cell -> binding list
+(** The candidates whose requirements are all in [available]. *)
 
-val count : ?available:requirement list -> ?max_level:level -> component -> int
+val count : available:requirement list -> max_level:level -> 'alg cell -> int
 
-val depth : component -> int
-(** Number of granule levels present in the tree. *)
-
-val pp : Format.formatter -> component -> unit
-(** Render the unnest tree. *)
+val pp : Format.formatter -> 'alg cell -> unit
+(** The table: organelle rows, then the molecule rows. *)

@@ -2,10 +2,9 @@
 
     A physical plan fixes, for every operator, not only the organelle
     ("hash join") but — when produced by the deep optimiser — also the
-    macro-molecule and molecule choices (which hash table, which hash
-    function, which loop schedule).  Shallow plans simply carry the
-    defaults, which is precisely the paper's point about what SQO cannot
-    express. *)
+    molecule choices of {!Granule} (which hash table, which hash
+    function).  Shallow plans simply carry the defaults, which is
+    precisely the paper's point about what SQO cannot express. *)
 
 type grouping_impl = {
   g_alg : Dqo_exec.Grouping.algorithm;
@@ -42,6 +41,9 @@ val with_dop : int -> t -> t
     about to execute over an [n]-domain pool, so EXPLAIN (ANALYZE)
     surfaces the parallelism.
     @raise Invalid_argument if [n < 1]. *)
+
+val table_name : Dqo_exec.Grouping.table_kind -> string
+(** E.g. ["linear-probing"]. *)
 
 val grouping_name : grouping_impl -> string
 (** E.g. ["HG(chaining, murmur3)"] — molecule choices shown only where

@@ -282,35 +282,20 @@ let test_materialize_kinds () =
 
 (* --- partial AVs ------------------------------------------------------------------- *)
 
-let all_reqs =
-  [
-    Granule.Requires_dense; Granule.Requires_clustered;
-    Granule.Requires_sorted; Granule.Requires_known_universe;
-  ]
+let all_reqs = Granule.all_requirements
 
 let test_partial_specialisation_shrinks_space () =
-  let p = Partial.create Granule.grouping_cell in
+  let p = Partial.create Granule.grouping in
   let total = Partial.residual_count ~available:all_reqs p in
-  Alcotest.(check bool) "starts with full space" true (total > 20);
+  Alcotest.(check int) "starts with the searched space" 13 total;
   Alcotest.(check (float 1e-9)) "nothing offline" 0.0
     (Partial.offline_fraction ~available:all_reqs p);
-  let p =
-    Partial.specialize p ~path:"grouping.algorithm" ~choice:"hash-based"
-  in
+  let p = Partial.specialize p ~path:"grouping.algorithm" ~choice:"HG" in
   let after = Partial.residual_count ~available:all_reqs p in
   Alcotest.(check bool) "algorithm fixed shrinks space" true (after < total);
   Alcotest.(check bool) "still choices left" true (after > 1);
-  let p =
-    Partial.specialize p ~path:"grouping.hash-table.layout" ~choice:"robin-hood"
-  in
-  let p =
-    Partial.specialize p ~path:"grouping.hash-table.hash-function.mixer"
-      ~choice:"murmur3"
-  in
-  let p =
-    Partial.specialize p ~path:"grouping.hash-table.loop.schedule"
-      ~choice:"serial"
-  in
+  let p = Partial.specialize p ~path:"grouping.layout" ~choice:"robin-hood" in
+  let p = Partial.specialize p ~path:"grouping.mixer" ~choice:"murmur3" in
   Alcotest.(check int) "fully specialised" 1
     (Partial.residual_count ~available:all_reqs p);
   Alcotest.(check (float 1e-9)) "full AV" 1.0
@@ -319,21 +304,22 @@ let test_partial_specialisation_shrinks_space () =
 let test_partial_residual_consistency () =
   let p =
     Partial.specialize
-      (Partial.create Granule.grouping_cell)
-      ~path:"grouping.algorithm" ~choice:"sph-based"
+      (Partial.create Granule.grouping)
+      ~path:"grouping.algorithm" ~choice:"SPHG"
   in
   let residual = Partial.residual ~available:all_reqs p in
+  Alcotest.(check bool) "SPHG reachable" true (residual <> []);
   List.iter
     (fun b ->
       Alcotest.(check bool) "all residuals keep the fixed choice" true
-        (List.assoc_opt "grouping.algorithm" b = Some "sph-based"))
+        (List.assoc_opt "grouping.algorithm" b = Some "SPHG"))
     residual;
   (* Without the density requirement the fixed choice is unsatisfiable. *)
   Alcotest.(check int) "unsatisfiable without dense" 0
     (Partial.residual_count ~available:[] p)
 
 let test_partial_unknown_path_rejected () =
-  let p = Partial.create Granule.grouping_cell in
+  let p = Partial.create Granule.grouping in
   Alcotest.check_raises "unknown path"
     (Invalid_argument "Partial.specialize: unknown decision nope") (fun () ->
       ignore (Partial.specialize p ~path:"nope" ~choice:"x"));

@@ -76,14 +76,28 @@ let test_tiny_inputs_nonnegative () =
 (* --- molecule modulation ------------------------------------------------ *)
 
 let test_molecule_multiplier () =
-  Alcotest.(check (float 1e-9)) "default is 1"
-    1.0
-    (Model.molecule_multiplier ~table:Grouping.Chaining
-       ~hash:Dqo_hash.Hash_fn.Murmur3);
+  (* The model prices every molecule row at the row's multiplier. *)
+  List.iter
+    (fun (m : Dqo_plan.Granule.molecule) ->
+      Alcotest.(check (float 0.0)) "row multiplier" m.Dqo_plan.Granule.multiplier
+        (Model.molecule_multiplier ~table:m.Dqo_plan.Granule.table
+           ~hash:m.Dqo_plan.Granule.hash))
+    Dqo_plan.Granule.molecules;
+  (match Dqo_plan.Granule.molecules with
+  | m :: _ ->
+    Alcotest.(check bool) "default first" true
+      (m.Dqo_plan.Granule.table = Grouping.Chaining
+      && m.Dqo_plan.Granule.hash = Dqo_hash.Hash_fn.Murmur3);
+    Alcotest.(check (float 1e-9)) "default is 1" 1.0 m.Dqo_plan.Granule.multiplier
+  | [] -> Alcotest.fail "no molecule rows");
   Alcotest.(check bool) "linear probing cheaper" true
     (Model.molecule_multiplier ~table:Grouping.Linear_probing
        ~hash:Dqo_hash.Hash_fn.Murmur3
-    < 1.0)
+    < 1.0);
+  (* A molecule without a row is priced as the default. *)
+  Alcotest.(check (float 0.0)) "identity has no row" 1.0
+    (Model.molecule_multiplier ~table:Grouping.Linear_probing
+       ~hash:Dqo_hash.Hash_fn.Identity)
 
 let test_deep_model_changes_hash_costs_only () =
   let impl =

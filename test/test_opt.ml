@@ -387,6 +387,93 @@ let test_molecule_model_expands_space () =
     "molecule-aware model explores more" true
     (molecules.Search.plans_considered > plain.Search.plans_considered)
 
+(* The DP enumerates exactly the component table: a grouping step
+   generates [Granule.count] candidates per input entry, a join subset
+   per ordered pair of input entries, under the requirements the mode's
+   property vector grants (shallow erases density) and the cut
+   [Search.max_level].  [~interesting:[]] keeps sort enforcers out, so
+   every input entry carries the catalog's properties. *)
+let test_dp_enumerates_component_table () =
+  let module Granule = Dqo_plan.Granule in
+  (* Sorted, clustered and dense on [c] when [holds]; [c] unrecorded
+     unless [known]. *)
+  let props ~holds ~known c =
+    {
+      Props.sorted_by = (if holds then Some c else None);
+      clustered_by = (if holds then Some c else None);
+      columns =
+        (if known then [ (c, col ~dense:holds ~lo:0 ~hi:999 ~distinct:1_000) ]
+         else []);
+      co_ordered = [];
+    }
+  in
+  let trace ~model mode tables query =
+    let catalog =
+      Catalog.create
+        (List.map
+           (fun (name, props) -> Catalog.table ~name ~rows:1_000 ~props)
+           tables)
+    in
+    let _, stats =
+      Search.optimize_entries ~model ~interesting:[] mode catalog query
+    in
+    fun name ->
+      List.find
+        (fun (s : Search.trace_step) -> s.Search.step = name)
+        stats.Search.trace
+  in
+  let grouping =
+    Logical.group_by (Logical.scan "T") ~key:"k" [ Logical.count_star () ]
+  in
+  let join =
+    Logical.join (Logical.scan "R") (Logical.scan "S") ~on:("id", "r_id")
+  in
+  List.iter
+    (fun (mode, model, name, expected) ->
+      let max_level = Search.max_level mode model in
+      let count available cell = Granule.count ~available ~max_level cell in
+      let all =
+        List.filter
+          (fun r -> mode = Search.Deep || r <> Granule.Requires_dense)
+          Granule.all_requirements
+      in
+      Alcotest.(check (list int))
+        (name ^ ": searched space") [ expected; expected ]
+        [ count all Granule.grouping; count all Granule.join ];
+      (* Grouping: nothing holds on a key the catalog does not record. *)
+      List.iter
+        (fun (holds, available) ->
+          let step =
+            trace ~model mode [ ("T", props ~holds ~known:holds "k") ] grouping
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: grouping, holds=%b" name holds)
+            ((step "scan(T)").Search.kept * count available Granule.grouping)
+            (step "group_by(k)").Search.generated)
+        [ (true, all); (false, []) ];
+      (* Join: a predicate resolves only against a recorded column, so a
+         known key universe always holds on the left one. *)
+      List.iter
+        (fun (holds, available) ->
+          let step =
+            trace ~model mode
+              [ ("R", props ~holds ~known:true "id");
+                ("S", props ~holds ~known:true "r_id") ]
+              join
+          in
+          let pairs = 2 * (step "scan(R)").Search.kept * (step "scan(S)").Search.kept in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: join, holds=%b" name holds)
+            (pairs * count available Granule.join)
+            (step "subset{R,S}").Search.generated)
+        [ (true, all); (false, [ Granule.Requires_known_universe ]) ])
+    [
+      (Search.Shallow, Model.table2, "shallow x table2", 4);
+      (Search.Shallow, Model.deep, "shallow x deep", 4);
+      (Search.Deep, Model.table2, "deep x table2", 5);
+      (Search.Deep, Model.deep, "deep x deep", 13);
+    ]
+
 (* --- three-way join DP ----------------------------------------------- *)
 
 let test_three_way_join () =
@@ -1999,6 +2086,8 @@ let () =
             test_trace_is_consistent;
           Alcotest.test_case "molecules expand space" `Quick
             test_molecule_model_expands_space;
+          Alcotest.test_case "DP enumerates the component table" `Quick
+            test_dp_enumerates_component_table;
           Alcotest.test_case "three-way join" `Quick test_three_way_join;
           Alcotest.test_case "disconnected join" `Quick
             test_disconnected_join_rejected;

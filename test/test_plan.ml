@@ -313,87 +313,94 @@ let test_logical_pp () =
 (* --- granule ------------------------------------------------------------- *)
 
 let test_granule_levels () =
-  Alcotest.(check int) "cell loc" 10_000 (Granule.typical_loc Granule.Cell);
-  Alcotest.(check int) "atom loc" 1 (Granule.typical_loc Granule.Atom);
-  Alcotest.(check bool) "deeper chain" true
-    (Granule.deeper Granule.Cell = Some Granule.Organelle);
-  Alcotest.(check bool) "atom is deepest" true (Granule.deeper Granule.Atom = None);
-  Alcotest.(check string) "biology" "organelle"
-    (Granule.biology_analogue Granule.Organelle)
+  Alcotest.(check string) "organelle" "organelle"
+    (Granule.biology_analogue Granule.Organelle);
+  Alcotest.(check string) "molecule" "node type, hash function, probing"
+    (Granule.level_name Granule.Molecule);
+  (* The molecule cut keeps every organelle-cut candidate, in order. *)
+  let names max_level =
+    List.map
+      (fun ((o : _ Granule.organelle), _) -> o.Granule.name)
+      (Granule.candidates ~max_level Granule.grouping)
+  in
+  Alcotest.(check (list string)) "organelle cut"
+    [ "HG"; "OG"; "SOG"; "SPHG"; "BSG" ] (names Granule.Organelle);
+  Alcotest.(check (list string)) "molecule cut"
+    (List.init 9 (fun _ -> "HG") @ [ "OG"; "SOG"; "SPHG"; "BSG" ])
+    (names Granule.Molecule)
 
-let all_requirements =
-  [
-    Granule.Requires_dense; Granule.Requires_clustered;
-    Granule.Requires_sorted; Granule.Requires_known_universe;
-  ]
+let all_requirements = Granule.all_requirements
 
 let test_granule_shallow_vs_deep_space () =
   (* Shallow (organelle-level) enumeration sees exactly the five
-     algorithms; deep unnesting multiplies the space. *)
-  let shallow =
-    Granule.count ~available:all_requirements ~max_level:Granule.Organelle
-      Granule.grouping_cell
+     algorithms; deep unnesting adds the hash molecules. *)
+  let space max_level =
+    Granule.count ~available:all_requirements ~max_level Granule.grouping
   in
-  Alcotest.(check int) "five shallow grouping plans" 5 shallow;
-  let deep = Granule.count ~available:all_requirements Granule.grouping_cell in
-  Alcotest.(check bool) "deep space much larger" true (deep > 20);
-  (* Figure 3's point: each unnest step reveals more alternatives. *)
-  let mid =
-    Granule.count ~available:all_requirements ~max_level:Granule.Macro_molecule
-      Granule.grouping_cell
-  in
-  Alcotest.(check bool) "monotone growth" true (shallow <= mid && mid <= deep)
+  Alcotest.(check int) "five shallow grouping plans" 5 (space Granule.Organelle);
+  Alcotest.(check int) "nine molecules refine HG" 13 (space Granule.Molecule)
 
 let test_granule_requirements_gate_options () =
   (* With no properties available, SPH / OG / BSG are unreachable. *)
-  let bindings = Granule.enumerate ~available:[] Granule.grouping_cell in
-  let algorithms =
+  let algorithms available =
     List.sort_uniq compare
-      (List.filter_map (List.assoc_opt "grouping.algorithm") bindings)
+      (List.filter_map
+         (List.assoc_opt "grouping.algorithm")
+         (Granule.enumerate ~available ~max_level:Granule.Molecule
+            Granule.grouping))
   in
   Alcotest.(check (list string)) "only unconditional algorithms"
-    [ "hash-based"; "sort-order-based" ]
-    algorithms;
-  (* Adding density unlocks sph-based. *)
-  let bindings =
-    Granule.enumerate ~available:[ Granule.Requires_dense ]
-      Granule.grouping_cell
-  in
-  let algorithms =
-    List.sort_uniq compare
-      (List.filter_map (List.assoc_opt "grouping.algorithm") bindings)
-  in
-  Alcotest.(check bool) "sph unlocked" true (List.mem "sph-based" algorithms)
+    [ "HG"; "SOG" ] (algorithms []);
+  (* Adding density unlocks SPHG. *)
+  Alcotest.(check bool) "sph unlocked" true
+    (List.mem "SPHG" (algorithms [ Granule.Requires_dense ]))
 
 let test_granule_bindings_are_complete () =
-  let bindings =
-    Granule.enumerate ~available:all_requirements Granule.grouping_cell
+  let bindings max_level =
+    Granule.enumerate ~available:all_requirements ~max_level Granule.grouping
   in
   List.iter
     (fun b ->
       match List.assoc_opt "grouping.algorithm" b with
-      | Some "hash-based" ->
-        Alcotest.(check bool) "hash-based binds table layout" true
-          (List.mem_assoc "grouping.hash-table.layout" b);
-        Alcotest.(check bool) "hash-based binds mixer" true
-          (List.mem_assoc "grouping.hash-table.hash-function.mixer" b)
-      | Some _ -> ()
+      | Some "HG" ->
+        Alcotest.(check bool) "HG binds table layout" true
+          (List.mem_assoc "grouping.layout" b);
+        Alcotest.(check bool) "HG binds mixer" true
+          (List.mem_assoc "grouping.mixer" b)
+      | Some _ ->
+        Alcotest.(check int) "other organelles bind nothing more" 1
+          (List.length b)
       | None -> Alcotest.fail "binding without algorithm")
-    bindings
+    (bindings Granule.Molecule);
+  List.iter
+    (fun b ->
+      Alcotest.(check int) "organelle cut binds the algorithm only" 1
+        (List.length b))
+    (bindings Granule.Organelle)
 
 let test_granule_depth_and_pp () =
-  Alcotest.(check bool) "grouping tree has >= 3 levels" true
-    (Granule.depth Granule.grouping_cell >= 3);
-  let s = Format.asprintf "%a" Granule.pp Granule.grouping_cell in
-  Alcotest.(check bool) "pp shows requirement" true
-    (Astring.String.is_infix ~affix:"dense key domain" s)
+  (* Unnesting one level reveals the molecules below the hash organelle. *)
+  let cut max_level = List.length (Granule.candidates ~max_level Granule.grouping) in
+  Alcotest.(check bool) "molecule level grows the space" true
+    (cut Granule.Molecule > cut Granule.Organelle);
+  let s = Format.asprintf "%a" Granule.pp Granule.grouping in
+  List.iter
+    (fun affix ->
+      Alcotest.(check bool) ("pp shows " ^ affix) true
+        (Astring.String.is_infix ~affix s))
+    [ "dense key domain"; "SPHG"; "robin-hood"; "multiply-shift" ]
 
 let test_join_cell_space () =
-  let shallow =
-    Granule.count ~available:all_requirements ~max_level:Granule.Organelle
-      Granule.join_cell
+  let space ?(available = all_requirements) max_level =
+    Granule.count ~available ~max_level Granule.join
   in
-  Alcotest.(check int) "five shallow join plans" 5 shallow
+  Alcotest.(check int) "five shallow join plans" 5 (space Granule.Organelle);
+  Alcotest.(check int) "thirteen deep join plans" 13 (space Granule.Molecule);
+  (* OJ needs both inputs sorted. *)
+  Alcotest.(check int) "no merge join unsorted" 4
+    (space
+       ~available:[ Granule.Requires_dense; Granule.Requires_known_universe ]
+       Granule.Organelle)
 
 (* --- physical ------------------------------------------------------------- *)
 
