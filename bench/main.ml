@@ -32,6 +32,7 @@ module Rng = Dqo_util.Rng
 module Props = Dqo_plan.Props
 module Logical = Dqo_plan.Logical
 module Physical = Dqo_plan.Physical
+module Granule = Dqo_plan.Granule
 module Catalog = Dqo_opt.Catalog
 module Search = Dqo_opt.Search
 module Hier = Dqo_opt.Hier
@@ -54,11 +55,10 @@ let hier_records : Json.t list ref = ref []
 
 let group_counts = [ 2; 10; 100; 1_000; 5_000; 10_000; 20_000; 40_000 ]
 
+(* Sorted keys are clustered. *)
 let applicable alg ~sorted ~dense =
-  match alg with
-  | Grouping.SPHG -> dense
-  | Grouping.OG -> sorted
-  | Grouping.HG | Grouping.SOG | Grouping.BSG -> true
+  Granule.applicable Granule.grouping alg
+    ~available:(Granule.measured ~clustered:sorted ~dense)
 
 let figure4_dataset ~rows ~sorted ~dense =
   Printf.printf "-- Figure 4 / %s & %s (n = %d) --\n"

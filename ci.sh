@@ -450,7 +450,9 @@ echo "== dqo explain plan pin, grouped on the join column =="
 # The §4.3 join grouped on its own join column r_id, over default and
 # sorted data: the grouping key is a join column, the case where a join
 # DP keeping only live orders must still keep the order on r_id.  The
-# plans were recorded before the DP kept only live orders.
+# plans were recorded before the DP kept only live orders, except the
+# --sorted DQO plan: since then DQO picks OG over OJ(r_id = id) at the
+# same cost, 14000, still sorted on r_id.
 pin_out="$(
   echo "== r_id key"
   explain_pin 'SELECT r_id, COUNT(*) AS c FROM R JOIN S ON id = r_id GROUP BY r_id'
@@ -496,10 +498,10 @@ cost      14000
 rows      1882
 props     {sorted=r_id; clustered=r_id; dense=[r_id]}
 plan:
-SPHG(key=r_id)
-  OJ(id = r_id)
-    TableScan(R)
+OG(key=r_id)
+  OJ(r_id = id)
     TableScan(S)
+    TableScan(R)
 
 improvement factor (estimated cost): 1.00x
 EOF

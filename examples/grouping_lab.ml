@@ -9,6 +9,7 @@
    Run with: dune exec examples/grouping_lab.exe [-- rows] *)
 
 module Grouping = Dqo_exec.Grouping
+module Granule = Dqo_plan.Granule
 module Group_result = Dqo_exec.Group_result
 module Datagen = Dqo_data.Datagen
 module Table_printer = Dqo_util.Table_printer
@@ -36,10 +37,8 @@ let () =
         List.fold_left
           (fun (cells, best) alg ->
             let applicable =
-              match alg with
-              | Grouping.SPHG -> dense
-              | Grouping.OG -> sorted
-              | Grouping.HG | Grouping.SOG | Grouping.BSG -> true
+              Granule.applicable Granule.grouping alg
+                ~available:(Granule.measured ~clustered:sorted ~dense)
             in
             if not applicable then (cells @ [ "n/a" ], best)
             else begin

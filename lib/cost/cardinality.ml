@@ -1,9 +1,9 @@
 let equi_join ~left_rows ~right_rows ~left_distinct ~right_distinct =
-  let d = max 1 (max left_distinct right_distinct) in
+  let d = Int.max 1 (Int.max left_distinct right_distinct) in
   let est =
     Float.of_int left_rows *. Float.of_int right_rows /. Float.of_int d
   in
-  max 0 (int_of_float (Float.round est))
+  Int.max 0 (int_of_float (Float.round est))
 
 let group_by ~key_distinct = max 0 key_distinct
 

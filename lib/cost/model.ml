@@ -9,7 +9,8 @@ let table2 = { hash_factor = 4.0; deep_molecules = false }
 let with_hash_factor f = { table2 with hash_factor = f }
 let deep = { table2 with deep_molecules = true }
 
-let log2 x = if x <= 1.0 then 0.0 else Float.log x /. Float.log 2.0
+let ln2 = Float.log 2.0
+let[@inline] log2 x = if x <= 1.0 then 0.0 else Float.log x /. ln2
 
 let priced_level t =
   if t.deep_molecules then Granule.Molecule else Granule.Organelle
@@ -38,18 +39,31 @@ let grouping_cost t ~(impl : Physical.grouping_impl) ~rows ~groups =
   | Grouping.SPHG -> n
   | Grouping.BSG -> n *. log2 g
 
-let join_cost t ~(impl : Physical.join_impl) ~left_rows ~right_rows
-    ~left_distinct =
+let join_costs t ~(impls : Physical.join_impl array) ~mask ~left_rows
+    ~right_rows ~left_distinct costs =
   let r = Float.of_int left_rows in
   let s = Float.of_int right_rows in
   let g = Float.of_int left_distinct in
-  match impl.j_alg with
-  | Join.HJ ->
-    effective_hash_factor t ~table:impl.j_table ~hash:impl.j_hash *. (r +. s)
-  | Join.OJ -> r +. s
-  | Join.SOJ -> (r *. log2 r) +. (s *. log2 s) +. r +. s
-  | Join.SPHJ -> r +. s
-  | Join.BSJ -> (r +. s) *. log2 g
+  let log_r = log2 r and log_s = log2 s and log_g = log2 g in
+  for k = 0 to Array.length impls - 1 do
+    if mask land (1 lsl k) <> 0 then
+      let impl = impls.(k) in
+      costs.(k) <-
+        (match impl.j_alg with
+        | Join.HJ ->
+          effective_hash_factor t ~table:impl.j_table ~hash:impl.j_hash
+          *. (r +. s)
+        | Join.OJ -> r +. s
+        | Join.SOJ -> (r *. log_r) +. (s *. log_s) +. r +. s
+        | Join.SPHJ -> r +. s
+        | Join.BSJ -> (r +. s) *. log_g)
+  done
+
+let join_cost t ~impl ~left_rows ~right_rows ~left_distinct =
+  let costs = [| 0.0 |] in
+  join_costs t ~impls:[| impl |] ~mask:1 ~left_rows ~right_rows ~left_distinct
+    costs;
+  costs.(0)
 
 let sort_cost _t ~rows =
   let n = Float.of_int rows in

@@ -56,6 +56,20 @@ val join_cost :
 (** Cost of joining; [left_distinct] is the build side's distinct-key
     count (the "#groups" of BSJ in Table 2). *)
 
+val join_costs :
+  t ->
+  impls:Dqo_plan.Physical.join_impl array ->
+  mask:int ->
+  left_rows:int ->
+  right_rows:int ->
+  left_distinct:int ->
+  float array ->
+  unit
+(** [join_costs t ~impls ~mask ... costs] stores {!join_cost} of
+    [impls.(k)] in [costs.(k)] for every [k] whose bit is set in [mask]
+    and leaves the other slots alone: the join DP's inner loop, with
+    each logarithm taken once and no float boxed. *)
+
 val sort_cost : t -> rows:int -> float
 val scan_cost : t -> rows:int -> float
 (** One unit per tuple. *)

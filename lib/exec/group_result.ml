@@ -2,11 +2,18 @@ type t = { keys : int array; counts : int array; sums : int array }
 
 let groups t = Array.length t.keys
 
+(* Both passes are free of data-dependent branches: the first counts
+   the slots that counted something and finds the last of them, the
+   second writes every slot up to that one at the cursor and advances
+   the cursor by whether the slot counted anything, so an empty slot is
+   overwritten by the next one. *)
 let of_slots ~lo ~counts ~sums =
   let n = Array.length counts in
-  let hit = ref 0 in
+  let hit = ref 0 and last = ref (-1) in
   for s = 0 to n - 1 do
-    if Array.unsafe_get counts s > 0 then incr hit
+    let pos = Bool.to_int (Array.unsafe_get counts s > 0) in
+    hit := !hit + pos;
+    last := !last + ((s - !last) * pos)
   done;
   let sums_or_zeros m =
     match sums with Some sums -> sums | None -> Array.make m 0
@@ -17,17 +24,23 @@ let of_slots ~lo ~counts ~sums =
     let keys = Array.make !hit 0 and out_counts = Array.make !hit 0 in
     let out_sums = Array.make !hit 0 in
     let j = ref 0 in
-    for s = 0 to n - 1 do
-      let c = Array.unsafe_get counts s in
-      if c > 0 then begin
+    (* Up to the last hit the cursor stays below [!hit]. *)
+    (match sums with
+    | Some sums ->
+      for s = 0 to !last do
+        let c = Array.unsafe_get counts s in
         Array.unsafe_set keys !j (lo + s);
         Array.unsafe_set out_counts !j c;
-        (match sums with
-        | Some sums -> Array.unsafe_set out_sums !j (Array.unsafe_get sums s)
-        | None -> ());
-        incr j
-      end
-    done;
+        Array.unsafe_set out_sums !j (Array.unsafe_get sums s);
+        j := !j + Bool.to_int (c > 0)
+      done
+    | None ->
+      for s = 0 to !last do
+        let c = Array.unsafe_get counts s in
+        Array.unsafe_set keys !j (lo + s);
+        Array.unsafe_set out_counts !j c;
+        j := !j + Bool.to_int (c > 0)
+      done);
     { keys; counts = out_counts; sums = out_sums }
   end
 

@@ -22,13 +22,6 @@ let of_name = function
   | "BSG" -> Some BSG
   | _ -> None
 
-let applicable alg (stats : Dqo_data.Col_stats.t) =
-  match alg with
-  | HG | SOG -> true
-  | SPHG -> stats.dense
-  | OG -> stats.clustered
-  | BSG -> true (* the distinct keys can always be collected beforehand *)
-
 let check_lengths keys values =
   if Int_col.length keys <> Int_col.length values then
     invalid_arg "Grouping: keys/values length mismatch"

@@ -15,8 +15,8 @@
        advance (the paper assumes the number of distinct values known).}}
 
     Each algorithm is a distinct point in the deep-query-optimisation
-    design space; {!applicable} tells the optimiser which points a given
-    input's measured properties allow. *)
+    design space; the optimiser's component table ([Granule]) records
+    which of these requirements each one asks for. *)
 
 type algorithm = HG | SPHG | OG | SOG | BSG
 
@@ -27,10 +27,6 @@ type table_kind = Chaining | Linear_probing | Robin_hood
 val all : algorithm list
 val name : algorithm -> string
 val of_name : string -> algorithm option
-
-val applicable : algorithm -> Dqo_data.Col_stats.t -> bool
-(** [applicable alg stats] is [true] iff [alg]'s precondition holds on a
-    column with the given measured properties. *)
 
 val hash_based :
   ?hash:Dqo_hash.Hash_fn.t ->

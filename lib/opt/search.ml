@@ -212,44 +212,6 @@ let with_enforcers ctx step ~generated entries =
   let merged = Pareto.add_all survivors enforced in
   record_step ctx step ~generated ~enforcers:(List.length enforced) merged
 
-(* The learned beam gate: score every Pareto survivor of a join subset
-   with the value-model snapshot and keep only the k best (lowest
-   predicted true cost).  Ties break on estimated cost, then on the
-   rendered plan — a total, scheduling-independent order, so pooled
-   and sequential searches cut exactly the same entries. *)
-let beam_gate ctx entries =
-  match ctx.learner with
-  | None -> entries
-  | Some (snap, k) ->
-    let n = List.length entries in
-    ctx.scored <- ctx.scored + n;
-    if n <= k then entries
-    else begin
-      ctx.beam_pruned <- ctx.beam_pruned + (n - k);
-      (* Each plan is rendered at most once, and only if a tie needs it. *)
-      let keyed =
-        List.map
-          (fun (e : Pareto.entry) ->
-            ( Learner.score snap ~cost:e.Pareto.cost
-                (Learner.featurize ~props:e.Pareto.props ~rows:e.Pareto.rows),
-              lazy (Format.asprintf "%a" Physical.pp e.Pareto.plan),
-              e ))
-          entries
-      in
-      let sorted =
-        List.stable_sort
-          (fun (sa, ra, (a : Pareto.entry)) (sb, rb, (b : Pareto.entry)) ->
-            match Float.compare sa sb with
-            | 0 -> (
-              match Float.compare a.Pareto.cost b.Pareto.cost with
-              | 0 -> String.compare (Lazy.force ra) (Lazy.force rb)
-              | c -> c)
-            | c -> c)
-          keyed
-      in
-      List.filteri (fun i _ -> i < k) (List.map (fun (_, _, e) -> e) sorted)
-    end
-
 (* ------------------------------------------------------------------ *)
 (* The component table under the search's cut.                         *)
 
@@ -278,27 +240,6 @@ let candidates ~max_level cell impl =
     yields = Array.map (fun (o, _) -> o.Granule.yields) cs;
     fits = Array.init (1 lsl List.length Granule.all_requirements) fits;
   }
-
-(* What a column record grants: a known key universe, and density. *)
-let known_available : Props.column option -> int = function
-  | None -> 0
-  | Some c ->
-    Granule.bit Granule.Requires_known_universe
-    lor if c.Props.dense then Granule.bit Granule.Requires_dense else 0
-
-(* The requirements a grouping's input grants on its key. *)
-let group_available props key =
-  known_available (Props.column props key)
-  lor
-  if Props.clustered_on props key then Granule.bit Granule.Requires_clustered
-  else 0
-
-(* The requirements a pair joined on [c1 = c2] grants: [left] is the
-   left entry's record of [c1], [both_sorted] whether the left entry is
-   sorted on [c1] and the right one on [c2]. *)
-let join_available ~left ~both_sorted =
-  known_available left
-  lor if both_sorted then Granule.bit Granule.Requires_sorted else 0
 
 (* ------------------------------------------------------------------ *)
 (* Select / project.                                                   *)
@@ -409,16 +350,214 @@ let project_entry cols (e : Pareto.entry) =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The join DP's entries: one column layout per subset.                *)
+
+(* Inside the join DP each subset has one column layout: the names of
+   its leaves' columns, each given a slot (ascending name id).  An
+   entry's column records are an array over those slots, so the union
+   of two halves is an index-mapped copy, dominance an element-wise
+   compare and a column lookup an array read; orders are name ids.
+   What else a {!Props.t} carries, the list order of the columns and of
+   the co-ordering pairs, lives with the records in the entry's
+   {e class}.  Entries built by one union, and those derived from one
+   another by an order (a sort enforcer, an ordered join output), share
+   their class physically, exactly as they shared their property lists,
+   so "same class" stays one physical comparison.  Leaf frontiers are
+   converted on the way in and the root frontier back to
+   {!Pareto.entry} on the way out, one column list per class, in the
+   order {!Props.union_columns} builds: the plan's left-first leaf
+   order, deduplicated by name. *)
+
+(* Column records, [stride] ints per layout slot: whether the entry's
+   column list has the name ([absent], [sparse] or [dense]), the low and
+   high bound, and the distinct count.  Unboxed, so copying and
+   comparing them touch no pointer. *)
+let stride = 4
+let absent = 0
+let sparse = 1
+let dense = 2
+
+let put cols sl (c : Props.column) =
+  let b = sl * stride in
+  cols.(b) <- (if c.Props.dense then dense else sparse);
+  cols.(b + 1) <- c.Props.lo;
+  cols.(b + 2) <- c.Props.hi;
+  cols.(b + 3) <- c.Props.distinct
+
+let get cols sl =
+  let b = sl * stride in
+  {
+    Props.dense = cols.(b) = dense;
+    lo = cols.(b + 1);
+    hi = cols.(b + 2);
+    distinct = cols.(b + 3);
+  }
+
+type cls = {
+  cols : int array; (* column records by layout slot *)
+  order : int array; (* the column list, as layout slots *)
+  co : (string * string) list; (* the co-ordering pairs, in list order *)
+  co_set : Bitset.t; (* the pairs, as ids *)
+}
+
+type dentry = {
+  plan : Physical.t;
+  cost : float;
+  rows : int;
+  cls : cls;
+  sorted : int; (* name id of the sort order, or -1 *)
+  clustered : int; (* name id of the clustering, or -1 *)
+}
+
+let rec mem_pair x y = function
+  | [] -> false
+  | (a, b) :: rest -> (String.equal a x && String.equal b y) || mem_pair x y rest
+
+(* Whether ascending [b] is a subset of ascending [a]. *)
+let sorted_within a b =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i j =
+    j >= nb
+    || (i < na
+       && (if a.(i) < b.(j) then go (i + 1) j
+           else a.(i) = b.(j) && go (i + 1) (j + 1)))
+  in
+  go 0 0
+
+(* The union of ascending [a] and [b], ascending; [a] itself when [b]
+   adds nothing. *)
+let sorted_union a b =
+  if sorted_within a b then a
+  else begin
+    let na = Array.length a and nb = Array.length b in
+    let out = Array.make (na + nb) 0 in
+    let rec go i j n =
+      if i < na && (j >= nb || a.(i) <= b.(j)) then begin
+        out.(n) <- a.(i);
+        go (i + 1) (if j < nb && b.(j) = a.(i) then j + 1 else j) (n + 1)
+      end
+      else if j < nb then begin
+        out.(n) <- b.(j);
+        go i (j + 1) (n + 1)
+      end
+      else n
+    in
+    let n = go 0 0 0 in
+    if n = na + nb then out else Array.sub out 0 n
+  end
+
+(* {!Props.dominates} on the column records of one layout: a slot [b]
+   lacks or holds sparse asks nothing, a dense one asks [a] for the same
+   dense bounds. *)
+let cols_dominate (a : int array) (b : int array) =
+  let rec go i =
+    i < 0
+    || (b.(i) <> dense
+       || (a.(i) = dense && a.(i + 1) = b.(i + 1) && a.(i + 2) = b.(i + 2)))
+       && go (i - stride)
+  in
+  go (Array.length b - stride)
+
+let dominates (a : dentry) (b : dentry) =
+  a.cost <= b.cost
+  && (b.sorted < 0 || a.sorted = b.sorted)
+  && (b.clustered < 0 || a.clustered = b.clustered)
+  && (a.cls == b.cls
+     || Bitset.subset b.cls.co_set a.cls.co_set
+        && cols_dominate a.cls.cols b.cls.cols)
+
+(* {!Pareto.insert} under [dominates], without closures, and keeping
+   the tail past the last member [x] drops. *)
+let rec dominated x = function
+  | [] -> false
+  | m :: rest -> dominates m x || dominated x rest
+
+let rec drop x = function
+  | [] -> []
+  | m :: rest as l ->
+    let rest' = drop x rest in
+    if dominates x m then rest' else if rest' == rest then l else m :: rest'
+
+let add set x = if dominated x set then set else x :: drop x set
+
+(* Name ids of one DP: every column name its leaves, predicates and
+   callers mention.  Filled before the levels run, read-only after. *)
+type names = {
+  id_of : (string, int) Hashtbl.t;
+  mutable name : string array;
+  pairs : (string * string, int) Hashtbl.t; (* co-ordering pair ids *)
+  mutable from : (int * int) list array;
+      (* by name id [a]: each pair (a, b)'s id, and [b]'s name id *)
+}
+
+let name_id names n =
+  match Hashtbl.find_opt names.id_of n with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length names.id_of in
+    Hashtbl.add names.id_of n i;
+    if i >= Array.length names.name then begin
+      names.name <- Array.append names.name (Array.make (i + 8) "");
+      names.from <- Array.append names.from (Array.make (i + 8) [])
+    end;
+    names.name.(i) <- n;
+    i
+
+let pair_id names ((a, b) as pair) =
+  match Hashtbl.find_opt names.pairs pair with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length names.pairs in
+    Hashtbl.add names.pairs pair i;
+    let a = name_id names a and b = name_id names b in
+    names.from.(a) <- (i, b) :: names.from.(a);
+    i
+
+(* One subset's layout: the name id of each slot (ascending) and each
+   name id's slot, or -1. *)
+type layout = { lay : int array; slot_of : int array }
+
+let of_lay ~nnames lay =
+  let slot_of = Array.make nnames (-1) in
+  Array.iteri (fun sl id -> slot_of.(id) <- sl) lay;
+  { lay; slot_of }
+
+let layout ~nnames ids = of_lay ~nnames (Array.of_list (List.sort_uniq Int.compare ids))
+
+(* The layout of a join of two subsets: their name ids, merged. *)
+let union_layout ~nnames a b = of_lay ~nnames (sorted_union a.lay b.lay)
+
+(* What a column grants: a known key universe, and density. *)
+let known_available ~dense =
+  Granule.bit Granule.Requires_known_universe
+  lor if dense then Granule.bit Granule.Requires_dense else 0
+
+(* The requirements a grouping's input grants on its key. *)
+let group_available props key =
+  (match Props.column props key with
+  | Some c -> known_available ~dense:c.Props.dense
+  | None -> 0)
+  lor
+  if Props.clustered_on props key then Granule.bit Granule.Requires_clustered
+  else 0
+
+(* The requirements a pair joined on [c1 = c2] grants: [avail] is what
+   the left entry's record of [c1] grants, [both_sorted] whether the
+   left entry is sorted on [c1] and the right one on [c2]. *)
+let join_available ~avail ~both_sorted =
+  avail lor if both_sorted then Granule.bit Granule.Requires_sorted else 0
+
+(* ------------------------------------------------------------------ *)
 (* Join candidates for one split of a subset.                          *)
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
-(* Class ids over a frontier: entries whose column and co-ordering lists
-   are physically the same list share an id.  Shared lists are the
-   rule, not luck — a sort enforcer keeps its source's lists, and every
-   candidate of one memoised join union shares its lists — so hashing
-   the column list and comparing physically within a bucket finds every
-   class in one pass.  Returns the ids and the class count. *)
+(* Class ids over a leaf frontier: entries whose column and co-ordering
+   lists are physically the same list share an id.  Shared lists are
+   the rule, not luck — a sort enforcer keeps its source's lists — so
+   hashing the column list and comparing physically within a bucket
+   finds every class in one pass.  Returns the ids and the class
+   count. *)
 let list_classes (a : Pareto.entry array) =
   let seen = Hashtbl.create 16 in
   let next = ref 0 in
@@ -443,53 +582,85 @@ let list_classes (a : Pareto.entry array) =
   in
   (ids, !next)
 
+(* Class ids over a DP frontier: one per physically distinct class. *)
+let class_ids (a : dentry array) =
+  let seen = ref [] and next = ref 0 in
+  let ids =
+    Array.map
+      (fun (e : dentry) ->
+        match List.assq_opt e.cls !seen with
+        | Some id -> id
+        | None ->
+          let id = !next in
+          incr next;
+          seen := (e.cls, id) :: !seen;
+          id)
+      a
+  in
+  (ids, !next)
+
+(* One join column's facts about each entry of a frontier: whether it
+   is sorted on the column, its twin for a join on it (see {!twins}),
+   its distinct count there (its rows when it lacks the column), and
+   what its record grants.  Worked out once per frontier for every
+   column a join of its subset can be on, not in every split. *)
+type probe = {
+  on_sorted : bool array;
+  twin : int array;
+  distinct : int array;
+  avail : int array;
+}
+
+(* Each element's class of equal ints, numbered by first appearance,
+   and each class's value. *)
+let classify a =
+  let seen = ref [] and n = ref 0 in
+  let cls =
+    Array.map
+      (fun (v : int) ->
+        let rec find = function
+          | (w, c) :: rest -> if w = v then c else find rest
+          | [] ->
+            let c = !n in
+            incr n;
+            seen := (v, c) :: !seen;
+            c
+        in
+        find !seen)
+      a
+  in
+  (cls, Array.of_list (List.rev_map fst !seen))
+
 (* A memoised subset frontier as the join DP reads it: its entries, also
-   as an array, with their list classes and twin slots (list class and
-   rows) worked out once rather than in every split that reads it. *)
+   as an array, with their classes, twin slots (class and rows) and
+   join-column probes worked out once. *)
 type frontier = {
-  entries : Pareto.entry list;
-  arr : Pareto.entry array;
-  ids : int array; (* list class of each entry *)
+  entries : dentry list;
+  arr : dentry array;
+  layout : layout;
+  ids : int array; (* class of each entry *)
   classes : int;
   slot : int array; (* twin slot of each entry *)
   slots : int;
+  rows_class : int array; (* each entry's class of equal rows *)
+  rows_vals : int array; (* each rows class's rows *)
+  probes : (int * probe) list; (* by join column name id *)
 }
-
-let frontier entries =
-  let arr = Array.of_list entries in
-  let ids, classes = list_classes arr in
-  let by_class = Array.make classes [] in
-  let slots = ref 0 in
-  let slot =
-    Array.mapi
-      (fun i (e : Pareto.entry) ->
-        let rec find = function
-          | [] ->
-            let sl = !slots in
-            incr slots;
-            by_class.(ids.(i)) <- (e.Pareto.rows, sl) :: by_class.(ids.(i));
-            sl
-          | (rows, sl) :: rest -> if rows = e.Pareto.rows then sl else find rest
-        in
-        find by_class.(ids.(i)))
-      arr
-  in
-  { entries; arr; ids; classes; slot; slots = !slots }
 
 (* A join's output forgets its inputs' orders ({!Props.union_columns}
    resets them); only OJ reads them, and only on the join column.  So
-   an entry [t] with the same (physically shared) column and
-   co-ordering lists as [e], the same rows, a strictly lower cost, and
-   — when [e] is sorted on the join column — that order too, is a
-   {e twin} of [e]: every candidate [e] would form in a join on that
-   column is matched by [t]'s candidate of the same algorithm, with
-   equal properties and rows and a lower cost.  [twins f sorted] maps
-   each entry of [f] to its cheapest twin, or [-1]; [sorted.(i)] says
-   whether entry [i] is sorted on the join column. *)
+   an entry [t] of the same class as [e], with the same rows, a
+   strictly lower cost, and — when [e] is sorted on the join column —
+   that order too, is a {e twin} of [e]: every candidate [e] would form
+   in a join on that column is matched by [t]'s candidate of the same
+   algorithm, with equal properties and rows and a lower cost.
+   [twins f sorted] maps each entry of [f] to its cheapest twin, or
+   [-1]; [sorted.(i)] says whether entry [i] is sorted on the join
+   column. *)
 let twins f sorted =
   let cheapest = Array.make f.slots (-1) in
   let cheapest_sorted = Array.make f.slots (-1) in
-  let cheaper i j = j < 0 || f.arr.(i).Pareto.cost < f.arr.(j).Pareto.cost in
+  let cheaper i j = j < 0 || f.arr.(i).cost < f.arr.(j).cost in
   Array.iteri
     (fun i sl ->
       if cheaper i cheapest.(sl) then cheapest.(sl) <- i;
@@ -499,34 +670,243 @@ let twins f sorted =
   Array.mapi
     (fun i sl ->
       let t = if sorted.(i) then cheapest_sorted.(sl) else cheapest.(sl) in
-      if t >= 0 && f.arr.(t).Pareto.cost < f.arr.(i).Pareto.cost then t
-      else -1)
+      if t >= 0 && f.arr.(t).cost < f.arr.(i).cost then t else -1)
     f.slot
 
-module Int_tbl = Hashtbl.Make (Int)
+let probe f c =
+  let sl = if c < Array.length f.layout.slot_of then f.layout.slot_of.(c) else -1 in
+  let flag (e : dentry) = if sl < 0 then absent else e.cls.cols.(sl * stride) in
+  let on_sorted = Array.map (fun (e : dentry) -> e.sorted = c) f.arr in
+  let distinct =
+    Array.map
+      (fun e ->
+        if flag e = absent then e.rows else e.cls.cols.((sl * stride) + 3))
+      f.arr
+  in
+  {
+    on_sorted;
+    twin = twins f on_sorted;
+    distinct;
+    avail =
+      Array.map
+        (fun e ->
+          let f = flag e in
+          if f = absent then 0 else known_available ~dense:(f = dense))
+        f.arr;
+  }
 
-(* The properties an OJ or SOJ output, sorted on its left join column
-   [c1], records in a subset whose live columns are [live]: the order
-   on [c1] when [c1] is live.  A dead [c1]'s order is read only through
-   co-ordering: when [c1] co-orders exactly one live column [x], the
-   output is recorded as clustered on [x]; when it co-orders several,
-   the order on [c1] is kept; when none, no order is recorded and the
-   output is [unordered] itself. *)
-let sorted_output ~live c1 (unordered : Props.t) =
-  let is_live c = List.exists (String.equal c) live in
-  if is_live c1 then Props.with_sort unordered c1
+(* [entries] as a frontier over [layout], with probes on the name ids
+   [joined]. *)
+let frontier layout ~joined entries =
+  let arr = Array.of_list entries in
+  let ids, classes = class_ids arr in
+  let by_class = Array.make classes [] in
+  let slots = ref 0 in
+  let slot =
+    Array.mapi
+      (fun i (e : dentry) ->
+        let rec find = function
+          | [] ->
+            let sl = !slots in
+            incr slots;
+            by_class.(ids.(i)) <- (e.rows, sl) :: by_class.(ids.(i));
+            sl
+          | (rows, sl) :: rest -> if rows = e.rows then sl else find rest
+        in
+        find by_class.(ids.(i)))
+      arr
+  in
+  let rows_class, rows_vals =
+    classify (Array.map (fun (e : dentry) -> e.rows) arr)
+  in
+  let f =
+    {
+      entries;
+      arr;
+      layout;
+      ids;
+      classes;
+      slot;
+      slots = !slots;
+      rows_class;
+      rows_vals;
+      probes = [];
+    }
+  in
+  { f with probes = List.map (fun c -> (c, probe f c)) joined }
+
+(* A leaf frontier as DP entries: one class per list class, its layout
+   every name of its entries' column lists.  Registers the names and
+   co-ordering pairs it meets. *)
+let of_leaf names ~joined (entries : Pareto.entry list) =
+  let arr = Array.of_list entries in
+  let ids, classes = list_classes arr in
+  let reps = Array.make classes Props.none in
+  Array.iteri (fun i (e : Pareto.entry) -> reps.(ids.(i)) <- e.Pareto.props) arr;
+  let col_ids =
+    Array.map
+      (fun (p : Props.t) -> List.map (fun (n, _) -> name_id names n) p.Props.columns)
+      reps
+  in
+  let opt_id = function Some n -> name_id names n | None -> -1 in
+  let orders =
+    Array.map
+      (fun (e : Pareto.entry) ->
+        (opt_id e.Pareto.props.Props.sorted_by, opt_id e.Pareto.props.Props.clustered_by))
+      arr
+  in
+  let co_sets =
+    Array.map
+      (fun (p : Props.t) ->
+        Bitset.of_list (List.map (pair_id names) p.Props.co_ordered))
+      reps
+  in
+  let layout =
+    layout ~nnames:(Hashtbl.length names.id_of)
+      (List.concat (Array.to_list col_ids))
+  in
+  let cls =
+    Array.mapi
+      (fun c (p : Props.t) ->
+        let cols = Array.make (Array.length layout.lay * stride) absent in
+        let order =
+          List.filter_map
+            (fun (id, (_, r)) ->
+              let sl = layout.slot_of.(id) in
+              if cols.(sl * stride) <> absent then None
+              else begin
+                put cols sl r;
+                Some sl
+              end)
+            (List.combine col_ids.(c) p.Props.columns)
+        in
+        { cols; order = Array.of_list order; co = p.Props.co_ordered; co_set = co_sets.(c) })
+      reps
+  in
+  frontier layout ~joined
+    (List.init (Array.length arr) (fun i ->
+         let e = arr.(i) and sorted, clustered = orders.(i) in
+         {
+           plan = e.Pareto.plan;
+           cost = e.Pareto.cost;
+           rows = e.Pareto.rows;
+           cls = cls.(ids.(i));
+           sorted;
+           clustered;
+         }))
+
+(* An entry's {!Props.t}; [lists] shares one column list per class. *)
+let to_props names layout lists (e : dentry) =
+  let columns =
+    match List.assq_opt e.cls !lists with
+    | Some l -> l
+    | None ->
+      let l =
+        Array.to_list
+          (Array.map
+             (fun sl -> (names.name.(layout.lay.(sl)), get e.cls.cols sl))
+             e.cls.order)
+      in
+      lists := (e.cls, l) :: !lists;
+      l
+  in
+  let name i = if i < 0 then None else Some names.name.(i) in
+  {
+    Props.sorted_by = name e.sorted;
+    clustered_by = name e.clustered;
+    columns;
+    co_ordered = e.cls.co;
+  }
+
+let to_entries names f =
+  let lists = ref [] in
+  List.map
+    (fun (e : dentry) ->
+      {
+        Pareto.plan = e.plan;
+        cost = e.cost;
+        props = to_props names f.layout lists e;
+        rows = e.rows;
+      })
+    f.entries
+
+(* One subset being solved: its layout, its live columns (sorted names,
+   with their ids), whether a name is live, and its class of entries
+   with no columns at all (those shared their empty lists, one class
+   across every split). *)
+type subset = {
+  s_layout : layout;
+  live : (string * int) list;
+  is_live : bool array; (* by name id *)
+  empty : cls;
+}
+
+(* The class of a join of classes [a] (left, slots mapped by [map1])
+   and [b] (right, [map2]) over [sub]'s layout, with distinct counts
+   capped at [rows]: {!Props.union_columns} and {!scale_columns}. *)
+let union_cls sub map1 (a : cls) map2 (b : cls) rows =
+  let n = Array.length sub.s_layout.lay in
+  let cols = Array.make (n * stride) absent and order = Array.make n 0 in
+  let len = ref 0 and cap = Int.max rows 0 in
+  let place (src : cls) map =
+    let from = src.cols in
+    for i = 0 to Array.length src.order - 1 do
+      let sl = src.order.(i) in
+      let p = map.(sl) in
+      let d = p * stride and s = sl * stride in
+      if cols.(d) = absent then begin
+        cols.(d) <- from.(s);
+        cols.(d + 1) <- from.(s + 1);
+        cols.(d + 2) <- from.(s + 2);
+        cols.(d + 3) <- (if from.(s + 3) > cap then cap else from.(s + 3));
+        order.(!len) <- p;
+        incr len
+      end
+    done
+  in
+  place a map1;
+  place b map2;
+  let co_set = Bitset.union a.co_set b.co_set in
+  let co =
+    if Bitset.subset b.co_set a.co_set then a.co
+    else if Bitset.disjoint a.co_set b.co_set then a.co @ b.co
+    else a.co @ List.filter (fun (x, y) -> not (mem_pair x y a.co)) b.co
+  in
+  if !len = 0 && Bitset.is_empty co_set then sub.empty
   else
-    let coordered =
-      List.sort_uniq String.compare
-        (List.filter_map
-           (fun (a, x) ->
-             if String.equal a c1 && is_live x then Some x else None)
-           unordered.Props.co_ordered)
-    in
-    match coordered with
-    | [] -> unordered
-    | [ x ] -> { unordered with Props.clustered_by = Some x }
-    | _ :: _ :: _ -> Props.with_sort unordered c1
+    {
+      cols;
+      order = (if !len = n then order else Array.sub order 0 !len);
+      co;
+      co_set;
+    }
+
+(* The order an OJ or SOJ output, sorted on its left join column [c1]
+   (a name id), records in [sub] from its co-ordering pairs [co_set],
+   as (sorted, clustered) name ids: the order on [c1] when [c1] is live.  A dead [c1]'s order is
+   read only through co-ordering: when [c1] co-orders exactly one live
+   column [x], the output is recorded as clustered on [x]; when it
+   co-orders several, the order on [c1] is kept; when none, no order is
+   recorded. *)
+let sorted_output names sub c1 co_set =
+  if sub.is_live.(c1) then (c1, c1)
+  else begin
+    let x = ref (-1) and several = ref false in
+    List.iter
+      (fun (p, b) ->
+        if Bitset.mem p co_set && sub.is_live.(b) then
+          if !x < 0 then x := b else if !x <> b then several := true)
+      names.from.(c1);
+    if !several then (c1, c1) else (-1, !x)
+  end
+
+(* One split of a subset: the memo indices of its halves and the join
+   columns (names and ids), [c1] in the left half. *)
+type split = { left : int; right : int; on : join_on }
+
+(* A predicate oriented for a split: [c1] (name id [c1_id]) in the left
+   half. *)
+and join_on = { c1 : string; c2 : string; c1_id : int; c2_id : int }
 
 (* All join candidates of one split [(f1, f2)] on [c1 = c2], in the
    order the pairs and algorithms enumerate, minus those that provably
@@ -552,142 +932,186 @@ let sorted_output ~live c1 (unordered : Props.t) =
      unordered one with an order added, so it dominates.  An ordered
      algorithm whose order {!sorted_output} drops counts as unordered.
 
-   Each pair's output properties are one [scale_columns] of the union
-   of the inputs' column lists, memoised per split on the two inputs'
-   list classes and the output rows; the ordered variant is the one
-   {!sorted_output} records for the subset's [live] columns. *)
-let join_split ctx ~live ~generated ~emit c1 c2 f1 f2 =
+   Each pair's output class is one {!union_cls} of the inputs' classes,
+   memoised per split on the two classes and the output rows; the
+   ordered variant is the one {!sorted_output} records for the subset's
+   live columns. *)
+let rec probe_on (c : int) = function
+  | [] -> raise Not_found
+  | (c', p) :: rest -> if c = c' then p else probe_on c rest
+
+(* Whether every candidate of [mask] built on [t1] and [t2] instead of
+   [e1] and [e2] is strictly cheaper, exactly as the candidates sum
+   it. *)
+let all_cheaper jcost mask (t1 : dentry) (t2 : dentry) (e1 : dentry)
+    (e2 : dentry) =
+  let other = t1.cost +. t2.cost and base = e1.cost +. e2.cost in
+  other < base
+  &&
+  let ok = ref true in
+  for k = 0 to Array.length jcost - 1 do
+    if mask land (1 lsl k) <> 0 && not (other +. jcost.(k) < base +. jcost.(k))
+    then ok := false
+  done;
+  !ok
+
+let join_split ctx names sub ~generated ~emit sp f1 f2 =
   let a1 = f1.arr and ids1 = f1.ids and a2 = f2.arr and ids2 = f2.ids in
-  let n2 = f2.classes in
-  let sorted_on c (e : Pareto.entry) = Props.sorted_on e.Pareto.props c in
-  let sorted1 = Array.map (sorted_on c1) a1 in
-  let sorted2 = Array.map (sorted_on c2) a2 in
-  let twin1 = twins f1 sorted1 and twin2 = twins f2 sorted2 in
-  let unions = Int_tbl.create 16 in
-  let union i j (e1 : Pareto.entry) (e2 : Pareto.entry) out_rows =
-    let key = (ids1.(i) * n2) + ids2.(j) in
-    let cached = Option.value ~default:[] (Int_tbl.find_opt unions key) in
-    match List.find_opt (fun (r, _, _) -> r = out_rows) cached with
-    | Some (_, unordered, ordered) -> (unordered, ordered)
-    | None ->
-      let unordered =
-        scale_columns
-          (Props.union_columns e1.Pareto.props e2.Pareto.props)
-          out_rows
+  let p1 = probe_on sp.on.c1_id f1.probes and p2 = probe_on sp.on.c2_id f2.probes in
+  let slot_of = sub.s_layout.slot_of in
+  let map1 = Array.map (fun id -> slot_of.(id)) f1.layout.lay in
+  let map2 = Array.map (fun id -> slot_of.(id)) f2.layout.lay in
+  let sorted1 = p1.on_sorted and sorted2 = p2.on_sorted in
+  let twin1 = p1.twin and twin2 = p2.twin in
+  (* The memoised unions, keyed on the input classes and output rows;
+     a split's pairs mostly share one key, so the last one is checked
+     first. *)
+  let unions = ref [] and last = ref (-1, -1, -1, None) in
+  let union i j (e1 : dentry) (e2 : dentry) out_rows =
+    let k1 = ids1.(i) and k2 = ids2.(j) in
+    match !last with
+    | a, b, r, Some u when a = k1 && b = k2 && r = out_rows -> u
+    | _ ->
+      let u =
+        match
+          List.find_opt (fun (a, b, r, _) -> a = k1 && b = k2 && r = out_rows) !unions
+        with
+        | Some (_, _, _, u) -> u
+        | None ->
+          let cls = union_cls sub map1 e1.cls map2 e2.cls out_rows in
+          let u = (cls, sorted_output names sub sp.on.c1_id cls.co_set) in
+          unions := (k1, k2, out_rows, u) :: !unions;
+          u
       in
-      (* Ordering touches only the order fields, so the ordered variant
-         shares the scaled column list. *)
-      let ordered = sorted_output ~live c1 unordered in
-      Int_tbl.replace unions key ((out_rows, unordered, ordered) :: cached);
-      (unordered, ordered)
-  in
-  let distinct2 =
-    Array.map
-      (fun (e : Pareto.entry) -> distinct_or e.Pareto.props c2 e.Pareto.rows)
-      a2
+      last := (k1, k2, out_rows, Some u);
+      u
   in
   let algs = ctx.joins in
   let nalgs = Array.length algs.impls in
-  let jcost = Array.make nalgs 0.0 in
-  Array.iteri
-    (fun i (e1 : Pareto.entry) ->
-      let left = Props.column e1.Pareto.props c1 in
-      let d1 =
-        match left with Some c -> c.Props.distinct | None -> e1.Pareto.rows
-      in
-      let unsorted = algs.fits.(join_available ~left ~both_sorted:false) in
-      let sorted =
-        algs.fits.(join_available ~left ~both_sorted:sorted1.(i))
-      in
-      let n_unsorted = popcount unsorted and n_sorted = popcount sorted in
-      (* Join costs and the output rows depend on the right entry only
-         through its rows and distinct count, which runs of right
-         entries share: recompute them when those change. *)
-      let rows2 = ref (-1) and d2 = ref (-1) and out_rows = ref 0 in
+  (* Join costs depend on the right entry only through its rows, which
+     the right entries share in a few classes: worked out per class, and
+     again only when the left entry's rows, distinct count or algorithms
+     change. *)
+  let jcosts = Array.map (fun _ -> Array.make nalgs 0.0) f2.rows_vals in
+  let key_rows = ref (-1) and key_d = ref (-1) and key_mask = ref (-1) in
+  for i = 0 to Array.length a1 - 1 do
+    let e1 = a1.(i) in
+    let d1 = p1.distinct.(i) in
+    let avail = p1.avail.(i) in
+    let unsorted = algs.fits.(join_available ~avail ~both_sorted:false) in
+    let sorted = algs.fits.(join_available ~avail ~both_sorted:sorted1.(i)) in
+    let n_unsorted = popcount unsorted and n_sorted = popcount sorted in
+    if e1.rows <> !key_rows || d1 <> !key_d || sorted <> !key_mask then begin
+      key_rows := e1.rows;
+      key_d := d1;
+      key_mask := sorted;
       Array.iteri
-        (fun j (e2 : Pareto.entry) ->
-          let mask = if sorted2.(j) then sorted else unsorted in
-          let n = if sorted2.(j) then n_sorted else n_unsorted in
-          ctx.considered <- ctx.considered + n;
-          generated := !generated + n;
-          if e2.Pareto.rows <> !rows2 then begin
-            rows2 := e2.Pareto.rows;
-            d2 := -1;
-            for k = 0 to nalgs - 1 do
-              if sorted land (1 lsl k) <> 0 then
-                jcost.(k) <-
-                  Model.join_cost ctx.model ~impl:algs.impls.(k)
-                    ~left_rows:e1.Pareto.rows ~right_rows:!rows2
-                    ~left_distinct:d1
-            done
-          end;
-          if distinct2.(j) <> !d2 then begin
-            d2 := distinct2.(j);
-            out_rows :=
-              correct_join ctx c1 c2
-                (Cardinality.equi_join ~left_rows:e1.Pareto.rows
-                   ~right_rows:!rows2 ~left_distinct:d1 ~right_distinct:!d2)
-          end;
-          let out_rows = !out_rows in
-          let base = e1.Pareto.cost +. e2.Pareto.cost in
-          (* Every candidate built on [other] instead of [base] is
-             strictly cheaper, exactly as the candidates sum it. *)
-          let below other =
-            other < base
-            &&
-            let rec go k =
-              k >= nalgs
-              || (mask land (1 lsl k) = 0
-                 || other +. jcost.(k) < base +. jcost.(k))
-                 && go (k + 1)
+        (fun r rows2 ->
+          Model.join_costs ctx.model ~impls:algs.impls ~mask:sorted
+            ~left_rows:e1.rows ~right_rows:rows2 ~left_distinct:d1 jcosts.(r))
+        f2.rows_vals
+    end;
+    (* The output rows depend on the right entry only through its rows
+       and distinct count, which runs of right entries share. *)
+    let rows2 = ref (-1) and d2 = ref (-1) and out_rows = ref 0 in
+    for j = 0 to Array.length a2 - 1 do
+      let e2 = a2.(j) in
+      let mask = if sorted2.(j) then sorted else unsorted in
+      let n = if sorted2.(j) then n_sorted else n_unsorted in
+      ctx.considered <- ctx.considered + n;
+      generated := !generated + n;
+      let jcost = jcosts.(f2.rows_class.(j)) in
+      if e2.rows <> !rows2 || p2.distinct.(j) <> !d2 then begin
+        rows2 := e2.rows;
+        d2 := p2.distinct.(j);
+        out_rows :=
+          correct_join ctx sp.on.c1 sp.on.c2
+            (Cardinality.equi_join ~left_rows:e1.rows ~right_rows:!rows2
+               ~left_distinct:d1 ~right_distinct:!d2)
+      end;
+      let out_rows = !out_rows in
+      let base = e1.cost +. e2.cost in
+      let skip =
+        (twin1.(i) >= 0 && all_cheaper jcost mask a1.(twin1.(i)) e2 e1 e2)
+        || (twin2.(j) >= 0 && all_cheaper jcost mask e1 a2.(twin2.(j)) e1 e2)
+      in
+      if not skip then begin
+        let cls, (o_sorted, o_clustered) = union i j e1 e2 out_rows in
+        let has_order = o_sorted >= 0 || o_clustered >= 0 in
+        let kept = ref [] in
+        let min_any = ref Float.nan and min_ordered = ref Float.nan in
+        for k = 0 to nalgs - 1 do
+          if mask land (1 lsl k) <> 0 then begin
+            let a_ordered =
+              has_order
+              && Granule.sorted_output algs.yields.(k) ~input_sorted:sorted1.(i)
             in
-            go 0
-          in
-          let skip =
-            (twin1.(i) >= 0
-            && below (a1.(twin1.(i)).Pareto.cost +. e2.Pareto.cost))
-            || twin2.(j) >= 0
-               && below (e1.Pareto.cost +. a2.(twin2.(j)).Pareto.cost)
-          in
-          if not skip then begin
-            let unordered, ordered = union i j e1 e2 out_rows in
-            let kept = ref [] in
-            let min_any = ref Float.nan and min_ordered = ref Float.nan in
-            let has_order = ordered != unordered in
-            for k = 0 to nalgs - 1 do
-              if mask land (1 lsl k) <> 0 then begin
-                let a_ordered =
-                  has_order
-                  && Granule.sorted_output algs.yields.(k)
-                       ~input_sorted:sorted1.(i)
-                in
-                let cost = base +. jcost.(k) in
-                let dominated =
-                  if a_ordered then !min_ordered <= cost else !min_any <= cost
-                in
-                if not dominated then begin
-                  kept :=
-                    {
-                      Pareto.plan =
-                        Physical.Join_op
-                          (e1.Pareto.plan, e2.Pareto.plan, c1, c2,
-                            algs.impls.(k));
-                      cost;
-                      props = (if a_ordered then ordered else unordered);
-                      rows = out_rows;
-                    }
-                    :: !kept;
-                  ctx.built <- ctx.built + 1;
-                  if not (!min_any <= cost) then min_any := cost;
-                  if a_ordered && not (!min_ordered <= cost) then
-                    min_ordered := cost
-                end
-              end
-            done;
-            emit !kept
-          end)
-        a2)
-    a1
+            let cost = base +. jcost.(k) in
+            let dominated =
+              if a_ordered then !min_ordered <= cost else !min_any <= cost
+            in
+            if not dominated then begin
+              kept :=
+                {
+                  plan =
+                    Physical.Join_op
+                      (e1.plan, e2.plan, sp.on.c1, sp.on.c2, algs.impls.(k));
+                  cost;
+                  rows = out_rows;
+                  cls;
+                  sorted = (if a_ordered then o_sorted else -1);
+                  clustered = (if a_ordered then o_clustered else -1);
+                }
+                :: !kept;
+              ctx.built <- ctx.built + 1;
+              if not (!min_any <= cost) then min_any := cost;
+              if a_ordered && not (!min_ordered <= cost) then
+                min_ordered := cost
+            end
+          end
+        done;
+        emit !kept
+      end
+    done
+  done
+
+(* The learned beam gate: score every Pareto survivor of a join subset
+   with the value-model snapshot and keep only the k best (lowest
+   predicted true cost).  Ties break on estimated cost, then on the
+   rendered plan — a total, scheduling-independent order, so pooled
+   and sequential searches cut exactly the same entries. *)
+let beam_gate ctx ~props entries =
+  match ctx.learner with
+  | None -> entries
+  | Some (snap, k) ->
+    let n = List.length entries in
+    ctx.scored <- ctx.scored + n;
+    if n <= k then entries
+    else begin
+      ctx.beam_pruned <- ctx.beam_pruned + (n - k);
+      (* Each plan is rendered at most once, and only if a tie needs it. *)
+      let keyed =
+        List.map
+          (fun (e : dentry) ->
+            ( Learner.score snap ~cost:e.cost
+                (Learner.featurize ~props:(props e) ~rows:e.rows),
+              lazy (Format.asprintf "%a" Physical.pp e.plan),
+              e ))
+          entries
+      in
+      let sorted =
+        List.stable_sort
+          (fun (sa, ra, (a : dentry)) (sb, rb, (b : dentry)) ->
+            match Float.compare sa sb with
+            | 0 -> (
+              match Float.compare a.cost b.cost with
+              | 0 -> String.compare (Lazy.force ra) (Lazy.force rb)
+              | c -> c)
+            | c -> c)
+          keyed
+      in
+      List.filteri (fun i _ -> i < k) (List.map (fun (_, _, e) -> e) sorted)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Join-subtree DP over relation subsets (System-R style, no cross
@@ -712,6 +1136,99 @@ let rec leaf_label (l : Logical.t) =
     leaf_label t
   | Logical.Join _ -> "join"
 
+(* The connected-pair walk (DPccp, Moerkotte & Neumann, VLDB 2006): every
+   pair of disjoint, connected, adjacent leaf sets of the join graph
+   [adj] is emitted once, from which each connected subset gets both
+   orientations of each of its splits.  Splits whose halves are
+   disconnected or unconnectable contribute no candidates, so this is
+   exactly the set of splits a walk over all sub-subsets would join,
+   without visiting the rest. *)
+let connected_splits adj =
+  let k = Array.length adj in
+  let neighbours s =
+    Bitset.fold (fun i acc -> Bitset.union acc adj.(i)) s Bitset.empty
+  in
+  let upto i = Bitset.full (i + 1) in
+  (* Every connected set met gets an id in order of discovery, the
+     leaves first; [halves.(id)] collects its splits. *)
+  let ids = Subsets.create 64 and sets = ref [] and n = ref 0 in
+  let halves = ref (Array.make 64 []) in
+  let id s =
+    match Subsets.find_opt ids s with
+    | Some i -> i
+    | None ->
+      let i = !n in
+      incr n;
+      Subsets.add ids s i;
+      sets := s :: !sets;
+      if i >= Array.length !halves then
+        halves := Array.append !halves (Array.make i []);
+      i
+  in
+  for i = 0 to k - 1 do
+    ignore (id (Bitset.singleton i))
+  done;
+  let emit s1 s2 =
+    let a = id s1 and b = id s2 and s = id (Bitset.union s1 s2) in
+    !halves.(s) <- (a, b) :: (b, a) :: !halves.(s)
+  in
+  (* Every connected superset of [s] grown through neighbours outside
+     [x], each once. *)
+  let rec grow s x f =
+    let n = Bitset.diff (neighbours s) x in
+    if not (Bitset.is_empty n) then begin
+      let x' = Bitset.union x n in
+      let step s' =
+        let s = Bitset.union s s' in
+        f s;
+        grow s x' f
+      in
+      step n;
+      Bitset.iter_subsets step n
+    end
+  in
+  (* Every connected complement of [s1] above [s1]'s lowest leaf. *)
+  let complements s1 =
+    let x = Bitset.union (upto (List.hd (Bitset.to_list s1))) s1 in
+    let n = Bitset.diff (neighbours s1) x in
+    List.iter
+      (fun v ->
+        let s2 = Bitset.singleton v in
+        emit s1 s2;
+        grow s2 (Bitset.union x (Bitset.inter (upto v) n)) (emit s1))
+      (List.rev (Bitset.to_list n))
+  in
+  for i = k - 1 downto 0 do
+    let v = Bitset.singleton i in
+    complements v;
+    grow v (upto i) complements
+  done;
+  (* Renumber: leaves, then by cardinality and colex order. *)
+  let found = Array.of_list (List.rev !sets) in
+  let cards = Array.map Bitset.cardinal found in
+  let order = Array.init !n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match (a < k, b < k) with
+      | true, true -> Int.compare a b
+      | true, false -> -1
+      | false, true -> 1
+      | false, false -> (
+        match Int.compare cards.(a) cards.(b) with
+        | 0 -> Bitset.compare found.(a) found.(b)
+        | c -> c))
+    order;
+  let rank = Array.make !n 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) order;
+  let subsets = Array.map (fun i -> found.(i)) order in
+  let splits =
+    Array.init (!n - k) (fun r ->
+        List.map (fun (a, b) -> (rank.(a), rank.(b))) !halves.(order.(r + k))
+        |> List.sort (fun (a, _) (b, _) -> Bitset.compare subsets.(a) subsets.(b))
+        |> Array.of_list)
+  in
+  (subsets, splits)
+
 (* ------------------------------------------------------------------ *)
 (* The DP core, over pre-planned leaf frontiers.  [join_dp] feeds it
    the per-leaf plans of one query; the hierarchical optimiser feeds it
@@ -733,10 +1250,9 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
             if not (Hashtbl.mem col_leaf n) then Hashtbl.add col_leaf n i)
           e.Pareto.props.Props.columns)
     leaf_sets;
-  (* Resolve every predicate's leaf endpoints once per query; the
-     per-split scan below is then pure bit tests.  Predicates naming a
-     column no leaf provides can never connect a split and are dropped
-     here, as the old per-split [Not_found] handling did implicitly. *)
+  (* Resolve every predicate's leaf endpoints once per query.
+     Predicates naming a column no leaf provides can never connect a
+     split and are dropped here. *)
   let pred_endpoints =
     Array.of_list
       (List.filter_map
@@ -748,16 +1264,59 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
            | None, _ | _, None -> None)
          predicates)
   in
+  (* Every name the DP can meet gets its id before the levels run: the
+     columns read above and joined here now, the leaves' as they are
+     converted. *)
+  let names =
+    {
+      id_of = Hashtbl.create 64;
+      name = [||];
+      pairs = Hashtbl.create 16;
+      from = [||];
+    }
+  in
+  List.iter (fun n -> ignore (name_id names n)) above;
+  Array.iter
+    (fun (_, _, lc, rc) ->
+      ignore (name_id names lc);
+      ignore (name_id names rc))
+    pred_endpoints;
+  (* The columns of [s] a predicate joins to a leaf outside it, as name
+     ids, onto [acc]: every join of [s] is on one of them. *)
+  let pred_ids =
+    Array.map
+      (fun (_, _, lc, rc) -> (Hashtbl.find names.id_of lc, Hashtbl.find names.id_of rc))
+      pred_endpoints
+  in
+  let crossing_onto acc s =
+    let acc = ref acc in
+    Array.iteri
+      (fun i (ll, rl, _, _) ->
+        let l_in = Bitset.mem ll s and r_in = Bitset.mem rl s in
+        if l_in && not r_in then acc := fst pred_ids.(i) :: !acc
+        else if r_in && not l_in then acc := snd pred_ids.(i) :: !acc)
+      pred_endpoints;
+    !acc
+  in
+  let crossing s = List.sort_uniq Int.compare (crossing_onto [] s) in
   (* The first predicate (in query order) with one side in each half,
      oriented so that its first column lives in [s1]. *)
+  let oriented =
+    Array.mapi
+      (fun i (_, _, lc, rc) ->
+        let lid, rid = pred_ids.(i) in
+        ( { c1 = lc; c2 = rc; c1_id = lid; c2_id = rid },
+          { c1 = rc; c2 = lc; c1_id = rid; c2_id = lid } ))
+      pred_endpoints
+  in
   let connecting s1 s2 =
     let n = Array.length pred_endpoints in
     let rec go i =
       if i >= n then None
       else
-        let ll, rl, lc, rc = pred_endpoints.(i) in
-        if Bitset.mem ll s1 && Bitset.mem rl s2 then Some (lc, rc)
-        else if Bitset.mem rl s1 && Bitset.mem ll s2 then Some (rc, lc)
+        let ll, rl, _, _ = pred_endpoints.(i) in
+        if Bitset.mem ll s1 && Bitset.mem rl s2 then Some (fst oriented.(i))
+        else if Bitset.mem rl s1 && Bitset.mem ll s2 then Some (snd oriented.(i))
         else go (i + 1)
     in
     go 0
@@ -770,18 +1329,25 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
      crossing [s], so an order on any other column is read by nothing;
      [s] enforces sorts and keeps join output orders on live columns
      only.  Sorted, like {!interesting_columns}. *)
-  let live_columns s =
-    List.sort_uniq String.compare
-      (Array.fold_left
-         (fun acc (ll, rl, lc, rc) ->
-           let l_in = Bitset.mem ll s and r_in = Bitset.mem rl s in
-           if l_in && not r_in then lc :: acc
-           else if r_in && not l_in then rc :: acc
-           else acc)
-         above pred_endpoints)
+  let above_ids = List.map (Hashtbl.find names.id_of) above in
+  (* Live columns are listed by name: each one's rank in that order. *)
+  let rank =
+    let ids =
+      List.sort_uniq Int.compare
+        (above_ids @ List.concat_map (fun (a, b) -> [ a; b ]) (Array.to_list pred_ids))
+    in
+    let rank = Array.make (Hashtbl.length names.id_of) 0 in
+    List.iteri
+      (fun r id -> rank.(id) <- r)
+      (List.sort (fun a b -> String.compare names.name.(a) names.name.(b)) ids);
+    rank
   in
-  (* Leaf adjacency from the resolved predicates, for the connected-
-     subset enumeration below. *)
+  let live_columns s =
+    List.sort_uniq
+      (fun a b -> Int.compare rank.(a) rank.(b))
+      (crossing_onto above_ids s)
+  in
+  (* Leaf adjacency from the resolved predicates. *)
   let adj = Array.make k Bitset.empty in
   Array.iter
     (fun (ll, rl, _, _) ->
@@ -790,11 +1356,34 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
         adj.(rl) <- Bitset.add ll adj.(rl)
       end)
     pred_endpoints;
-  let memo = Subsets.create 64 in
+  (* Connected subsets only, each with its splits: a disconnected
+     subset always has an empty frontier, so enumerating it is pure
+     Θ(3^n) waste.  Memo indices: the leaves, then the subsets by
+     cardinality and, within one, ascending {!Bitset.compare} — colex —
+     order, the order the levels solve them in; each subset's splits in
+     ascending order of their left half, the order a walk over its
+     sub-subsets visits them. *)
+  let subsets, halves = connected_splits adj in
+  let splits =
+    Array.map
+      (fun hs ->
+        Array.of_list
+          (List.filter_map
+             (fun (l, r) ->
+               Option.map
+                 (fun on -> { left = l; right = r; on })
+                 (connecting subsets.(l) subsets.(r)))
+             (Array.to_list hs)))
+      halves
+  in
+  (* Subsets past the leaves are filled at their level's barrier. *)
+  let memo =
+    Array.make (Array.length subsets) (frontier (layout ~nnames:0 []) ~joined:[] [])
+  in
   for i = 0 to k - 1 do
-    Subsets.replace memo (Bitset.singleton i) (frontier leaf_sets.(i))
+    memo.(i) <- of_leaf names ~joined:(crossing subsets.(i)) leaf_sets.(i)
   done;
-  let full = Bitset.full k in
+  let nnames = Hashtbl.length names.id_of in
   let subset_label s =
     "subset{"
     ^ String.concat ","
@@ -806,52 +1395,85 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
      is consed as it is built, and the chunks are folded into the
      frontier last chunk first: the candidate stream, whose order fixes
      the frontier's entry order, runs from the last pair to the first,
-     without concatenating the chunks.
-     Splits whose halves are disconnected (not in the memo — only
-     connected subsets are enumerated) or unconnectable contribute no
-     candidates, exactly as they always did; the memo lookup is cheaper
-     than the predicate scan, so it goes first.  With a learner, the
-     beam gate cuts the merged Pareto frontier to the top-k before it
-     is recorded and memoised — the pruning that keeps downstream
-     candidate products flat. *)
-  let solve local s =
-    let live = live_columns s in
+     without concatenating the chunks.  With a learner, the beam gate
+     cuts the merged Pareto frontier to the top-k before it is recorded
+     and memoised — the pruning that keeps downstream candidate
+     products flat. *)
+  let solve local idx =
+    let s = subsets.(idx) in
+    let s_layout =
+      let sp = splits.(idx - k).(0) in
+      union_layout ~nnames memo.(sp.left).layout memo.(sp.right).layout
+    in
+    let live = List.map (fun id -> (names.name.(id), id)) (live_columns s) in
+    let is_live = Array.make nnames false in
+    List.iter (fun (_, id) -> is_live.(id) <- true) live;
+    let sub =
+      {
+        s_layout;
+        live;
+        is_live;
+        empty =
+          {
+            cols = Array.make (Array.length s_layout.lay * stride) absent;
+            order = [||];
+            co = [];
+            co_set = Bitset.empty;
+          };
+      }
+    in
     let chunks = ref [] and generated = ref 0 in
     let emit chunk = chunks := chunk :: !chunks in
-    Bitset.iter_subsets
-      (fun s1 ->
-        match Subsets.find_opt memo s1 with
-        | None | Some { entries = []; _ } -> ()
-        | Some f1 -> (
-          let s2 = Bitset.diff s s1 in
-          match Subsets.find_opt memo s2 with
-          | None | Some { entries = []; _ } -> ()
-          | Some f2 -> (
-            match connecting s1 s2 with
-            | None -> ()
-            | Some (c1, c2) ->
-              join_split local ~live ~generated ~emit c1 c2 f1 f2)))
-      s;
+    Array.iter
+      (fun sp ->
+        let f1 = memo.(sp.left) and f2 = memo.(sp.right) in
+        if Array.length f1.arr > 0 && Array.length f2.arr > 0 then
+          join_split local names sub ~generated ~emit sp f1 f2)
+      splits.(idx - k);
     (* A chunk holds its pair's candidates in reverse order. *)
     let survivors =
       List.fold_left
-        (fun acc chunk ->
-          List.fold_right (fun e acc -> Pareto.add acc e) chunk acc)
+        (fun acc chunk -> List.fold_right (fun e acc -> add acc e) chunk acc)
         [] !chunks
     in
-    let enforced = enforcer_variants local live survivors in
+    (* Sort enforcers on the live columns each survivor has and is not
+       sorted on. *)
+    let enforced =
+      List.concat_map
+        (fun (e : dentry) ->
+          List.filter_map
+            (fun (col, id) ->
+              let sl = s_layout.slot_of.(id) in
+              if sl < 0 || e.cls.cols.(sl * stride) = absent || e.sorted = id
+              then None
+              else
+                Some
+                  {
+                    e with
+                    plan = Physical.Sort_enforcer (e.plan, col);
+                    cost = e.cost +. Model.sort_cost local.model ~rows:e.rows;
+                    sorted = id;
+                    clustered = id;
+                  })
+            sub.live)
+        survivors
+    in
     count local (List.length enforced);
-    let merged = Pareto.add_all survivors enforced in
-    record_step local (subset_label s) ~generated:!generated
-      ~enforcers:(List.length enforced)
-      (beam_gate local merged)
+    let merged = List.fold_left add survivors enforced in
+    let lists = ref [] in
+    let entries =
+      record_step local (subset_label s) ~generated:!generated
+        ~enforcers:(List.length enforced)
+        (beam_gate local ~props:(to_props names s_layout lists) merged)
+    in
+    frontier s_layout ~joined:(crossing s) entries
   in
   (* One DP subproblem as a task: a private sub-context, timed, with
      its single trace step read back for the per-task metrics. *)
-  let run_task reg s =
+  let run_task reg idx =
     let local = sub_ctx ctx in
     let t0 = Metrics.now_ns () in
-    let entries = solve local s in
+    let f = solve local idx in
     let wall_ns = Metrics.now_ns () - t0 in
     (match reg with
     | None -> ()
@@ -859,7 +1481,7 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
       let generated, enforcers, kept =
         match local.steps with
         | [ st ] -> (st.generated, st.enforcers, st.kept)
-        | [] | _ :: _ :: _ -> (0, 0, List.length entries)
+        | [] | _ :: _ :: _ -> (0, 0, Array.length f.arr)
       in
       Metrics.incr m "opt.dp.subproblems";
       Metrics.incr ~by:generated m "opt.dp.candidates_generated";
@@ -872,78 +1494,50 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
          Metrics.incr ~by:local.beam_pruned m "opt.learn.pruned"
        end);
       Metrics.add_span_ns m "opt.dp.wall_ns" wall_ns);
-    (frontier entries, local)
+    (f, local)
   in
   (* All subsets of one cardinality, each claimed by exactly one worker
      (chunk 1, like [Pool.map_tasks]); results land in per-index slots
      and per-worker metrics registries, so nothing below depends on
      which worker ran what. *)
-  let run_level subs =
-    let n = Array.length subs in
+  let run_level lo n =
     match ctx.pool with
     | Some pool when Pool.size pool > 1 && n > 1 ->
       let out = Array.make n None in
       let regs = Array.init (Pool.size pool) (fun _ -> Metrics.create ()) in
-      Pool.parallel_for pool ~chunk:1 ~n (fun ~w ~lo ~hi ->
-          for i = lo to hi do
-            out.(i) <- Some (run_task (Some regs.(w)) subs.(i))
+      Pool.parallel_for pool ~chunk:1 ~n (fun ~w ~lo:a ~hi:b ->
+          for i = a to b do
+            out.(i) <- Some (run_task (Some regs.(w)) (lo + i))
           done);
       (match ctx.metrics with
       | Some m -> Array.iter (fun r -> Metrics.merge ~into:m r) regs
       | None -> ());
       Array.map (function Some v -> v | None -> assert false) out
-    | Some _ | None -> Array.map (fun s -> run_task ctx.metrics s) subs
-  in
-  (* Connected subsets only.  A disconnected subset always has an empty
-     frontier — no split of it passes [connecting] — so enumerating it
-     is pure Θ(3^n) waste, the reason a 20-relation snowflake used to
-     be unplannable.  Level [c] is grown from level [c-1] by single-
-     neighbour extension (every connected set has a removable vertex,
-     so every connected c-set is reached), deduplicated, and sorted
-     into ascending {!Bitset.compare} — colex — order: exactly the
-     relative order [sized_subsets] enumerated them in, so the barrier
-     merge is byte-for-byte the old one minus the no-op subsets. *)
-  let neighbours s =
-    Bitset.fold (fun i acc -> Bitset.union acc adj.(i)) s Bitset.empty
-  in
-  let next_level prev =
-    let seen = Subsets.create (max 16 (Array.length prev * 2)) in
-    Array.iter
-      (fun s ->
-        Bitset.iter
-          (fun v ->
-            let s' = Bitset.add v s in
-            if not (Subsets.mem seen s') then Subsets.replace seen s' ())
-          (Bitset.diff (neighbours s) s))
-      prev;
-    let arr = Array.make (Subsets.length seen) Bitset.empty in
-    let i = ref 0 in
-    Subsets.iter
-      (fun s () ->
-        arr.(!i) <- s;
-        incr i)
-      seen;
-    Array.sort Bitset.compare arr;
-    arr
+    | Some _ | None -> Array.init n (fun i -> run_task ctx.metrics (lo + i))
   in
   (* Level-synchronous DP: all subsets of cardinality [card] depend only
      on the memo of smaller subsets, so each level fans out between two
      barriers.  The barrier merge walks results in subset order —
      frontiers, counters, and trace are byte-identical for any pool
      size. *)
-  let level = ref (Array.init k Bitset.singleton) in
+  let lo = ref k in
   for card = 2 to k do
-    let subs = next_level !level in
-    level := subs;
+    let n = ref 0 in
+    while
+      !lo + !n < Array.length subsets
+      && Bitset.cardinal subsets.(!lo + !n) = card
+    do
+      incr n
+    done;
     let t0 = Metrics.now_ns () in
-    let results = run_level subs in
+    let results = run_level !lo !n in
     let wall_ms = Float.of_int (Metrics.now_ns () - t0) /. 1e6 in
     let generated = ref 0 and kept = ref 0 in
     let pruned = ref 0 and beam = ref 0 in
     Array.iteri
       (fun i (f, (local : ctx)) ->
-        Subsets.replace memo subs.(i) f;
-        kept := !kept + List.length f.entries;
+        memo.(!lo + i) <- f;
+        kept := !kept + Array.length f.arr;
         (match local.steps with
         | [ st ] ->
           generated := !generated + st.generated;
@@ -961,19 +1555,25 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
     ctx.levels <-
       {
         level = card;
-        subproblems = Array.length subs;
+        subproblems = !n;
         level_generated = !generated;
         level_kept = !kept;
         level_pruned = !pruned;
         level_beam_pruned = !beam;
         level_wall_ms = wall_ms;
       }
-      :: ctx.levels
+      :: ctx.levels;
+    lo := !lo + !n
   done;
-  match Subsets.find_opt memo full with
-  | Some { entries = []; _ } | None ->
-    invalid_arg "Search: join graph is disconnected (cross product needed)"
-  | Some f -> f.entries
+  (* The whole set, when connected, is the last subset. *)
+  let last = Array.length subsets - 1 in
+  if
+    (not (Bitset.equal subsets.(last) (Bitset.full k)))
+    || Array.length memo.(last).arr = 0
+  then invalid_arg "Search: join graph is disconnected (cross product needed)"
+  else if k = 1 then (* A single leaf: its frontier verbatim. *)
+    leaf_sets.(0)
+  else to_entries names memo.(last)
 
 (* [above]: the columns operators above [l] read — what a join DP
    inside [l] keeps orders on besides its own join columns.  A filter

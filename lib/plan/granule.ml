@@ -102,6 +102,15 @@ let molecules =
     [ (Grouping.Chaining, 1.0); (Grouping.Linear_probing, 0.75);
       (Grouping.Robin_hood, 0.8) ]
 
+let applicable cell alg ~available =
+  match List.find_opt (fun o -> o.alg = alg) cell.organelles with
+  | Some o -> List.for_all (fun r -> List.mem r available) o.requires
+  | None -> false
+
+let measured ~clustered ~dense =
+  (Requires_known_universe :: (if clustered then [ Requires_clustered ] else []))
+  @ if dense then [ Requires_dense ] else []
+
 let candidates ~max_level cell =
   let default = List.hd molecules in
   let reached =

@@ -68,6 +68,14 @@ val join : Dqo_exec.Join.algorithm cell
 val molecules : molecule list
 (** Three table layouts x three mixers, chaining x murmur3 first. *)
 
+val applicable : 'alg cell -> 'alg -> available:requirement list -> bool
+(** Whether [alg]'s row in [cell] asks only for requirements in
+    [available]; [false] for an algorithm the cell has no row for. *)
+
+val measured : clustered:bool -> dense:bool -> requirement list
+(** What measured keys grant: a known universe (the distinct keys can
+    be collected), and clustering and density as measured. *)
+
 val candidates :
   max_level:level -> 'alg cell -> ('alg organelle * molecule) list
 (** The operator's candidates in enumeration order: every organelle in

@@ -102,30 +102,38 @@ let mix_cell h cells r =
     String.iter (fun c -> h := mix_byte !h (Char.code c)) (Array.unsafe_get a r);
     !h
 
-(* The same step on an unboxed word, and byte [s / 8] of one. *)
+(* The same step on an unboxed word. *)
 let[@inline] mix64 x b = Int64.logxor (Int64.add (Int64.shift_left x 5) x) b
-let[@inline] byte64 v s = Int64.logand (Int64.shift_right_logical v s) 0xffL
+
+(* [33^z mod 2^64]: [z] steps on zero bytes, [x * 33] each. *)
+let pow33 =
+  let a = Array.make 9 1L in
+  for z = 1 to 8 do
+    a.(z) <- Int64.mul a.(z - 1) 33L
+  done;
+  a
 
 (* [mix_cell] over all-int rows, on [Int64] words that [ocamlopt]
    keeps unboxed (the refs stay local).  [Int64.of_int] sign-extends,
    so bits 0..62 of a word are the int's; a step carries only upward,
    so bits 0..62 of [x] are those of the native fold.  An int's top
-   byte is its bits 56..62, hence the last mask [0x7f]. *)
+   byte is its bits 56..62, which [lsr] leaves in the last byte.  The
+   bytes above an int's highest non-zero byte are zero, and a step on a
+   zero byte is [x * 33]: those [z] steps are one multiply by [33^z]. *)
 let mix_int_rows h ints perm n =
   let x = ref (Int64.of_int h) in
   for i = 0 to n - 1 do
     let r = match perm with None -> i | Some p -> Array.unsafe_get p i in
     for k = 0 to Array.length ints - 1 do
-      let v = Int64.of_int (Array.unsafe_get (Array.unsafe_get ints k) r) in
+      let v = ref (Array.unsafe_get (Array.unsafe_get ints k) r) in
+      let zeros = ref 8 in
       x := mix64 !x 1L;
-      x := mix64 !x (Int64.logand v 0xffL);
-      x := mix64 !x (byte64 v 8);
-      x := mix64 !x (byte64 v 16);
-      x := mix64 !x (byte64 v 24);
-      x := mix64 !x (byte64 v 32);
-      x := mix64 !x (byte64 v 40);
-      x := mix64 !x (byte64 v 48);
-      x := mix64 !x (Int64.logand (Int64.shift_right_logical v 56) 0x7fL)
+      while !v <> 0 do
+        x := mix64 !x (Int64.of_int (!v land 0xff));
+        v := !v lsr 8;
+        decr zeros
+      done;
+      x := Int64.mul !x (Array.unsafe_get pow33 !zeros)
     done
   done;
   Int64.to_int !x

@@ -53,6 +53,11 @@ let make_dataset (groups, n, sorted, dense, seed) =
   let values = Array.init n (fun i -> (i * 37) mod 101) in
   (d, values)
 
+(* Whether the component table lets [alg] group measured keys. *)
+let applicable alg ~clustered ~dense =
+  Dqo_plan.Granule.applicable Dqo_plan.Granule.grouping alg
+    ~available:(Dqo_plan.Granule.measured ~clustered ~dense)
+
 let prop_all_groupings_agree =
   QCheck.Test.make ~name:"all applicable groupings = reference" ~count:120
     (QCheck.make dataset_gen) (fun params ->
@@ -62,13 +67,8 @@ let prop_all_groupings_agree =
       in
       List.for_all
         (fun alg ->
-          let applicable =
-            match alg with
-            | Grouping.SPHG -> d.Datagen.dense
-            | Grouping.OG -> d.Datagen.sorted
-            | Grouping.HG | Grouping.SOG | Grouping.BSG -> true
-          in
-          (not applicable)
+          (not
+             (applicable alg ~clustered:d.Datagen.sorted ~dense:d.Datagen.dense))
           || Group_result.to_sorted_alist
                (Grouping.run alg ~dataset:d ~values:(ic values))
              = reference)
@@ -150,6 +150,35 @@ let test_og_on_clustered_unsorted_input () =
   let r = Grouping.order_based ~keys:(ic keys) ~values:(ic values) () in
   check_against_reference "OG clustered" r keys values
 
+(* [Group_result.of_slots] against a filter: every slot array shape,
+   runs of empty slots at either end or throughout included. *)
+let prop_of_slots_compacts =
+  QCheck.Test.make ~name:"of_slots = filtered slots" ~count:300
+    QCheck.(
+      triple (int_range (-50) 50)
+        (array_of_size Gen.(int_bound 60) (oneofl [ 0; 0; 1; 3 ]))
+        bool)
+    (fun (lo, counts, with_sums) ->
+      let sums =
+        if with_sums then Some (Array.mapi (fun s c -> (s * 7) + c) counts)
+        else None
+      in
+      let r = Group_result.of_slots ~lo ~counts:(Array.copy counts) ~sums in
+      let want =
+        List.filter_map
+          (fun s ->
+            if counts.(s) > 0 then
+              Some
+                ( lo + s,
+                  counts.(s),
+                  match sums with Some a -> a.(s) | None -> 0 )
+            else None)
+          (List.init (Array.length counts) Fun.id)
+      in
+      List.init (Group_result.groups r) (fun g ->
+          (r.Group_result.keys.(g), r.Group_result.counts.(g), r.Group_result.sums.(g)))
+      = want)
+
 let test_applicability_matrix () =
   let dense_sorted = Dqo_data.Col_stats.analyze (ic [| 0; 0; 1; 2 |]) in
   (* Note the repeated non-adjacent 9_999: all-distinct data would be
@@ -157,18 +186,18 @@ let test_applicability_matrix () =
   let sparse_unsorted =
     Dqo_data.Col_stats.analyze (ic [| 9_999; 0; 123_456; 9_999 |])
   in
-  Alcotest.(check bool) "SPHG on dense" true
-    (Grouping.applicable Grouping.SPHG dense_sorted);
+  let on alg (s : Dqo_data.Col_stats.t) =
+    applicable alg ~clustered:s.Dqo_data.Col_stats.clustered
+      ~dense:s.Dqo_data.Col_stats.dense
+  in
+  Alcotest.(check bool) "SPHG on dense" true (on Grouping.SPHG dense_sorted);
   Alcotest.(check bool) "SPHG on sparse" false
-    (Grouping.applicable Grouping.SPHG sparse_unsorted);
-  Alcotest.(check bool) "OG on sorted" true
-    (Grouping.applicable Grouping.OG dense_sorted);
-  Alcotest.(check bool) "OG on unsorted" false
-    (Grouping.applicable Grouping.OG sparse_unsorted);
+    (on Grouping.SPHG sparse_unsorted);
+  Alcotest.(check bool) "OG on sorted" true (on Grouping.OG dense_sorted);
+  Alcotest.(check bool) "OG on unsorted" false (on Grouping.OG sparse_unsorted);
   List.iter
     (fun alg ->
-      Alcotest.(check bool) "always applicable" true
-        (Grouping.applicable alg sparse_unsorted))
+      Alcotest.(check bool) "always applicable" true (on alg sparse_unsorted))
     [ Grouping.HG; Grouping.SOG; Grouping.BSG ]
 
 (* --- joins ----------------------------------------------------------------- *)
@@ -923,6 +952,7 @@ let () =
           Alcotest.test_case "og on clustered" `Quick
             test_og_on_clustered_unsorted_input;
           Alcotest.test_case "applicability" `Quick test_applicability_matrix;
+          qtest prop_of_slots_compacts;
         ] );
       ( "join",
         [

@@ -496,6 +496,40 @@ let prop_digest_matches_per_byte =
     (QCheck.make ~print:print_relation gen_relation)
     (fun rel -> String.equal (Wire.digest rel) (per_byte_digest rel))
 
+(* All-int relations whose cells have every byte length, both signs,
+   and the values where a byte turns zero or non-zero: the digest folds
+   an int's zero top bytes into one multiply, which must hash exactly
+   as the byte-wise kernel above. *)
+let gen_int_relation =
+  let open QCheck.Gen in
+  let edges =
+    [ 0; 1; -1; 0xff; 0x100; 0xffff; 0x10000; (1 lsl 56) - 1; 1 lsl 56;
+      max_int; min_int; max_int - 1; min_int + 1 ]
+  in
+  let by_bytes =
+    let* bytes = int_range 1 8 in
+    let* parts = list_repeat bytes (int_bound 255) in
+    let v = List.fold_left (fun v b -> (v lsl 8) lor b) 0 parts in
+    oneofl [ v; -v; lnot v ]
+  in
+  let cell = frequency [ (1, oneofl edges); (3, by_bytes) ] in
+  let* kinds = list_size (int_range 1 3) (oneofl [ Flat; W64 ]) in
+  let* n = int_bound 200 in
+  let* rows = list_repeat n (list_repeat (List.length kinds) cell) in
+  let rows = Array.of_list (List.map Array.of_list rows) in
+  return
+    (Relation.create
+       (Schema.of_names (List.mapi (fun k _ -> (Printf.sprintf "c%d" k, Schema.T_int)) kinds))
+       (List.mapi
+          (fun k kind ->
+            digest_column kind (Array.map (fun row -> Value.Int row.(k)) rows))
+          kinds))
+
+let prop_digest_int_bytes =
+  QCheck.Test.make ~count:1000 ~name:"zero-byte fold = per-byte-mask digest"
+    (QCheck.make ~print:print_relation gen_int_relation)
+    (fun rel -> String.equal (Wire.digest rel) (per_byte_digest rel))
+
 (* Hex digests printed by the boxed implementation before the columnar
    one replaced it: the byte stream must not change across versions. *)
 let test_digest_golden () =
@@ -554,6 +588,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_digest_matches_reference;
           QCheck_alcotest.to_alcotest prop_digest_matches_per_byte;
+          QCheck_alcotest.to_alcotest prop_digest_int_bytes;
           Alcotest.test_case "golden hex" `Quick test_digest_golden;
         ] );
     ]
