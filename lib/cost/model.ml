@@ -59,12 +59,6 @@ let join_costs t ~(impls : Physical.join_impl array) ~mask ~left_rows
         | Join.BSJ -> (r +. s) *. log_g)
   done
 
-let join_cost t ~impl ~left_rows ~right_rows ~left_distinct =
-  let costs = [| 0.0 |] in
-  join_costs t ~impls:[| impl |] ~mask:1 ~left_rows ~right_rows ~left_distinct
-    costs;
-  costs.(0)
-
 let sort_cost _t ~rows =
   let n = Float.of_int rows in
   n *. log2 n

@@ -46,16 +46,6 @@ val grouping_cost :
   t -> impl:Dqo_plan.Physical.grouping_impl -> rows:int -> groups:int -> float
 (** Cost of grouping [rows] input tuples into [groups] groups. *)
 
-val join_cost :
-  t ->
-  impl:Dqo_plan.Physical.join_impl ->
-  left_rows:int ->
-  right_rows:int ->
-  left_distinct:int ->
-  float
-(** Cost of joining; [left_distinct] is the build side's distinct-key
-    count (the "#groups" of BSJ in Table 2). *)
-
 val join_costs :
   t ->
   impls:Dqo_plan.Physical.join_impl array ->
@@ -65,10 +55,13 @@ val join_costs :
   left_distinct:int ->
   float array ->
   unit
-(** [join_costs t ~impls ~mask ... costs] stores {!join_cost} of
-    [impls.(k)] in [costs.(k)] for every [k] whose bit is set in [mask]
-    and leaves the other slots alone: the join DP's inner loop, with
-    each logarithm taken once and no float boxed. *)
+(** [join_costs t ~impls ~mask ~left_rows ~right_rows ~left_distinct
+    costs] stores the cost of joining with [impls.(k)] in [costs.(k)]
+    for every [k] whose bit is set in [mask], and leaves the other
+    slots alone; [left_distinct] is the build side's distinct-key count
+    (the "#groups" of BSJ in Table 2).  One call prices every
+    implementation a join can use, with each logarithm taken once and
+    no float boxed: the join DP's inner loop. *)
 
 val sort_cost : t -> rows:int -> float
 val scan_cost : t -> rows:int -> float

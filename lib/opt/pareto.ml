@@ -7,9 +7,20 @@ type entry = {
   rows : int;
 }
 
+let rec dominated dominates x = function
+  | [] -> false
+  | m :: rest -> dominates m x || dominated dominates x rest
+
+(* The members [x] does not dominate; the tail past the last member it
+   drops is kept as it is, not copied. *)
+let rec drop dominates x = function
+  | [] -> []
+  | m :: rest as l ->
+    let rest' = drop dominates x rest in
+    if dominates x m then rest' else if rest' == rest then l else m :: rest'
+
 let insert ~dominates set x =
-  if List.exists (fun m -> dominates m x) set then set
-  else x :: List.filter (fun m -> not (dominates x m)) set
+  if dominated dominates x set then set else x :: drop dominates x set
 
 let dominates a b = a.cost <= b.cost && Props.dominates a.props b.props
 let add set e = insert ~dominates set e

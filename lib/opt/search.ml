@@ -352,180 +352,31 @@ let project_entry cols (e : Pareto.entry) =
 (* ------------------------------------------------------------------ *)
 (* The join DP's entries: one column layout per subset.                *)
 
-(* Inside the join DP each subset has one column layout: the names of
-   its leaves' columns, each given a slot (ascending name id).  An
-   entry's column records are an array over those slots, so the union
-   of two halves is an index-mapped copy, dominance an element-wise
-   compare and a column lookup an array read; orders are name ids.
-   What else a {!Props.t} carries, the list order of the columns and of
-   the co-ordering pairs, lives with the records in the entry's
-   {e class}.  Entries built by one union, and those derived from one
-   another by an order (a sort enforcer, an ordered join output), share
-   their class physically, exactly as they shared their property lists,
-   so "same class" stays one physical comparison.  Leaf frontiers are
-   converted on the way in and the root frontier back to
-   {!Pareto.entry} on the way out, one column list per class, in the
+(* Inside the join DP each subset has one column layout
+   ({!Props.Layout}): the names of its leaves' columns.  Its entries
+   carry their property vectors over that layout, so the union of two
+   halves is an index-mapped copy, dominance an element-wise compare and
+   a column lookup an array read.  Entries built by one union, and those
+   derived from one another by an order (a sort enforcer, an ordered
+   join output), share their class physically, exactly as they shared
+   their property lists, so "same class" stays one physical comparison.
+   Leaf frontiers are converted on the way in and the root frontier back
+   to {!Pareto.entry} on the way out, one column list per class, in the
    order {!Props.union_columns} builds: the plan's left-first leaf
    order, deduplicated by name. *)
-
-(* Column records, [stride] ints per layout slot: whether the entry's
-   column list has the name ([absent], [sparse] or [dense]), the low and
-   high bound, and the distinct count.  Unboxed, so copying and
-   comparing them touch no pointer. *)
-let stride = 4
-let absent = 0
-let sparse = 1
-let dense = 2
-
-let put cols sl (c : Props.column) =
-  let b = sl * stride in
-  cols.(b) <- (if c.Props.dense then dense else sparse);
-  cols.(b + 1) <- c.Props.lo;
-  cols.(b + 2) <- c.Props.hi;
-  cols.(b + 3) <- c.Props.distinct
-
-let get cols sl =
-  let b = sl * stride in
-  {
-    Props.dense = cols.(b) = dense;
-    lo = cols.(b + 1);
-    hi = cols.(b + 2);
-    distinct = cols.(b + 3);
-  }
-
-type cls = {
-  cols : int array; (* column records by layout slot *)
-  order : int array; (* the column list, as layout slots *)
-  co : (string * string) list; (* the co-ordering pairs, in list order *)
-  co_set : Bitset.t; (* the pairs, as ids *)
-}
+module Layout = Props.Layout
 
 type dentry = {
   plan : Physical.t;
   cost : float;
+  props : Layout.t;
   rows : int;
-  cls : cls;
-  sorted : int; (* name id of the sort order, or -1 *)
-  clustered : int; (* name id of the clustering, or -1 *)
 }
-
-let rec mem_pair x y = function
-  | [] -> false
-  | (a, b) :: rest -> (String.equal a x && String.equal b y) || mem_pair x y rest
-
-(* Whether ascending [b] is a subset of ascending [a]. *)
-let sorted_within a b =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    j >= nb
-    || (i < na
-       && (if a.(i) < b.(j) then go (i + 1) j
-           else a.(i) = b.(j) && go (i + 1) (j + 1)))
-  in
-  go 0 0
-
-(* The union of ascending [a] and [b], ascending; [a] itself when [b]
-   adds nothing. *)
-let sorted_union a b =
-  if sorted_within a b then a
-  else begin
-    let na = Array.length a and nb = Array.length b in
-    let out = Array.make (na + nb) 0 in
-    let rec go i j n =
-      if i < na && (j >= nb || a.(i) <= b.(j)) then begin
-        out.(n) <- a.(i);
-        go (i + 1) (if j < nb && b.(j) = a.(i) then j + 1 else j) (n + 1)
-      end
-      else if j < nb then begin
-        out.(n) <- b.(j);
-        go i (j + 1) (n + 1)
-      end
-      else n
-    in
-    let n = go 0 0 0 in
-    if n = na + nb then out else Array.sub out 0 n
-  end
-
-(* {!Props.dominates} on the column records of one layout: a slot [b]
-   lacks or holds sparse asks nothing, a dense one asks [a] for the same
-   dense bounds. *)
-let cols_dominate (a : int array) (b : int array) =
-  let rec go i =
-    i < 0
-    || (b.(i) <> dense
-       || (a.(i) = dense && a.(i + 1) = b.(i + 1) && a.(i + 2) = b.(i + 2)))
-       && go (i - stride)
-  in
-  go (Array.length b - stride)
 
 let dominates (a : dentry) (b : dentry) =
-  a.cost <= b.cost
-  && (b.sorted < 0 || a.sorted = b.sorted)
-  && (b.clustered < 0 || a.clustered = b.clustered)
-  && (a.cls == b.cls
-     || Bitset.subset b.cls.co_set a.cls.co_set
-        && cols_dominate a.cls.cols b.cls.cols)
+  a.cost <= b.cost && Layout.dominates a.props b.props
 
-(* {!Pareto.insert} under [dominates], without closures, and keeping
-   the tail past the last member [x] drops. *)
-let rec dominated x = function
-  | [] -> false
-  | m :: rest -> dominates m x || dominated x rest
-
-let rec drop x = function
-  | [] -> []
-  | m :: rest as l ->
-    let rest' = drop x rest in
-    if dominates x m then rest' else if rest' == rest then l else m :: rest'
-
-let add set x = if dominated x set then set else x :: drop x set
-
-(* Name ids of one DP: every column name its leaves, predicates and
-   callers mention.  Filled before the levels run, read-only after. *)
-type names = {
-  id_of : (string, int) Hashtbl.t;
-  mutable name : string array;
-  pairs : (string * string, int) Hashtbl.t; (* co-ordering pair ids *)
-  mutable from : (int * int) list array;
-      (* by name id [a]: each pair (a, b)'s id, and [b]'s name id *)
-}
-
-let name_id names n =
-  match Hashtbl.find_opt names.id_of n with
-  | Some i -> i
-  | None ->
-    let i = Hashtbl.length names.id_of in
-    Hashtbl.add names.id_of n i;
-    if i >= Array.length names.name then begin
-      names.name <- Array.append names.name (Array.make (i + 8) "");
-      names.from <- Array.append names.from (Array.make (i + 8) [])
-    end;
-    names.name.(i) <- n;
-    i
-
-let pair_id names ((a, b) as pair) =
-  match Hashtbl.find_opt names.pairs pair with
-  | Some i -> i
-  | None ->
-    let i = Hashtbl.length names.pairs in
-    Hashtbl.add names.pairs pair i;
-    let a = name_id names a and b = name_id names b in
-    names.from.(a) <- (i, b) :: names.from.(a);
-    i
-
-(* One subset's layout: the name id of each slot (ascending) and each
-   name id's slot, or -1. *)
-type layout = { lay : int array; slot_of : int array }
-
-let of_lay ~nnames lay =
-  let slot_of = Array.make nnames (-1) in
-  Array.iteri (fun sl id -> slot_of.(id) <- sl) lay;
-  { lay; slot_of }
-
-let layout ~nnames ids = of_lay ~nnames (Array.of_list (List.sort_uniq Int.compare ids))
-
-(* The layout of a join of two subsets: their name ids, merged. *)
-let union_layout ~nnames a b = of_lay ~nnames (sorted_union a.lay b.lay)
+let add set x = Pareto.insert ~dominates set x
 
 (* What a column grants: a known key universe, and density. *)
 let known_available ~dense =
@@ -551,53 +402,6 @@ let join_available ~avail ~both_sorted =
 (* Join candidates for one split of a subset.                          *)
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
-
-(* Class ids over a leaf frontier: entries whose column and co-ordering
-   lists are physically the same list share an id.  Shared lists are
-   the rule, not luck — a sort enforcer keeps its source's lists — so
-   hashing the column list and comparing physically within a bucket
-   finds every class in one pass.  Returns the ids and the class
-   count. *)
-let list_classes (a : Pareto.entry array) =
-  let seen = Hashtbl.create 16 in
-  let next = ref 0 in
-  let ids =
-    Array.map
-      (fun (e : Pareto.entry) ->
-        let p = e.Pareto.props in
-        let h = Hashtbl.hash p.Props.columns in
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt seen h) in
-        let same ((q : Props.t), _) =
-          q.Props.columns == p.Props.columns
-          && q.Props.co_ordered == p.Props.co_ordered
-        in
-        match List.find_opt same bucket with
-        | Some (_, id) -> id
-        | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.replace seen h ((p, id) :: bucket);
-          id)
-      a
-  in
-  (ids, !next)
-
-(* Class ids over a DP frontier: one per physically distinct class. *)
-let class_ids (a : dentry array) =
-  let seen = ref [] and next = ref 0 in
-  let ids =
-    Array.map
-      (fun (e : dentry) ->
-        match List.assq_opt e.cls !seen with
-        | Some id -> id
-        | None ->
-          let id = !next in
-          incr next;
-          seen := (e.cls, id) :: !seen;
-          id)
-      a
-  in
-  (ids, !next)
 
 (* One join column's facts about each entry of a frontier: whether it
    is sorted on the column, its twin for a join on it (see {!twins}),
@@ -637,7 +441,7 @@ let classify a =
 type frontier = {
   entries : dentry list;
   arr : dentry array;
-  layout : layout;
+  layout : Layout.layout;
   ids : int array; (* class of each entry *)
   classes : int;
   slot : int array; (* twin slot of each entry *)
@@ -674,24 +478,21 @@ let twins f sorted =
     f.slot
 
 let probe f c =
-  let sl = if c < Array.length f.layout.slot_of then f.layout.slot_of.(c) else -1 in
-  let flag (e : dentry) = if sl < 0 then absent else e.cls.cols.(sl * stride) in
-  let on_sorted = Array.map (fun (e : dentry) -> e.sorted = c) f.arr in
-  let distinct =
-    Array.map
-      (fun e ->
-        if flag e = absent then e.rows else e.cls.cols.((sl * stride) + 3))
-      f.arr
+  let l = f.layout in
+  let on_sorted =
+    Array.map (fun (e : dentry) -> e.props.Layout.sorted = c) f.arr
   in
   {
     on_sorted;
     twin = twins f on_sorted;
-    distinct;
+    distinct =
+      Array.map (fun e -> Layout.distinct_or l e.props c e.rows) f.arr;
     avail =
       Array.map
         (fun e ->
-          let f = flag e in
-          if f = absent then 0 else known_available ~dense:(f = dense))
+          if Layout.has l e.props c then
+            known_available ~dense:(Layout.dense_on l e.props c)
+          else 0)
         f.arr;
   }
 
@@ -699,7 +500,9 @@ let probe f c =
    [joined]. *)
 let frontier layout ~joined entries =
   let arr = Array.of_list entries in
-  let ids, classes = class_ids arr in
+  let ids, classes =
+    Layout.classes (Array.map (fun (e : dentry) -> e.props) arr)
+  in
   let by_class = Array.make classes [] in
   let slots = ref 0 in
   let slot =
@@ -735,168 +538,60 @@ let frontier layout ~joined entries =
   in
   { f with probes = List.map (fun c -> (c, probe f c)) joined }
 
-(* A leaf frontier as DP entries: one class per list class, its layout
-   every name of its entries' column lists.  Registers the names and
-   co-ordering pairs it meets. *)
+(* A leaf frontier as DP entries over one layout, every name of its
+   entries' column lists; one class per physically shared list.
+   Registers the names and co-ordering pairs it meets. *)
 let of_leaf names ~joined (entries : Pareto.entry list) =
   let arr = Array.of_list entries in
-  let ids, classes = list_classes arr in
-  let reps = Array.make classes Props.none in
-  Array.iteri (fun i (e : Pareto.entry) -> reps.(ids.(i)) <- e.Pareto.props) arr;
-  let col_ids =
-    Array.map
-      (fun (p : Props.t) -> List.map (fun (n, _) -> name_id names n) p.Props.columns)
-      reps
-  in
-  let opt_id = function Some n -> name_id names n | None -> -1 in
-  let orders =
-    Array.map
-      (fun (e : Pareto.entry) ->
-        (opt_id e.Pareto.props.Props.sorted_by, opt_id e.Pareto.props.Props.clustered_by))
-      arr
-  in
-  let co_sets =
-    Array.map
-      (fun (p : Props.t) ->
-        Bitset.of_list (List.map (pair_id names) p.Props.co_ordered))
-      reps
-  in
-  let layout =
-    layout ~nnames:(Hashtbl.length names.id_of)
-      (List.concat (Array.to_list col_ids))
-  in
-  let cls =
-    Array.mapi
-      (fun c (p : Props.t) ->
-        let cols = Array.make (Array.length layout.lay * stride) absent in
-        let order =
-          List.filter_map
-            (fun (id, (_, r)) ->
-              let sl = layout.slot_of.(id) in
-              if cols.(sl * stride) <> absent then None
-              else begin
-                put cols sl r;
-                Some sl
-              end)
-            (List.combine col_ids.(c) p.Props.columns)
-        in
-        { cols; order = Array.of_list order; co = p.Props.co_ordered; co_set = co_sets.(c) })
-      reps
+  let layout, props =
+    Layout.of_props names (Array.map (fun (e : Pareto.entry) -> e.Pareto.props) arr)
   in
   frontier layout ~joined
     (List.init (Array.length arr) (fun i ->
-         let e = arr.(i) and sorted, clustered = orders.(i) in
+         let e = arr.(i) in
          {
            plan = e.Pareto.plan;
            cost = e.Pareto.cost;
+           props = props.(i);
            rows = e.Pareto.rows;
-           cls = cls.(ids.(i));
-           sorted;
-           clustered;
          }))
 
-(* An entry's {!Props.t}; [lists] shares one column list per class. *)
-let to_props names layout lists (e : dentry) =
-  let columns =
-    match List.assq_opt e.cls !lists with
-    | Some l -> l
-    | None ->
-      let l =
-        Array.to_list
-          (Array.map
-             (fun sl -> (names.name.(layout.lay.(sl)), get e.cls.cols sl))
-             e.cls.order)
-      in
-      lists := (e.cls, l) :: !lists;
-      l
-  in
-  let name i = if i < 0 then None else Some names.name.(i) in
-  {
-    Props.sorted_by = name e.sorted;
-    clustered_by = name e.clustered;
-    columns;
-    co_ordered = e.cls.co;
-  }
-
 let to_entries names f =
-  let lists = ref [] in
+  let export = Layout.exporter names f.layout in
   List.map
     (fun (e : dentry) ->
       {
         Pareto.plan = e.plan;
         cost = e.cost;
-        props = to_props names f.layout lists e;
+        props = export e.props;
         rows = e.rows;
       })
     f.entries
 
 (* One subset being solved: its layout, its live columns (sorted names,
-   with their ids), whether a name is live, and its class of entries
-   with no columns at all (those shared their empty lists, one class
-   across every split). *)
+   with their ids) and whether a name is live. *)
 type subset = {
-  s_layout : layout;
+  s_layout : Layout.layout;
   live : (string * int) list;
   is_live : bool array; (* by name id *)
-  empty : cls;
 }
 
-(* The class of a join of classes [a] (left, slots mapped by [map1])
-   and [b] (right, [map2]) over [sub]'s layout, with distinct counts
-   capped at [rows]: {!Props.union_columns} and {!scale_columns}. *)
-let union_cls sub map1 (a : cls) map2 (b : cls) rows =
-  let n = Array.length sub.s_layout.lay in
-  let cols = Array.make (n * stride) absent and order = Array.make n 0 in
-  let len = ref 0 and cap = Int.max rows 0 in
-  let place (src : cls) map =
-    let from = src.cols in
-    for i = 0 to Array.length src.order - 1 do
-      let sl = src.order.(i) in
-      let p = map.(sl) in
-      let d = p * stride and s = sl * stride in
-      if cols.(d) = absent then begin
-        cols.(d) <- from.(s);
-        cols.(d + 1) <- from.(s + 1);
-        cols.(d + 2) <- from.(s + 2);
-        cols.(d + 3) <- (if from.(s + 3) > cap then cap else from.(s + 3));
-        order.(!len) <- p;
-        incr len
-      end
-    done
-  in
-  place a map1;
-  place b map2;
-  let co_set = Bitset.union a.co_set b.co_set in
-  let co =
-    if Bitset.subset b.co_set a.co_set then a.co
-    else if Bitset.disjoint a.co_set b.co_set then a.co @ b.co
-    else a.co @ List.filter (fun (x, y) -> not (mem_pair x y a.co)) b.co
-  in
-  if !len = 0 && Bitset.is_empty co_set then sub.empty
-  else
-    {
-      cols;
-      order = (if !len = n then order else Array.sub order 0 !len);
-      co;
-      co_set;
-    }
-
-(* The order an OJ or SOJ output, sorted on its left join column [c1]
-   (a name id), records in [sub] from its co-ordering pairs [co_set],
-   as (sorted, clustered) name ids: the order on [c1] when [c1] is live.  A dead [c1]'s order is
-   read only through co-ordering: when [c1] co-orders exactly one live
-   column [x], the output is recorded as clustered on [x]; when it
-   co-orders several, the order on [c1] is kept; when none, no order is
+(* The order an OJ or SOJ output [v], sorted on its left join column
+   [c1] (a name id), records in [sub], as (sorted, clustered) name ids:
+   the order on [c1] when [c1] is live.  A dead [c1]'s order is read
+   only through co-ordering: when [c1] co-orders exactly one live column
+   [x], the output is recorded as clustered on [x]; when it co-orders
+   several, the order on [c1] is kept; when none, no order is
    recorded. *)
-let sorted_output names sub c1 co_set =
+let sorted_output names sub c1 v =
   if sub.is_live.(c1) then (c1, c1)
   else begin
     let x = ref (-1) and several = ref false in
     List.iter
-      (fun (p, b) ->
-        if Bitset.mem p co_set && sub.is_live.(b) then
+      (fun b ->
+        if sub.is_live.(b) then
           if !x < 0 then x := b else if !x <> b then several := true)
-      names.from.(c1);
+      (Layout.co_partners names v c1);
     if !several then (c1, c1) else (-1, !x)
   end
 
@@ -932,10 +627,10 @@ and join_on = { c1 : string; c2 : string; c1_id : int; c2_id : int }
      unordered one with an order added, so it dominates.  An ordered
      algorithm whose order {!sorted_output} drops counts as unordered.
 
-   Each pair's output class is one {!union_cls} of the inputs' classes,
-   memoised per split on the two classes and the output rows; the
-   ordered variant is the one {!sorted_output} records for the subset's
-   live columns. *)
+   Each pair's output class is one {!Props.Layout.union} of the
+   inputs' classes, memoised per split on the two classes and the
+   output rows, with its unordered vector and the ordered one
+   {!sorted_output} records for the subset's live columns. *)
 let rec probe_on (c : int) = function
   | [] -> raise Not_found
   | (c', p) :: rest -> if c = c' then p else probe_on c rest
@@ -958,9 +653,8 @@ let all_cheaper jcost mask (t1 : dentry) (t2 : dentry) (e1 : dentry)
 let join_split ctx names sub ~generated ~emit sp f1 f2 =
   let a1 = f1.arr and ids1 = f1.ids and a2 = f2.arr and ids2 = f2.ids in
   let p1 = probe_on sp.on.c1_id f1.probes and p2 = probe_on sp.on.c2_id f2.probes in
-  let slot_of = sub.s_layout.slot_of in
-  let map1 = Array.map (fun id -> slot_of.(id)) f1.layout.lay in
-  let map2 = Array.map (fun id -> slot_of.(id)) f2.layout.lay in
+  let map1 = Layout.slots_into f1.layout ~into:sub.s_layout in
+  let map2 = Layout.slots_into f2.layout ~into:sub.s_layout in
   let sorted1 = p1.on_sorted and sorted2 = p2.on_sorted in
   let twin1 = p1.twin and twin2 = p2.twin in
   (* The memoised unions, keyed on the input classes and output rows;
@@ -978,8 +672,18 @@ let join_split ctx names sub ~generated ~emit sp f1 f2 =
         with
         | Some (_, _, _, u) -> u
         | None ->
-          let cls = union_cls sub map1 e1.cls map2 e2.cls out_rows in
-          let u = (cls, sorted_output names sub sp.on.c1_id cls.co_set) in
+          let cls =
+            Layout.union sub.s_layout map1 e1.props.Layout.cls map2
+              e2.props.Layout.cls ~rows:out_rows
+          in
+          let unordered = { Layout.cls; sorted = -1; clustered = -1 } in
+          let sorted, clustered =
+            sorted_output names sub sp.on.c1_id unordered
+          in
+          let u =
+            if sorted < 0 && clustered < 0 then (unordered, None)
+            else (unordered, Some { Layout.cls; sorted; clustered })
+          in
           unions := (k1, k2, out_rows, u) :: !unions;
           u
       in
@@ -1036,8 +740,8 @@ let join_split ctx names sub ~generated ~emit sp f1 f2 =
         || (twin2.(j) >= 0 && all_cheaper jcost mask e1 a2.(twin2.(j)) e1 e2)
       in
       if not skip then begin
-        let cls, (o_sorted, o_clustered) = union i j e1 e2 out_rows in
-        let has_order = o_sorted >= 0 || o_clustered >= 0 in
+        let unordered, ordered = union i j e1 e2 out_rows in
+        let has_order = Option.is_some ordered in
         let kept = ref [] in
         let min_any = ref Float.nan and min_ordered = ref Float.nan in
         for k = 0 to nalgs - 1 do
@@ -1057,10 +761,11 @@ let join_split ctx names sub ~generated ~emit sp f1 f2 =
                     Physical.Join_op
                       (e1.plan, e2.plan, sp.on.c1, sp.on.c2, algs.impls.(k));
                   cost;
+                  props =
+                    (match ordered with
+                    | Some o when a_ordered -> o
+                    | Some _ | None -> unordered);
                   rows = out_rows;
-                  cls;
-                  sorted = (if a_ordered then o_sorted else -1);
-                  clustered = (if a_ordered then o_clustered else -1);
                 }
                 :: !kept;
               ctx.built <- ctx.built + 1;
@@ -1136,99 +841,6 @@ let rec leaf_label (l : Logical.t) =
     leaf_label t
   | Logical.Join _ -> "join"
 
-(* The connected-pair walk (DPccp, Moerkotte & Neumann, VLDB 2006): every
-   pair of disjoint, connected, adjacent leaf sets of the join graph
-   [adj] is emitted once, from which each connected subset gets both
-   orientations of each of its splits.  Splits whose halves are
-   disconnected or unconnectable contribute no candidates, so this is
-   exactly the set of splits a walk over all sub-subsets would join,
-   without visiting the rest. *)
-let connected_splits adj =
-  let k = Array.length adj in
-  let neighbours s =
-    Bitset.fold (fun i acc -> Bitset.union acc adj.(i)) s Bitset.empty
-  in
-  let upto i = Bitset.full (i + 1) in
-  (* Every connected set met gets an id in order of discovery, the
-     leaves first; [halves.(id)] collects its splits. *)
-  let ids = Subsets.create 64 and sets = ref [] and n = ref 0 in
-  let halves = ref (Array.make 64 []) in
-  let id s =
-    match Subsets.find_opt ids s with
-    | Some i -> i
-    | None ->
-      let i = !n in
-      incr n;
-      Subsets.add ids s i;
-      sets := s :: !sets;
-      if i >= Array.length !halves then
-        halves := Array.append !halves (Array.make i []);
-      i
-  in
-  for i = 0 to k - 1 do
-    ignore (id (Bitset.singleton i))
-  done;
-  let emit s1 s2 =
-    let a = id s1 and b = id s2 and s = id (Bitset.union s1 s2) in
-    !halves.(s) <- (a, b) :: (b, a) :: !halves.(s)
-  in
-  (* Every connected superset of [s] grown through neighbours outside
-     [x], each once. *)
-  let rec grow s x f =
-    let n = Bitset.diff (neighbours s) x in
-    if not (Bitset.is_empty n) then begin
-      let x' = Bitset.union x n in
-      let step s' =
-        let s = Bitset.union s s' in
-        f s;
-        grow s x' f
-      in
-      step n;
-      Bitset.iter_subsets step n
-    end
-  in
-  (* Every connected complement of [s1] above [s1]'s lowest leaf. *)
-  let complements s1 =
-    let x = Bitset.union (upto (List.hd (Bitset.to_list s1))) s1 in
-    let n = Bitset.diff (neighbours s1) x in
-    List.iter
-      (fun v ->
-        let s2 = Bitset.singleton v in
-        emit s1 s2;
-        grow s2 (Bitset.union x (Bitset.inter (upto v) n)) (emit s1))
-      (List.rev (Bitset.to_list n))
-  in
-  for i = k - 1 downto 0 do
-    let v = Bitset.singleton i in
-    complements v;
-    grow v (upto i) complements
-  done;
-  (* Renumber: leaves, then by cardinality and colex order. *)
-  let found = Array.of_list (List.rev !sets) in
-  let cards = Array.map Bitset.cardinal found in
-  let order = Array.init !n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      match (a < k, b < k) with
-      | true, true -> Int.compare a b
-      | true, false -> -1
-      | false, true -> 1
-      | false, false -> (
-        match Int.compare cards.(a) cards.(b) with
-        | 0 -> Bitset.compare found.(a) found.(b)
-        | c -> c))
-    order;
-  let rank = Array.make !n 0 in
-  Array.iteri (fun r i -> rank.(i) <- r) order;
-  let subsets = Array.map (fun i -> found.(i)) order in
-  let splits =
-    Array.init (!n - k) (fun r ->
-        List.map (fun (a, b) -> (rank.(a), rank.(b))) !halves.(order.(r + k))
-        |> List.sort (fun (a, _) (b, _) -> Bitset.compare subsets.(a) subsets.(b))
-        |> Array.of_list)
-  in
-  (subsets, splits)
-
 (* ------------------------------------------------------------------ *)
 (* The DP core, over pre-planned leaf frontiers.  [join_dp] feeds it
    the per-leaf plans of one query; the hierarchical optimiser feeds it
@@ -1267,25 +879,13 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
   (* Every name the DP can meet gets its id before the levels run: the
      columns read above and joined here now, the leaves' as they are
      converted. *)
-  let names =
-    {
-      id_of = Hashtbl.create 64;
-      name = [||];
-      pairs = Hashtbl.create 16;
-      from = [||];
-    }
-  in
-  List.iter (fun n -> ignore (name_id names n)) above;
-  Array.iter
-    (fun (_, _, lc, rc) ->
-      ignore (name_id names lc);
-      ignore (name_id names rc))
-    pred_endpoints;
+  let names = Layout.names () in
+  List.iter (fun n -> ignore (Layout.name_id names n)) above;
   (* The columns of [s] a predicate joins to a leaf outside it, as name
      ids, onto [acc]: every join of [s] is on one of them. *)
   let pred_ids =
     Array.map
-      (fun (_, _, lc, rc) -> (Hashtbl.find names.id_of lc, Hashtbl.find names.id_of rc))
+      (fun (_, _, lc, rc) -> (Layout.name_id names lc, Layout.name_id names rc))
       pred_endpoints
   in
   let crossing_onto acc s =
@@ -1329,17 +929,19 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
      crossing [s], so an order on any other column is read by nothing;
      [s] enforces sorts and keeps join output orders on live columns
      only.  Sorted, like {!interesting_columns}. *)
-  let above_ids = List.map (Hashtbl.find names.id_of) above in
+  let above_ids = List.map (Layout.name_id names) above in
   (* Live columns are listed by name: each one's rank in that order. *)
   let rank =
     let ids =
       List.sort_uniq Int.compare
         (above_ids @ List.concat_map (fun (a, b) -> [ a; b ]) (Array.to_list pred_ids))
     in
-    let rank = Array.make (Hashtbl.length names.id_of) 0 in
+    let rank = Array.make (Layout.name_count names) 0 in
     List.iteri
       (fun r id -> rank.(id) <- r)
-      (List.sort (fun a b -> String.compare names.name.(a) names.name.(b)) ids);
+      (List.sort
+         (fun a b -> String.compare (Layout.name names a) (Layout.name names b))
+         ids);
     rank
   in
   let live_columns s =
@@ -1356,34 +958,74 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
         adj.(rl) <- Bitset.add ll adj.(rl)
       end)
     pred_endpoints;
-  (* Connected subsets only, each with its splits: a disconnected
-     subset always has an empty frontier, so enumerating it is pure
-     Θ(3^n) waste.  Memo indices: the leaves, then the subsets by
-     cardinality and, within one, ascending {!Bitset.compare} — colex —
-     order, the order the levels solve them in; each subset's splits in
-     ascending order of their left half, the order a walk over its
-     sub-subsets visits them. *)
-  let subsets, halves = connected_splits adj in
-  let splits =
-    Array.map
-      (fun hs ->
-        Array.of_list
-          (List.filter_map
-             (fun (l, r) ->
-               Option.map
-                 (fun on -> { left = l; right = r; on })
-                 (connecting subsets.(l) subsets.(r)))
-             (Array.to_list hs)))
-      halves
+  (* Connected subsets only.  A disconnected subset always has an empty
+     frontier — no split of it passes [connecting] — so enumerating it
+     is pure Θ(3^n) waste.  Level [c] is grown from level [c-1] by
+     single-neighbour extension (every connected set has a removable
+     vertex, so every connected c-set is reached), deduplicated, and
+     sorted into ascending {!Bitset.compare} — colex — order, the order
+     the levels solve them in.  Memo indices: the leaves, then the
+     levels; [index] maps a subset to its memo index. *)
+  let neighbours s =
+    Bitset.fold (fun i acc -> Bitset.union acc adj.(i)) s Bitset.empty
+  in
+  let next_level prev =
+    let seen = Subsets.create (max 16 (Array.length prev * 2)) in
+    Array.iter
+      (fun s ->
+        Bitset.iter
+          (fun v ->
+            let s' = Bitset.add v s in
+            if not (Subsets.mem seen s') then Subsets.replace seen s' ())
+          (Bitset.diff (neighbours s) s))
+      prev;
+    let arr = Array.make (Subsets.length seen) Bitset.empty in
+    let i = ref 0 in
+    Subsets.iter
+      (fun s () ->
+        arr.(!i) <- s;
+        incr i)
+      seen;
+    Array.sort Bitset.compare arr;
+    arr
+  in
+  let subsets =
+    let rec grow level acc =
+      if Array.length level = 0 then List.rev acc
+      else grow (next_level level) (level :: acc)
+    in
+    Array.concat (grow (Array.init k Bitset.singleton) [])
+  in
+  let index = Subsets.create (Array.length subsets) in
+  Array.iteri (fun i s -> Subsets.replace index s i) subsets;
+  (* The splits of [s] whose halves are connected and joined by a
+     predicate, in {!Bitset.iter_subsets} order: every sub-subset is
+     looked up in [index], built once, not in the memo. *)
+  let splits s =
+    let acc = ref [] in
+    Bitset.iter_subsets
+      (fun s1 ->
+        match Subsets.find_opt index s1 with
+        | None -> ()
+        | Some left -> (
+          let s2 = Bitset.diff s s1 in
+          match Subsets.find_opt index s2 with
+          | None -> ()
+          | Some right -> (
+            match connecting s1 s2 with
+            | None -> ()
+            | Some on -> acc := { left; right; on } :: !acc)))
+      s;
+    List.rev !acc
   in
   (* Subsets past the leaves are filled at their level's barrier. *)
   let memo =
-    Array.make (Array.length subsets) (frontier (layout ~nnames:0 []) ~joined:[] [])
+    Array.make (Array.length subsets) (frontier (Layout.layout names []) ~joined:[] [])
   in
   for i = 0 to k - 1 do
     memo.(i) <- of_leaf names ~joined:(crossing subsets.(i)) leaf_sets.(i)
   done;
-  let nnames = Hashtbl.length names.id_of in
+  let nnames = Layout.name_count names in
   let subset_label s =
     "subset{"
     ^ String.concat ","
@@ -1401,35 +1043,25 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
      products flat. *)
   let solve local idx =
     let s = subsets.(idx) in
+    let splits = splits s in
     let s_layout =
-      let sp = splits.(idx - k).(0) in
-      union_layout ~nnames memo.(sp.left).layout memo.(sp.right).layout
+      match splits with
+      | sp :: _ ->
+        Layout.union_layout names memo.(sp.left).layout memo.(sp.right).layout
+      | [] -> Layout.layout names []
     in
-    let live = List.map (fun id -> (names.name.(id), id)) (live_columns s) in
+    let live = List.map (fun id -> (Layout.name names id, id)) (live_columns s) in
     let is_live = Array.make nnames false in
     List.iter (fun (_, id) -> is_live.(id) <- true) live;
-    let sub =
-      {
-        s_layout;
-        live;
-        is_live;
-        empty =
-          {
-            cols = Array.make (Array.length s_layout.lay * stride) absent;
-            order = [||];
-            co = [];
-            co_set = Bitset.empty;
-          };
-      }
-    in
+    let sub = { s_layout; live; is_live } in
     let chunks = ref [] and generated = ref 0 in
     let emit chunk = chunks := chunk :: !chunks in
-    Array.iter
+    List.iter
       (fun sp ->
         let f1 = memo.(sp.left) and f2 = memo.(sp.right) in
         if Array.length f1.arr > 0 && Array.length f2.arr > 0 then
           join_split local names sub ~generated ~emit sp f1 f2)
-      splits.(idx - k);
+      splits;
     (* A chunk holds its pair's candidates in reverse order. *)
     let survivors =
       List.fold_left
@@ -1443,8 +1075,9 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
         (fun (e : dentry) ->
           List.filter_map
             (fun (col, id) ->
-              let sl = s_layout.slot_of.(id) in
-              if sl < 0 || e.cls.cols.(sl * stride) = absent || e.sorted = id
+              if
+                (not (Layout.has s_layout e.props id))
+                || e.props.Layout.sorted = id
               then None
               else
                 Some
@@ -1452,19 +1085,18 @@ let dp_frontiers ctx ~above ~leaf_names ~(leaf_sets : Pareto.entry list array)
                     e with
                     plan = Physical.Sort_enforcer (e.plan, col);
                     cost = e.cost +. Model.sort_cost local.model ~rows:e.rows;
-                    sorted = id;
-                    clustered = id;
+                    props = Layout.with_sort e.props id;
                   })
             sub.live)
         survivors
     in
     count local (List.length enforced);
     let merged = List.fold_left add survivors enforced in
-    let lists = ref [] in
+    let export = Layout.exporter names s_layout in
     let entries =
       record_step local (subset_label s) ~generated:!generated
         ~enforcers:(List.length enforced)
-        (beam_gate local ~props:(to_props names s_layout lists) merged)
+        (beam_gate local ~props:(fun e -> export e.props) merged)
     in
     frontier s_layout ~joined:(crossing s) entries
   in

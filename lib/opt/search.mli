@@ -208,18 +208,6 @@ val interesting_columns : Dqo_plan.Logical.t -> string list
     filters enforce sorts on these; a join subset only on its live
     ones. *)
 
-val connected_splits :
-  Dqo_util.Bitset.t array -> Dqo_util.Bitset.t array * (int * int) array array
-(** [connected_splits adj] over the join graph whose leaf [i] neighbours
-    [adj.(i)]: every connected set of leaves — the leaves first, then by
-    cardinality and, within one, ascending {!Dqo_util.Bitset.compare} —
-    and, for each set past the leaves (index [k + r] at [r]), its splits
-    into two connected, adjacent halves as (left, right) indices, both
-    orientations, ascending by the left half: exactly the splits a walk
-    over every sub-subset would find, in its order.  Enumerated as
-    connected-subgraph / complement pairs (DPccp), without visiting the
-    other sub-subsets. *)
-
 val flatten_joins :
   Dqo_plan.Logical.t -> Dqo_plan.Logical.t list * (string * string) list
 (** Split a maximal join subtree into its leaves (in leaf order) and

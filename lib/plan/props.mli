@@ -76,3 +76,96 @@ val dominates : t -> t -> bool
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** Property vectors over a fixed column layout: the join DP's form of
+    {!t}.
+
+    A layout is a set of column names, one slot each.  A vector over
+    it holds its column records as ints by slot, its orders as name
+    ids, and its co-ordering pairs as a set of pair ids, so that
+    {!union_columns} becomes an index-mapped copy, {!dominates} an
+    element-wise compare and a column lookup an array read.  What else
+    a {!t} carries, the list order of its columns and pairs, lives with
+    the records in the vector's {e class}.  Vectors converted from lists
+    that are physically the same, or derived from one another by an
+    order ({!with_sort}), share their class physically, so "same class"
+    is one physical comparison. *)
+module Layout : sig
+  type props = t
+
+  type names
+  (** Ids of column names and co-ordering pairs, shared by every layout
+      of one search.  Register every name before vectors are read
+      concurrently; lookups after that are read-only. *)
+
+  val names : unit -> names
+  val name_id : names -> string -> int
+  (** The name's id, registering it if new. *)
+
+  val name : names -> int -> string
+
+  val name_count : names -> int
+  (** How many names have ids: every id is below it. *)
+
+  type cls
+  (** Column records by slot, and the list order of the columns and
+      co-ordering pairs. *)
+
+  type layout
+
+  type t = {
+    cls : cls;
+    sorted : int;  (** Name id of the sort order, or [-1]. *)
+    clustered : int;  (** Name id of the clustering, or [-1]. *)
+  }
+
+  val layout : names -> int list -> layout
+  (** The layout of the given name ids. *)
+
+  val union_layout : names -> layout -> layout -> layout
+  (** The layout of both layouts' names: what a join of the two holds. *)
+
+  val slots_into : layout -> into:layout -> int array
+  (** Each slot of [layout]'s slot in [into], which must hold every one
+      of its names: the map {!union} takes. *)
+
+  val has : layout -> t -> int -> bool
+  (** Whether the vector knows the column with this name id. *)
+
+  val dense_on : layout -> t -> int -> bool
+
+  val distinct_or : layout -> t -> int -> int -> int
+  (** [distinct_or l v id default]: the column's distinct count, or
+      [default] when [v] lacks it. *)
+
+  val with_sort : t -> int -> t
+  (** {!Props.with_sort}: sorted and clustered on the name id. *)
+
+  val co_partners : names -> t -> int -> int list
+  (** [co_partners names v c]: the name ids [x] with [(c, x)] among
+      [v]'s co-ordering pairs. *)
+
+  val union : layout -> int array -> cls -> int array -> cls -> rows:int -> cls
+  (** [union l map1 a map2 b ~rows] is {!union_columns} of [a] (left)
+      and [b] over [l], with [a]'s slots mapped by [map1] and [b]'s by
+      [map2] ({!slots_into}), and every distinct count capped at
+      [rows].  Every union with no columns and no pairs returns one
+      class per layout. *)
+
+  val dominates : t -> t -> bool
+  (** {!Props.dominates} on two vectors of one layout. *)
+
+  val classes : t array -> int array * int
+  (** Each vector's class id, numbered by first appearance, and the
+      class count. *)
+
+  val of_props : names -> props array -> layout * t array
+  (** Vectors of the given property vectors over one layout, every name
+      in their column lists; registers the names and pairs met.  Lists
+      that are physically equal share one class. *)
+
+  val exporter : names -> layout -> t -> props
+  (** [exporter names l] converts vectors of [l] back, columns and
+      pairs in their list order; vectors of one class get one physical
+      column list. *)
+end

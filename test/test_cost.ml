@@ -15,8 +15,10 @@ let gcost ?(model = Model.table2) alg ~rows ~groups =
   Model.grouping_cost model ~impl:(g alg) ~rows ~groups
 
 let jcost ?(model = Model.table2) alg ~left ~right ~distinct =
-  Model.join_cost model ~impl:(j alg) ~left_rows:left ~right_rows:right
-    ~left_distinct:distinct
+  let costs = [| 0.0 |] in
+  Model.join_costs model ~impls:[| j alg |] ~mask:1 ~left_rows:left
+    ~right_rows:right ~left_distinct:distinct costs;
+  costs.(0)
 
 (* --- Table 2 formulas, checked against the paper's own numbers -------- *)
 

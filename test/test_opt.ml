@@ -513,80 +513,6 @@ let test_three_way_join () =
   (* Output cardinality: FK-ish chain, 5000 rows expected. *)
   Alcotest.(check int) "rows" 5_000 deep.Pareto.rows
 
-(* The connected-pair walk against a walk over every sub-subset, on
-   random graphs: the same connected sets in the same order, and for
-   each the same splits in the same order. *)
-let prop_connected_splits =
-  QCheck.Test.make ~count:300 ~name:"connected-pair walk = sub-subset walk"
-    QCheck.(pair (int_range 1 9) (list_of_size Gen.(int_bound 20) (pair small_nat small_nat)))
-    (fun (k, edges) ->
-      let module Bitset = Dqo_util.Bitset in
-      let adj = Array.make k Bitset.empty in
-      List.iter
-        (fun (a, b) ->
-          let a = a mod k and b = b mod k in
-          if a <> b then begin
-            adj.(a) <- Bitset.add b adj.(a);
-            adj.(b) <- Bitset.add a adj.(b)
-          end)
-        edges;
-      let connected s =
-        match Bitset.to_list s with
-        | [] -> false
-        | v :: _ ->
-          let rec grow seen =
-            let next =
-              Bitset.fold
-                (fun i acc -> Bitset.union acc (Bitset.inter adj.(i) s))
-                seen seen
-            in
-            if Bitset.equal next seen then seen else grow next
-          in
-          Bitset.equal (grow (Bitset.singleton v)) s
-      in
-      let adjacent s1 s2 =
-        Bitset.fold (fun i acc -> acc || not (Bitset.disjoint adj.(i) s2)) s1 false
-      in
-      let want =
-        List.filter
-          (fun s -> Bitset.cardinal s >= 2 && connected s)
-          (Bitset.subsets (Bitset.full k) @ [ Bitset.full k ])
-        |> List.sort (fun a b ->
-               match Int.compare (Bitset.cardinal a) (Bitset.cardinal b) with
-               | 0 -> Bitset.compare a b
-               | c -> c)
-        |> List.map (fun s ->
-               let lefts = ref [] in
-               Bitset.iter_subsets
-                 (fun s1 ->
-                   let s2 = Bitset.diff s s1 in
-                   if connected s1 && connected s2 && adjacent s1 s2 then
-                     lefts := s1 :: !lefts)
-                 s;
-               (s, List.rev !lefts))
-      in
-      let subsets, splits = Search.connected_splits adj in
-      let got =
-        List.init (Array.length splits) (fun r ->
-            ( subsets.(k + r),
-              Array.to_list
-                (Array.map
-                   (fun (l, rr) ->
-                     assert (
-                       Bitset.equal
-                         (Bitset.union subsets.(l) subsets.(rr))
-                         subsets.(k + r));
-                     subsets.(l))
-                   splits.(r)) ))
-      in
-      Array.for_all2 Bitset.equal (Array.sub subsets 0 k) (Array.init k Bitset.singleton)
-      && List.length got = List.length want
-      && List.for_all2
-           (fun (s, l) (s', l') ->
-             Bitset.equal s s' && List.length l = List.length l'
-             && List.for_all2 Bitset.equal l l')
-           got want)
-
 let test_disconnected_join_rejected () =
   let mk name rows cols =
     Catalog.table ~name ~rows
@@ -1467,18 +1393,26 @@ let search_words catalog sql =
   ignore (Search.optimize_entries Search.Deep catalog query);
   Gc.minor_words () -. before
 
-(* The deep star-7 and chain-10 searches allocated 406,504 and 307,939
-   minor words before the join DP kept one column layout per subset,
-   and 248,986 and 200,370 after; the budgets leave 5% for small
-   changes. *)
+(* The deep star-7 and chain-10 searches allocate 230,250 and 188,231
+   minor words; the budgets leave 5% for small changes.  Recorded with
+   OCaml 5.1.1 (no flambda) under dune's default dev profile.  The
+   count is exact for one compiler, but a compiler upgrade, other
+   inlining or unboxing, or a change to code the search calls (Props,
+   Physical, the cost model) can move it without any change to the DP:
+   re-measure (the failure prints the figure) and re-record it here,
+   with the before and after figures in CHANGES.md. *)
 let test_allocation_budget () =
-  let check name budget words =
+  let check name recorded words =
+    let budget = recorded *. 1.05 in
     if words > budget then
-      Alcotest.failf "%s: %.0f minor words, budget %.0f" name words budget
+      Alcotest.failf
+        "%s: %.0f minor words, budget %.0f (recorded %.0f with OCaml 5.1.1, \
+         dev profile); if the compiler or a callee moved, re-record the \
+         figure, else the DP allocates more"
+        name words budget recorded
   in
-  check "star-7" (248_986. *. 1.05) (search_words (Golden.star ()) Golden.star_sql);
-  check "chain-10" (200_370. *. 1.05)
-    (search_words (Golden.chain ()) Golden.chain_sql)
+  check "star-7" 230_250. (search_words (Golden.star ()) Golden.star_sql);
+  check "chain-10" 188_231. (search_words (Golden.chain ()) Golden.chain_sql)
 
 (* --- reference join DP ------------------------------------------------- *)
 
@@ -1595,8 +1529,11 @@ module Reference = struct
       }
     in
     let jcost impl =
-      Model.join_cost ctx.model ~impl ~left_rows:e1.Pareto.rows
-        ~right_rows:e2.Pareto.rows ~left_distinct:d1
+      let costs = [| 0.0 |] in
+      Model.join_costs ctx.model ~impls:[| impl |] ~mask:1
+        ~left_rows:e1.Pareto.rows ~right_rows:e2.Pareto.rows
+        ~left_distinct:d1 costs;
+      costs.(0)
     in
     let hash_joins =
       List.map
@@ -2187,7 +2124,6 @@ let () =
           Alcotest.test_case "three-way join" `Quick test_three_way_join;
           Alcotest.test_case "disconnected join" `Quick
             test_disconnected_join_rejected;
-          QCheck_alcotest.to_alcotest prop_connected_splits;
           Alcotest.test_case "factor scales with hash constant" `Quick
             test_factor_scales_with_hash_constant;
           Alcotest.test_case "filter feeds grouping estimate" `Quick

@@ -277,6 +277,57 @@ let prop_list_ops_match_reference =
            (fun n -> Props.column a n = Reference.column a n)
            ("z" :: name_pool))
 
+(* [Props.Layout] against the list operations it stands for: vectors
+   converted over one layout export back unchanged, and dominate,
+   union, sort and answer column queries exactly as their lists do. *)
+let prop_layout_matches_lists =
+  QCheck.Test.make ~name:"layout vectors = property lists" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b, _) ->
+         Printf.sprintf "a=%s\nb=%s" (print_props a) (print_props b))
+       props_pair_gen)
+    (fun (a, b, _) ->
+      let module L = Props.Layout in
+      let names = L.names () in
+      let l, v = L.of_props names [| a; b |] in
+      let export = L.exporter names l in
+      let la, va = L.of_props names [| a |] in
+      let lb, vb = L.of_props names [| b |] in
+      let lu = L.union_layout names la lb in
+      let rows = 3 in
+      let u =
+        L.union lu (L.slots_into la ~into:lu) va.(0).L.cls
+          (L.slots_into lb ~into:lu) vb.(0).L.cls ~rows
+      in
+      let capped (p : Props.t) =
+        {
+          p with
+          Props.columns =
+            List.map
+              (fun (n, (c : Props.column)) ->
+                (n, { c with Props.distinct = min c.Props.distinct rows }))
+              p.Props.columns;
+        }
+      in
+      let column_queries n =
+        let id = L.name_id names n in
+        L.has l v.(0) id = Option.is_some (Props.column a n)
+        && L.dense_on l v.(0) id = Props.dense_on a n
+        && L.distinct_or l v.(0) id (-1)
+           = Option.value ~default:(-1) (Props.distinct_of a n)
+      in
+      export v.(0) = a
+      && export v.(1) = b
+      && L.dominates v.(0) v.(1) = Props.dominates a b
+      && L.dominates v.(1) v.(0) = Props.dominates b a
+      && L.exporter names lu { L.cls = u; sorted = -1; clustered = -1 }
+         = capped (Props.union_columns a b)
+      && List.for_all
+           (fun (n, _) ->
+             export (L.with_sort v.(0) (L.name_id names n)) = Props.with_sort a n)
+           a.Props.columns
+      && List.for_all column_queries ("z" :: name_pool))
+
 (* --- logical ------------------------------------------------------------ *)
 
 let test_logical_constructors_and_relations () =
@@ -454,6 +505,7 @@ let () =
           qtest prop_dominance_transitive;
           qtest prop_dominance_reflexive;
           qtest prop_list_ops_match_reference;
+          qtest prop_layout_matches_lists;
           Alcotest.test_case "of_stats" `Quick test_props_of_stats;
         ] );
       ( "logical",
